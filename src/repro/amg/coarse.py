@@ -40,6 +40,13 @@ class CoarseSolver:
                 scale = max(np.abs(dense).max(), 1.0)
                 dense = dense + np.eye(self.n) * scale * 1e-14
                 self._lu = scipy.linalg.lu_factor(dense)
+                # The LAPACK routine ``lu_solve`` ends in, resolved once:
+                # calling it directly skips the per-call wrapper work
+                # (batching dispatch, finiteness scan) that costs ~10x the
+                # triangular solves on a coarsest grid this small.
+                (self._getrs,) = scipy.linalg.get_lapack_funcs(
+                    ("getrs",), (self._lu[0], dense[:, 0])
+                )
             else:
                 self._lu = None
         else:
@@ -61,9 +68,13 @@ class CoarseSolver:
             # the outer iteration will observe the non-finite residual.
             return np.full_like(b, np.nan)
         if self.method == "direct":
-            import scipy.linalg
-
-            return scipy.linalg.lu_solve(self._lu, b)
+            # Bit-identical to ``scipy.linalg.lu_solve(self._lu, b)``: the
+            # same getrs call on the same operands (b is finite, checked
+            # above, and never overwritten).
+            x, info = self._getrs(*self._lu, b)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of getrs")
+            return x
         if spmv is None:
             spmv = self._a.matvec
         x = np.zeros_like(b)

@@ -168,7 +168,9 @@ def _fuzz_conversion_cache(case) -> None:
         cache = am.cache
         # Touch every memoised field, then recompute-and-compare.
         cache.pop_per_tile, cache.nnz, cache.block_row_ids
-        cache.blocks_per_row, cache.x_gather, cache.y_scatter
+        cache.blocks_per_row
+        cache.tile_passes(np.float64, np.float64)
+        cache.tile_passes(np.float16, np.float32)
         cache.tiles(np.float16, np.float32)
         cache.tiles(np.float32, np.float32)
         cache.spmv_plan(True)

@@ -147,9 +147,9 @@ def validate_operator_cache(mat, kernel: str = "OperatorCache") -> None:
     cache = mat._cache
     if cache is None:
         return  # nothing memoised yet — vacuously coherent
-    from repro.formats.bitmap import BLOCK_SIZE, bitmap_popcount
-    from repro.kernels.spmv import build_spmv_plan
-    from repro.util.segops import flat_segment_ids
+    from repro.formats.bitmap import bitmap_popcount
+    from repro.kernels.cache import widened_tiles
+    from repro.kernels.spmv import TilePasses, build_spmv_plan, slot_pairing
 
     def _cmp(field_name: str, cached, fresh) -> None:
         if cached is None:
@@ -174,21 +174,25 @@ def validate_operator_cache(mat, kernel: str = "OperatorCache") -> None:
         "block_row_ids", cache._block_row_ids,
         np.repeat(np.arange(mat.mb, dtype=np.int64), np.diff(mat.blc_ptr)),
     )
-    fresh_gather = (
-        (mat.blc_idx * BLOCK_SIZE)[:, None]
-        + np.arange(BLOCK_SIZE, dtype=np.int64)
-    )
-    _cmp("x_gather", cache._x_gather, fresh_gather)
-    if cache._y_scatter is not None:
-        rows = np.repeat(
-            np.arange(mat.mb, dtype=np.int64), np.diff(mat.blc_ptr)
-        )
-        _cmp("y_scatter", cache._y_scatter,
-             flat_segment_ids(rows, BLOCK_SIZE))
     for (in_dtype, acc_dtype), tiles in cache._tiles.items():
-        quant = mat.blc_val if mat.blc_val.dtype == in_dtype else mat.blc_val.astype(in_dtype)
-        fresh = quant if quant.dtype == acc_dtype else quant.astype(acc_dtype)
-        _cmp(f"tiles[{in_dtype}->{acc_dtype}]", tiles, fresh)
+        _cmp(f"tiles[{in_dtype}->{acc_dtype}]", tiles,
+             widened_tiles(mat.blc_val, in_dtype, acc_dtype))
+    for (in_dtype, acc_dtype), passes in cache._tile_passes.items():
+        name = f"tile_passes[{in_dtype}->{acc_dtype}]"
+        if passes.pairing != slot_pairing(acc_dtype):
+            _fail(kernel, "cache/coherent",
+                  f"cached {name} pairs slots {passes.pairing}, the "
+                  f"association probe gives {slot_pairing(acc_dtype)}", A=mat)
+        fresh = TilePasses(mat, widened_tiles(mat.blc_val, in_dtype, acc_dtype),
+                           in_dtype, acc_dtype, passes.pairing)
+        for part in ("pairs", "reduce"):
+            got, want = getattr(passes, part), getattr(fresh, part)
+            if got is None:
+                continue  # the matmul fallback has no slot-pair pass
+            for field in ("data", "indices", "indptr"):
+                _cmp(f"{name}.{part}.{field}", getattr(got, field),
+                     getattr(want, field))
+        _cmp(f"{name}.tiles", passes.tiles, fresh.tiles)
     for (allow_tc, threshold), plan in cache._spmv_plans.items():
         fresh_plan = build_spmv_plan(
             mat, allow_tensor_cores=allow_tc, tc_threshold=threshold

@@ -118,7 +118,11 @@ class MBSRMatrix:
 
     @property
     def cache(self):
-        """The per-operator :class:`~repro.kernels.cache.OperatorCache`."""
+        """The per-operator :class:`~repro.kernels.cache.OperatorCache`.
+
+        The matrix owns its cache; the cache refers back to the matrix
+        only weakly, so no reference cycle outlives the last user.
+        """
         if self._cache is None:
             from repro.kernels.cache import OperatorCache
 

@@ -293,11 +293,15 @@ amg_setup`).
                 "tape_record", batch=batch or 1,
                 rerecord=tape is not None,
             )
-            backend, perf = self.backend, self.perf
+            # The closures outlive recording (the tape's oracle binds
+            # lazily), so they capture the wrappers, never ``self``: a
+            # tape stored in ``self._tapes`` must not form a cycle back to
+            # the driver, or a dropped solver waits for the cyclic GC.
+            backend, perf, wrapped = self.backend, self.perf, self._wrapped
 
             def bindings(level: int, op: str):
                 return backend.bind_matvec(
-                    self._wrapped[level][op], perf, "solve", level
+                    wrapped[level][op], perf, "solve", level
                 )
 
             if batch is None:
@@ -307,8 +311,7 @@ amg_setup`).
             else:
                 def panel_bindings(level: int, op: str):
                     return backend.bind_matmat(
-                        self._wrapped[level][op], perf, "solve", level,
-                        batch,
+                        wrapped[level][op], perf, "solve", level, batch,
                     )
 
                 with obs_trace.span("tape.record", "solver",

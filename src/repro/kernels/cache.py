@@ -18,10 +18,14 @@ one extra attribute lookup and nothing else.
 The cache assumes the owning matrix's arrays are immutable after
 construction — the invariant every ``MBSRMatrix`` operation already
 follows (``astype``/``transpose``/``copy`` build new objects, each with a
-fresh cache).
+fresh cache).  The matrix owns its cache and the cache refers back to it
+only weakly, so dropping an operator frees it (tiles, plans, bindings
+and all) by reference counting, without waiting for a cyclic collection.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -29,40 +33,61 @@ from repro.obs import blackbox as obs_blackbox
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
 
-__all__ = ["OperatorCache"]
+__all__ = ["OperatorCache", "widened_tiles"]
+
+
+def widened_tiles(vals: np.ndarray, in_dtype, acc_dtype) -> np.ndarray:
+    """Tile values quantised to *in_dtype*, then widened to *acc_dtype*.
+
+    The quantise step is skipped (not re-rounded) when *vals* already
+    hold *in_dtype* — numerically identical either way — and no copy is
+    made when no cast is needed.
+    """
+    quant = vals if vals.dtype == in_dtype else vals.astype(in_dtype)
+    return quant if quant.dtype == acc_dtype else quant.astype(acc_dtype)
 
 
 class OperatorCache:
     """Memoised per-matrix state reused across kernel calls."""
 
     def __init__(self, mat) -> None:
-        self._mat = mat
+        self._mat_ref = weakref.ref(mat)
         self._pattern_key: str | None = None
         self._pop_per_tile: np.ndarray | None = None
         self._pop_hist: np.ndarray | None = None
         self._nnz: int | None = None
         self._block_row_ids: np.ndarray | None = None
         self._blocks_per_row: np.ndarray | None = None
-        self._x_gather: np.ndarray | None = None
-        self._y_scatter: np.ndarray | None = None
         #: Quantised-then-widened tile arrays, keyed by (in, acc) dtypes.
         self._tiles: dict[tuple[np.dtype, np.dtype], np.ndarray] = {}
+        #: Two-pass CSR tile contractions (:class:`repro.kernels.spmv.
+        #: TilePasses`), keyed by (in, acc) dtypes; built on the first
+        #: SpMV/SpMM or binding at that precision.
+        self._tile_passes: dict[tuple[np.dtype, np.dtype], object] = {}
         #: SpMV plans keyed by (allow_tensor_cores, tc_threshold).
         self._spmv_plans: dict[tuple[bool, float], object] = {}
         #: Replayable SpMV bindings keyed by (precision, allow_tc,
         #: tc_threshold, storage_itemsize) — the tape's plan handles.
         self._spmv_bindings: dict[tuple, object] = {}
         #: Replayable blocked-SpMM bindings; the SpMV key plus the panel
-        #: width (work-buffer shapes are width-specific).
+        #: width (the priced record scales with it).
         self._spmm_bindings: dict[tuple, object] = {}
-        #: Reuse telemetry over the per-call entries (:meth:`tiles` and
-        #: :meth:`spmv_plan` — the lookups every kernel call makes).
+        #: Reuse telemetry over the per-call entries (:meth:`tiles`,
+        #: :meth:`tile_passes` and :meth:`spmv_plan` — the lookups every
+        #: kernel call makes).
         #: Plain ints so tests and the obs registry can read them with no
         #: tracing gate; ``evictions`` stays 0 — the cache lives and dies
         #: with its matrix and never drops entries.
         self.hits: int = 0
         self.misses: int = 0
         self.evictions: int = 0
+
+    @property
+    def _mat(self):
+        mat = self._mat_ref()
+        if mat is None:
+            raise ReferenceError("operator cache outlived its matrix")
+        return mat
 
     # -- structural invariants -----------------------------------------
     @property
@@ -139,41 +164,12 @@ class OperatorCache:
             self._blocks_per_row.setflags(write=False)
         return self._blocks_per_row
 
-    @property
-    def x_gather(self) -> np.ndarray:
-        """Flat per-tile x-slice indices: ``xp[x_gather]`` is (blc_num, 4)."""
-        if self._x_gather is None:
-            from repro.formats.bitmap import BLOCK_SIZE
-
-            idx = self._mat.blc_idx * BLOCK_SIZE
-            self._x_gather = idx[:, None] + np.arange(BLOCK_SIZE, dtype=np.int64)
-            self._x_gather.setflags(write=False)
-        return self._x_gather
-
-    @property
-    def y_scatter(self) -> np.ndarray:
-        """Precomputed ``segment_sum`` bin ids for the SpMV epilogue.
-
-        The (blc_num, 4) per-tile contributions reduce into block rows via
-        the float64 bincount path; this is its flattened
-        (segment, component) id array, built once per matrix.
-        """
-        if self._y_scatter is None:
-            from repro.formats.bitmap import BLOCK_SIZE
-            from repro.util.segops import flat_segment_ids
-
-            self._y_scatter = flat_segment_ids(self.block_row_ids, BLOCK_SIZE)
-            self._y_scatter.setflags(write=False)
-        return self._y_scatter
-
     # -- precision casts -----------------------------------------------
     def tiles(self, in_dtype, acc_dtype) -> np.ndarray:
-        """Tile values quantised to *in_dtype* then widened to *acc_dtype*.
+        """Memoised :func:`widened_tiles` of the matrix's tile values.
 
         This is the per-call ``.astype(in_dtype).astype(acc_dtype)`` the
-        kernels used to run on every SpMV/SpGEMM, done once and kept.  The
-        quantise step is skipped (not re-rounded) when the stored values
-        already hold *in_dtype* — numerically identical either way.
+        SpGEMM kernels used to run on every call, done once and kept.
         """
         key = (np.dtype(in_dtype), np.dtype(acc_dtype))
         cached = self._tiles.get(key)
@@ -183,9 +179,7 @@ class OperatorCache:
                 obs_names.OPERATOR_CACHE_REQUESTS, entry="tiles", result="miss"
             )
             obs_blackbox.record("operator_cache_miss", entry="tiles")
-            vals = self._mat.blc_val
-            quant = vals if vals.dtype == key[0] else vals.astype(key[0])
-            cached = quant if quant.dtype == key[1] else quant.astype(key[1])
+            cached = widened_tiles(self._mat.blc_val, *key)
             cached.setflags(write=False)
             self._tiles[key] = cached
         else:
@@ -194,6 +188,39 @@ class OperatorCache:
                 obs_names.OPERATOR_CACHE_REQUESTS, entry="tiles", result="hit"
             )
         return cached
+
+    def tile_passes(self, in_dtype, acc_dtype):
+        """The operator's :class:`repro.kernels.spmv.TilePasses` at one
+        precision: the host SpMV/SpMM contraction, built on first use.
+
+        Reuses the memoised :meth:`tiles` entry when one exists (an FP64
+        operator's tiles are its own values) but does not create one — the
+        passes hold the only widened copy they need.
+        """
+        key = (np.dtype(in_dtype), np.dtype(acc_dtype))
+        passes = self._tile_passes.get(key)
+        if passes is None:
+            from repro.kernels.spmv import TilePasses, slot_pairing
+
+            self.misses += 1
+            obs_metrics.inc(
+                obs_names.OPERATOR_CACHE_REQUESTS, entry="tile_passes",
+                result="miss",
+            )
+            obs_blackbox.record("operator_cache_miss", entry="tile_passes")
+            mat = self._mat
+            tiles = self._tiles.get(key)
+            if tiles is None:
+                tiles = widened_tiles(mat.blc_val, *key)
+            passes = TilePasses(mat, tiles, *key, slot_pairing(key[1]))
+            self._tile_passes[key] = passes
+        else:
+            self.hits += 1
+            obs_metrics.inc(
+                obs_names.OPERATOR_CACHE_REQUESTS, entry="tile_passes",
+                result="hit",
+            )
+        return passes
 
     # -- SpMV preprocessing ----------------------------------------------
     def spmv_plan(self, allow_tensor_cores: bool = True, tc_threshold=None):
@@ -241,8 +268,7 @@ class OperatorCache:
         """Memoised :func:`repro.kernels.spmv.bind_spmv`.
 
         One binding per (precision, dispatch knobs) per operator: tapes
-        recorded against the same hierarchy share the resolved kernels
-        (and their work buffers — single-threaded replay is the contract).
+        recorded against the same hierarchy share the resolved kernels.
         """
         from repro.formats.bitmap import TC_NNZ_THRESHOLD
         from repro.kernels.spmv import bind_spmv
@@ -290,10 +316,9 @@ class OperatorCache:
         """Memoised :func:`repro.kernels.spmv.bind_spmm`.
 
         The batched twin of :meth:`spmv_binding`, additionally keyed by
-        the RHS-panel *width*: the binding's reused gather/contribution
-        buffers are shaped ``(width, ...)``, so each width gets its own
-        resolved closure.  Batch tapes recorded against the same
-        hierarchy at the same width share it.
+        the RHS-panel *width*, which its priced record scales with.  Batch
+        tapes recorded against the same hierarchy at the same width share
+        it.
         """
         from repro.formats.bitmap import TC_NNZ_THRESHOLD
         from repro.kernels.spmv import bind_spmm

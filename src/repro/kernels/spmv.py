@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.check import runtime as check_runtime
 from repro.formats.bitmap import BLOCK_SIZE, TC_NNZ_THRESHOLD, TILE_SLOTS
@@ -30,7 +31,6 @@ from repro.obs import names as obs_names
 from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import Precision, effective_value_bytes
 from repro.kernels.record import KernelRecord
-from repro.util.segops import segment_sum
 
 __all__ = [
     "WARP_CAPACITY",
@@ -38,11 +38,13 @@ __all__ = [
     "SpMVPlan",
     "SpMVBinding",
     "SpMMBinding",
+    "TilePasses",
     "build_spmv_plan",
     "bind_spmv",
     "bind_spmm",
     "mbsr_spmv",
     "mbsr_spmm",
+    "slot_pairing",
 ]
 
 #: Tiles per warp under the load-balanced schedule (Sec. IV.D.1).
@@ -130,10 +132,230 @@ def build_spmv_plan(
     )
 
 
-def _padded_x(mat: MBSRMatrix, x: np.ndarray, dtype) -> np.ndarray:
-    xp = np.zeros(mat.nb * BLOCK_SIZE, dtype=dtype)
-    xp[: mat.ncols] = x
-    return xp
+# ----------------------------------------------------------------------
+# Host tile contraction: two CSR passes over the mBSR tiles.
+#
+# The reference dataflow is a batched ``np.matmul(tiles, xblk[:, :, None])``
+# (one BLAS gemv per 4x4 tile) followed by a sequential ``bincount`` of
+# the per-tile contributions into block rows.  Both steps are rewritten
+# as scipy CSR products that round exactly like them:
+#
+# * the *slot-pair* pass has two rows per tile row: row ``4t+i`` of its
+#   top half holds tile ``t``'s row ``i`` restricted to slots ``(a, b)``,
+#   the same row of its bottom half slots ``(c, d)``, and scipy's matvec
+#   sums each row as ``(0 + t_a*x_a) + t_b*x_b``.  ``top + bottom`` then
+#   reproduces matmul's four-term association when the pairs are the ones
+#   gemv adds first (probed per accumulator dtype, see
+#   :func:`slot_pairing`).  The leading ``+0.0`` can only flip the sign of
+#   a zero partial sum, which the reduction's own ``+0.0`` start absorbs.
+# * the *reduction* pass is a 0/1 matrix summing the tile contributions of
+#   each output row in tile order, starting from ``+0.0`` — exactly
+#   ``bincount``'s (and the float32 ragged sweep's) sequential rounding.
+#
+# All 16 slots of every tile stay in the slot-pair pass, structural zeros
+# included, so inf/NaN in x propagates as the dense tile product does.
+# scipy's multi-vector product runs the same per-column arithmetic, so a
+# ``(ncols, k)`` panel goes through the identical code path.
+# ----------------------------------------------------------------------
+
+#: Candidate slot pairings ``(a, b, c, d)``: a tile row contracts as
+#: ``(t_a x_a + t_b x_b) + (t_c x_c + t_d x_d)``.
+_PAIRINGS = ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2))
+
+#: Probed pairing per accumulator dtype; ``None`` keeps the matmul
+#: contraction (no candidate reproduces the BLAS build's gemv).
+_SLOT_PAIRING: dict[np.dtype, tuple[int, ...] | None] = {}
+
+#: Process-wide read-only constants shared by every operator's passes:
+#: the stride-2 slot-pair indptr and the all-ones reduction values, one
+#: buffer per (kind, dtype, power-of-two length).
+_SHARED: dict[tuple[str, np.dtype, int], np.ndarray] = {}
+
+
+def _index_dtype(maxval: int) -> type:
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
+
+
+def _shared_prefix(kind: str, dtype, n: int) -> np.ndarray:
+    """The first *n* entries of a shared read-only constant array.
+
+    Buffer lengths are powers of two so a prefix always spans at least
+    half its buffer: scipy copies a data array that is a view of a much
+    larger one.
+    """
+    size = 1 << max(n - 1, 0).bit_length()
+    key = (kind, np.dtype(dtype), size)
+    buf = _SHARED.get(key)
+    if buf is None:
+        if kind == "stride2":
+            buf = np.arange(0, 2 * size, 2, dtype=dtype)
+        else:
+            buf = np.ones(size, dtype=dtype)
+        buf.setflags(write=False)
+        _SHARED[key] = buf
+    return buf[:n]
+
+
+def _frozen_csr(data, indices, indptr, shape) -> sp.csr_array:
+    """A CSR array over the given arrays (copied only where scipy must),
+    with every array it ends up holding made read-only."""
+    out = sp.csr_array((data, indices, indptr), shape=shape, copy=False)
+    for arr in (out.data, out.indices, out.indptr):
+        arr.setflags(write=False)
+    return out
+
+
+def _pair_pass(tiles: np.ndarray, blc_idx: np.ndarray, pairing,
+               ncols: int) -> sp.csr_array:
+    """The ``(8 * blc, ncols)`` slot-pair pass over widened *tiles*."""
+    blc = tiles.shape[0]
+    idx_dtype = _index_dtype(max(TILE_SLOTS * blc, ncols))
+    # Laid out (half, tile, tile row, slot of the pair).
+    data = np.empty((2, blc, BLOCK_SIZE, 2), dtype=tiles.dtype)
+    cols = np.empty(data.shape, dtype=idx_dtype)
+    base = (blc_idx * BLOCK_SIZE).astype(idx_dtype)[:, None]
+    for slot, src in enumerate(pairing):
+        half, pos = divmod(slot, 2)
+        data[half, :, :, pos] = tiles[:, :, src]
+        np.add(base, src, out=cols[half, :, :, pos])
+    indptr = _shared_prefix("stride2", idx_dtype, 2 * BLOCK_SIZE * blc + 1)
+    return _frozen_csr(data.reshape(-1), cols.reshape(-1), indptr,
+                       (2 * BLOCK_SIZE * blc, ncols))
+
+
+def _pair_sum(u: np.ndarray) -> np.ndarray:
+    """Per-tile-row contributions ``top + bottom``, added in place into
+    the top half of the slot-pair pass output (1-D or ``(rows, k)``)."""
+    top = u[: u.shape[0] // 2]
+    np.add(top, u[top.shape[0]:], out=top)
+    return top
+
+
+def _reduce_pass(blc_ptr: np.ndarray, nrows: int, acc_dtype) -> sp.csr_array:
+    """The ``(nrows, 4 * blc)`` 0/1 pass summing contributions in tile order.
+
+    Output row ``4*br + i`` reads contribution ``4*t + i`` of every tile
+    ``t`` of block row ``br``, in increasing ``t``.
+    """
+    counts = np.diff(blc_ptr)
+    blc = int(blc_ptr[-1])
+    idx_dtype = _index_dtype(BLOCK_SIZE * blc)
+    comp = np.arange(BLOCK_SIZE)
+    starts = BLOCK_SIZE * blc_ptr[:-1, None] + comp * counts[:, None]
+    tile = np.arange(blc)
+    brow = np.repeat(np.arange(counts.shape[0]), counts)
+    pos = starts[brow] + (tile - blc_ptr[brow])[:, None]
+    indices = np.empty(BLOCK_SIZE * blc, dtype=idx_dtype)
+    indices[pos.reshape(-1)] = (BLOCK_SIZE * tile[:, None] + comp).reshape(-1)
+    indptr = np.append(starts.reshape(-1), BLOCK_SIZE * blc)[: nrows + 1]
+    nnz = int(indptr[-1])
+    ones = _shared_prefix("ones", acc_dtype, nnz)
+    return _frozen_csr(ones, indices[:nnz], indptr.astype(idx_dtype),
+                       (nrows, BLOCK_SIZE * blc))
+
+
+def _probe_pairing(acc_dtype: np.dtype) -> tuple[int, ...] | None:
+    """Find the slot pairing whose two-pass contraction matches
+    ``np.matmul``'s ``(4, 4) @ (4, 1)`` bit for bit, width 1 and panel."""
+    rng = np.random.default_rng(0x5EED)
+    blc, width = 256, 3
+
+    def draw(shape):
+        scale = np.exp2(rng.integers(-12, 13, size=shape))
+        return (rng.standard_normal(shape) * scale).astype(acc_dtype)
+
+    tiles, x = draw((blc, BLOCK_SIZE, BLOCK_SIZE)), draw((blc * BLOCK_SIZE, width))
+    ref = [
+        np.matmul(tiles, np.ascontiguousarray(x[:, j]).reshape(blc, -1, 1))
+        .reshape(-1)
+        for j in range(width)
+    ]
+    for pairing in _PAIRINGS:
+        # lint: disable=R5 -- runs once per accumulator dtype per process
+        pairs = _pair_pass(tiles, np.arange(blc), pairing, blc * BLOCK_SIZE)
+        panel = _pair_sum(pairs @ x)
+        if all(
+            np.array_equal(_pair_sum(pairs @ np.ascontiguousarray(x[:, j])), r)
+            and np.array_equal(panel[:, j], r)
+            for j, r in enumerate(ref)
+        ):
+            return pairing
+    return None
+
+
+def slot_pairing(acc_dtype) -> tuple[int, ...] | None:
+    """The slot pairing reproducing ``np.matmul`` in *acc_dtype* on the
+    running BLAS build (probed once per dtype), or ``None`` for the
+    fallback."""
+    acc = np.dtype(acc_dtype)
+    if acc not in _SLOT_PAIRING:
+        _SLOT_PAIRING[acc] = _probe_pairing(acc)
+    return _SLOT_PAIRING[acc]
+
+
+class TilePasses:
+    """One operator's host tile contraction at one precision.
+
+    ``passes(x)`` computes ``A @ x`` in the accumulator dtype for an
+    ``(ncols,)`` vector or an ``(ncols, k)`` panel, quantising x to the
+    input dtype first — bit-identical to the batched-matmul + bincount
+    dataflow.  When no slot pairing reproduces the host's matmul
+    (``pairing is None``) the slot-pair pass is replaced by that matmul
+    itself; the reduction pass is shared by both.
+
+    Holds only arrays, never the matrix, so the operator cache storing it
+    creates no reference cycle.  Scratch is allocated per call: the
+    object is immutable and safe to share across bindings.
+    """
+
+    __slots__ = ("in_dtype", "acc_dtype", "nrows", "ncols", "padded",
+                 "pairing", "pairs", "reduce", "tiles", "blc_idx")
+
+    pairs: sp.csr_array | None
+    tiles: np.ndarray | None
+    blc_idx: np.ndarray | None
+
+    def __init__(self, mat: MBSRMatrix, tiles: np.ndarray, in_dtype,
+                 acc_dtype, pairing: tuple[int, ...] | None) -> None:
+        self.in_dtype = np.dtype(in_dtype)
+        self.acc_dtype = np.dtype(acc_dtype)
+        self.nrows, self.ncols = mat.shape
+        self.padded = mat.nb * BLOCK_SIZE
+        self.pairing = pairing
+        if pairing is None:
+            self.pairs = None
+            self.tiles = tiles.view()
+            self.tiles.setflags(write=False)
+            self.blc_idx = mat.blc_idx
+        else:
+            self.pairs = _pair_pass(tiles, mat.blc_idx, pairing, self.padded)
+            self.tiles = self.blc_idx = None
+        self.reduce = _reduce_pass(mat.blc_ptr, self.nrows, self.acc_dtype)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        xq = x.astype(self.in_dtype, copy=False)
+        if xq.shape[0] == self.padded:
+            xp = xq.astype(self.acc_dtype, copy=False)
+        else:
+            xp = np.zeros((self.padded,) + xq.shape[1:], dtype=self.acc_dtype)
+            xp[: self.ncols] = xq
+        if self.pairs is not None:
+            contrib = _pair_sum(self.pairs @ xp)
+        else:
+            contrib = self._matmul_contrib(xp)
+        return self.reduce @ contrib
+
+    def _matmul_contrib(self, xp: np.ndarray) -> np.ndarray:
+        """The fallback contraction: one ``(4, 4) @ (4, 1)`` per tile."""
+        tiles, blc_idx = self.tiles, self.blc_idx
+        assert tiles is not None and blc_idx is not None
+        xblk = xp.reshape((-1, BLOCK_SIZE) + xp.shape[1:])[blc_idx]
+        if xp.ndim == 1:
+            return np.matmul(tiles, xblk[:, :, None]).reshape(-1)
+        # (k, blc, 4, 1): the broadcast keeps the width-1 gufunc core per
+        # column, so each column rounds as its width-1 call would.
+        x4 = np.ascontiguousarray(np.moveaxis(xblk, 2, 0))[..., None]
+        return np.matmul(tiles[None], x4).reshape(x4.shape[0], -1).T
 
 
 def _account_spmv(
@@ -217,37 +439,14 @@ def mbsr_spmv(
         plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
 
     record = KernelRecord(kernel="spmv", backend="amgt", precision=precision)
-    in_dtype = precision.np_dtype
     acc_dtype = precision.accum_dtype
-
-    if mat.blc_num:
-        xq = np.asarray(x, dtype=in_dtype)
-        if mat.ncols == mat.nb * BLOCK_SIZE:
-            xp = xq  # already 4-aligned: gather straight from x
-        else:
-            xp = _padded_x(mat, xq, in_dtype)
-        # Gather the 4-vector of x per tile (cached flat indices), batched
-        # tile matvec, segmented reduction into y — the same dataflow as
-        # both device kernels, with the precision semantics of the selected
-        # core type.  The tile values arrive quantised-and-widened from the
-        # operator cache (one cast per matrix, not two per call).
-        xblk = xp[cache.x_gather]  # (blc_num, 4)
-        if xblk.dtype != acc_dtype:
-            xblk = xblk.astype(acc_dtype)
-        tiles = cache.tiles(in_dtype, acc_dtype)
-        contrib = np.matmul(tiles, xblk[:, :, None])[:, :, 0]
-        y = segment_sum(
-            contrib, cache.block_row_ids, mat.mb,
-            sorted_ids=True, flat_ids=cache.y_scatter,
-        ).reshape(-1)
-    else:
-        y = np.zeros(mat.mb * BLOCK_SIZE, dtype=acc_dtype)
-
+    # Tile products then the row reduction, as in both device kernels,
+    # with the precision semantics of the selected core type; the tile
+    # values are quantised-and-widened once per operator, not per call.
+    y = cache.tile_passes(precision.np_dtype, acc_dtype)(x)
     _account_spmv(record, mat, plan, precision, storage_itemsize)
-    y = y[: mat.nrows]
-    # Output-dtype pin: both the segment-sum path and the blc_num == 0
-    # early exit must hand back the accumulator dtype, or mixed-precision
-    # callers silently lose (or fabricate) precision downstream.
+    # Output-dtype pin: mixed-precision callers must get the accumulator
+    # dtype back, or they silently lose (or fabricate) precision downstream.
     assert y.dtype == acc_dtype, (
         f"mbsr_spmv produced {y.dtype}, expected accumulator {acc_dtype}"
     )
@@ -278,12 +477,10 @@ class SpMVBinding:
     ``run(x)`` returns a fresh float64 vector bit-identical to
     ``np.asarray(mbsr_spmv(mat, x, precision, plan)[0], dtype=np.float64)``
     with every per-call decision already taken: the TC/CUDA plan, the
-    quantised-and-widened tile array, the gather/scatter index arrays and
-    the precision casts are all captured at bind time, so a replay is just
-    gather -> batched tile matvec -> bincount.  The internal gather and
-    contribution buffers are reused across calls (the returned vector
-    never aliases them), which makes a binding single-threaded by
-    contract.
+    operator's :class:`TilePasses` at this precision and the check gate
+    are all captured at bind time, so a replay is just the two CSR
+    passes.  Scratch is allocated per call and the captured state is
+    immutable, so bindings hold no per-binding buffers.
 
     ``record`` is the unpriced cost template of one call — identical
     counters to the record :func:`mbsr_spmv` would produce, built once
@@ -313,95 +510,46 @@ def bind_spmv(
     This is the record-time half of the kernel tape: everything
     :func:`mbsr_spmv` re-derives or re-checks per call (argument
     validation, plan lookup, cache attribute walks, record construction,
-    cost accounting, the segment-id range re-validation inside
-    ``segment_sum``) happens here exactly once.  The float64 accumulator
-    path reduces through ``np.bincount`` directly — the same call
-    ``segment_sum`` bottoms out in, with the same input ordering, hence
-    bit-identical — and other accumulators fall back to ``segment_sum``.
+    cost accounting) happens here exactly once.
     """
     cache = mat.cache
     if plan is None:
         plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
     record = KernelRecord(kernel="spmv", backend="amgt", precision=precision)
     _account_spmv(record, mat, plan, precision, storage_itemsize)
+    passes = cache.tile_passes(precision.np_dtype, precision.accum_dtype)
 
-    in_dtype = np.dtype(precision.np_dtype)
-    acc_dtype = np.dtype(precision.accum_dtype)
-    nrows, ncols = mat.nrows, mat.ncols
+    def verify(x: np.ndarray, y: np.ndarray) -> None:
+        from repro.check import oracle
 
-    # The check gate is resolved once at bind time, exactly like the
-    # TC/CUDA dispatch: under an active checked region (or REPRO_CHECK)
-    # the binding's run verifies every call against the differential
-    # oracle; otherwise the replay path carries zero check overhead.
-    checked = check_runtime.is_active()
+        oracle.verify_spmv(mat, x, y, precision, plan)
 
-    if mat.blc_num == 0:
-        empty_len = mat.mb * BLOCK_SIZE
+    return SpMVBinding(_float64_run(passes, verify), record, precision, plan,
+                       mat.nrows, mat.ncols)
 
-        def run_empty(x: np.ndarray) -> np.ndarray:
-            y = np.zeros(empty_len, dtype=acc_dtype)[:nrows]
-            if checked:
-                from repro.check import oracle
 
-                oracle.verify_spmv(mat, x, y, precision, plan)
-            return y if y.dtype == np.float64 else y.astype(np.float64)
+def _float64_run(run_acc: Callable[[np.ndarray], np.ndarray],
+                 verify: Callable[[np.ndarray, np.ndarray], None]):
+    """A binding's float64 ``run`` over its accumulator-dtype core.
 
-        return SpMVBinding(run_empty, record, precision, plan, nrows, ncols)
+    The check gate is resolved here, once at bind time, exactly like the
+    TC/CUDA dispatch: under an active checked region (or REPRO_CHECK)
+    every call is verified against the differential oracle; otherwise the
+    replay path carries zero check overhead.
+    """
+    def widened(x: np.ndarray) -> np.ndarray:
+        y = run_acc(x)
+        return y if y.dtype == np.float64 else y.astype(np.float64)
 
-    tiles = cache.tiles(in_dtype, acc_dtype)
-    x_gather = cache.x_gather
-    flat_ids = cache.y_scatter
-    row_ids = cache.block_row_ids
-    mb = mat.mb
-    aligned = ncols == mat.nb * BLOCK_SIZE
-    xp_buf = None if aligned else np.zeros(mat.nb * BLOCK_SIZE, dtype=in_dtype)
-    # Reused work buffers: the gathered x tiles (input dtype), their
-    # accumulator-dtype widening (aliased when no widening is needed) and
-    # the per-tile contributions of the batched matvec.
-    xblk_in = np.empty(x_gather.shape, dtype=in_dtype)
-    widen = in_dtype != acc_dtype
-    xblk_acc = np.empty(x_gather.shape, dtype=acc_dtype) if widen else xblk_in
-    contrib = np.empty((tiles.shape[0], BLOCK_SIZE, 1), dtype=acc_dtype)
-    contrib_flat = contrib.reshape(-1)
-    bincount_path = acc_dtype == np.float64
-    minlength = mb * BLOCK_SIZE
+    if not check_runtime.is_active():
+        return widened
 
-    def run_acc(x: np.ndarray) -> np.ndarray:
-        """The replay core; returns y in the accumulator dtype."""
-        xq = x if x.dtype == in_dtype else x.astype(in_dtype)
-        if xp_buf is None:
-            xp = xq
-        else:
-            xp_buf[:ncols] = xq
-            xp = xp_buf
-        xp.take(x_gather, out=xblk_in)
-        if widen:
-            xblk_acc[...] = xblk_in
-        np.matmul(tiles, xblk_acc[:, :, None], out=contrib)
-        if bincount_path:
-            # The float64 fast path of segment_sum, minus its per-call
-            # id-range validation: bincount accumulates sequentially in
-            # input order, so this is bit-identical to np.add.at.
-            return np.bincount(flat_ids, weights=contrib_flat,
-                               minlength=minlength)[:nrows]
-        return segment_sum(
-            contrib[:, :, 0], row_ids, mb, sorted_ids=True
-        ).reshape(-1)[:nrows]
+    def run(x: np.ndarray) -> np.ndarray:
+        y = run_acc(x)
+        verify(x, y)
+        return y if y.dtype == np.float64 else y.astype(np.float64)
 
-    if checked:
-        def run(x: np.ndarray) -> np.ndarray:
-            from repro.check import oracle
-
-            y = run_acc(x)
-            oracle.verify_spmv(mat, x, y, precision, plan)
-            return y if bincount_path else y.astype(np.float64)
-    elif bincount_path:
-        run = run_acc
-    else:
-        def run(x: np.ndarray) -> np.ndarray:
-            return run_acc(x).astype(np.float64)
-
-    return SpMVBinding(run, record, precision, plan, nrows, ncols)
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -411,14 +559,10 @@ def bind_spmv(
 # an mBSR tile loaded for one MMA is reused across every column of the
 # RHS panel, so value/index traffic is charged once per tile while the
 # MMA/flop count scales with the panel width.  The numeric contract is
-# *per-column bit-identity* with the 1-RHS kernel: the contraction runs
-# as a broadcast-stacked matmul ``(1, blc, 4, 4) @ (k, blc, 4, 1)``,
-# whose gufunc core applies the identical ``(4, 4) @ (4, 1)`` product
-# per column slice that the width-1 ``matmul(tiles, x[:, :, None])``
-# applies (a flat ``(blc, 4, k)`` panel matmul does NOT round
-# identically per column and is deliberately not used), and the
-# segmented reduction runs one ``bincount`` per column with the same
-# flat ids in the same input order as the width-1 epilogue.
+# *per-column bit-identity* with the 1-RHS kernel, and it holds by
+# construction: the panel runs the same :class:`TilePasses` as width 1,
+# through scipy's multi-vector CSR product, whose per-column arithmetic
+# is the single-vector product's.
 # ----------------------------------------------------------------------
 
 def _account_spmm(
@@ -489,11 +633,9 @@ class SpMMBinding:
     ``(n, k)`` column-panel convention of :func:`mbsr_spmm` transposes
     at the boundary.
 
-    ``run_acc`` is the accumulator-dtype inner core (what
-    :func:`mbsr_spmm` calls); ``record`` is the priced one-panel-call
-    cost template (bytes once per tile, flops per column).  Work buffers
-    are reused across calls — single-threaded by contract, like
-    :class:`SpMVBinding`.
+    ``run_acc`` is the accumulator-dtype inner core; ``record`` is the
+    priced one-panel-call cost template (bytes once per tile, flops per
+    column).  Like :class:`SpMVBinding` it holds no work buffers.
     """
 
     run: Callable[[np.ndarray], np.ndarray]
@@ -518,19 +660,9 @@ def bind_spmm(
 ) -> SpMMBinding:
     """Resolve one operator's blocked SpMM into a :class:`SpMMBinding`.
 
-    Same plan/cast/dispatch machinery as :func:`bind_spmv` — the memoised
-    TC/CUDA plan, the quantised-and-widened tile array and the cached
-    gather/scatter indices — with the contraction widened to the panel:
-
-    * gather: one ``take`` of the padded x panel along the column axis
-      (same flat indices as the width-1 gather, per-row exact);
-    * contract: ``np.matmul(tiles[None], X4)`` with ``X4`` of shape
-      ``(width, blc, 4, 1)`` — the broadcast applies the width-1
-      ``(4, 4) @ (4, 1)`` gufunc core per column, so each column rounds
-      exactly as its 1-RHS call would;
-    * reduce: one float64 ``bincount`` per column over the same flat ids
-      in the same input order as the width-1 epilogue (other accumulator
-      dtypes fall back to the per-column ``segment_sum``).
+    Same plan/dispatch machinery and the same :class:`TilePasses` as
+    :func:`bind_spmv`; the row panel transposes to the ``(ncols, width)``
+    column panel scipy's multi-vector product takes, and back.
     """
     if width < 1:
         raise ValueError(f"panel width must be >= 1, got {width}")
@@ -539,94 +671,21 @@ def bind_spmm(
         plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
     record = KernelRecord(kernel="spmm", backend="amgt", precision=precision)
     _account_spmm(record, mat, plan, precision, width, storage_itemsize)
-
-    in_dtype = np.dtype(precision.np_dtype)
-    acc_dtype = np.dtype(precision.accum_dtype)
-    nrows, ncols = mat.nrows, mat.ncols
-    checked = check_runtime.is_active()
-
-    if mat.blc_num == 0:
-        def run_empty_acc(x: np.ndarray) -> np.ndarray:
-            return np.zeros((width, nrows), dtype=acc_dtype)
-
-        def run_empty(x: np.ndarray) -> np.ndarray:
-            y = run_empty_acc(x)
-            if checked:
-                from repro.check import oracle
-
-                for j in range(width):
-                    oracle.verify_spmv(mat, x[j], y[j], precision, plan)
-            return y if y.dtype == np.float64 else y.astype(np.float64)
-
-        return SpMMBinding(run_empty, run_empty_acc, record, precision, plan,
-                           nrows, ncols, width)
-
-    tiles = cache.tiles(in_dtype, acc_dtype)
-    tiles_b = tiles[None]  # broadcast leading panel axis
-    flat_gather = cache.x_gather.reshape(-1)
-    flat_ids = cache.y_scatter
-    row_ids = cache.block_row_ids
-    mb = mat.mb
-    blc = tiles.shape[0]
-    aligned = ncols == mat.nb * BLOCK_SIZE
-    xp_buf = (
-        None if aligned
-        else np.zeros((width, mat.nb * BLOCK_SIZE), dtype=in_dtype)
-    )
-    # Reused work buffers, the panel twins of bind_spmv's: the gathered
-    # x tiles as a (width, blc, 4, 1) view, their accumulator-dtype
-    # widening, and the per-tile per-column contributions.
-    xg_buf = np.empty((width, blc * BLOCK_SIZE), dtype=in_dtype)
-    x4 = xg_buf.reshape(width, blc, BLOCK_SIZE, 1)
-    widen = in_dtype != acc_dtype
-    xacc_buf = np.empty(x4.shape, dtype=acc_dtype) if widen else x4
-    contrib = np.empty((width, blc, BLOCK_SIZE, 1), dtype=acc_dtype)
-    contrib_flat = contrib.reshape(width, -1)
-    bincount_path = acc_dtype == np.float64
-    minlength = mb * BLOCK_SIZE
+    passes = cache.tile_passes(precision.np_dtype, precision.accum_dtype)
 
     def run_acc(x: np.ndarray) -> np.ndarray:
         """The panel replay core; returns (width, nrows) in the
         accumulator dtype, row j bit-identical to the width-1 core."""
-        xq = x if x.dtype == in_dtype else x.astype(in_dtype)
-        if xp_buf is None:
-            xp = xq
-        else:
-            xp_buf[:, :ncols] = xq
-            xp = xp_buf
-        np.take(xp, flat_gather, axis=1, out=xg_buf)
-        if widen:
-            xacc_buf[...] = x4
-        np.matmul(tiles_b, xacc_buf, out=contrib)
-        if bincount_path:
-            y = np.empty((width, nrows), dtype=np.float64)
-            for j in range(width):
-                y[j] = np.bincount(flat_ids, weights=contrib_flat[j],
-                                   minlength=minlength)[:nrows]
-            return y
-        y = np.empty((width, nrows), dtype=acc_dtype)
+        return np.ascontiguousarray(passes(x.T).T)
+
+    def verify(x: np.ndarray, y: np.ndarray) -> None:
+        from repro.check import oracle
+
         for j in range(width):
-            y[j] = segment_sum(
-                contrib[j, :, :, 0], row_ids, mb, sorted_ids=True
-            ).reshape(-1)[:nrows]
-        return y
+            oracle.verify_spmv(mat, x[j], y[j], precision, plan)
 
-    if checked:
-        def run(x: np.ndarray) -> np.ndarray:
-            from repro.check import oracle
-
-            y = run_acc(x)
-            for j in range(width):
-                oracle.verify_spmv(mat, x[j], y[j], precision, plan)
-            return y if bincount_path else y.astype(np.float64)
-    elif bincount_path:
-        run = run_acc
-    else:
-        def run(x: np.ndarray) -> np.ndarray:
-            return run_acc(x).astype(np.float64)
-
-    return SpMMBinding(run, run_acc, record, precision, plan,
-                       nrows, ncols, width)
+    return SpMMBinding(_float64_run(run_acc, verify), run_acc, record,
+                       precision, plan, mat.nrows, mat.ncols, width)
 
 
 def mbsr_spmm(
@@ -644,12 +703,10 @@ def mbsr_spmm(
     The public column-panel convention: *x* has one right-hand side per
     column, and the returned ``Y`` is ``(nrows, k)`` in the accumulator
     dtype of *precision* — column j bit-identical to
-    ``mbsr_spmv(mat, x[:, j], ...)``.  Internally the panel transposes
-    to the contiguous row-panel layout of :class:`SpMMBinding` (memoised
-    per (precision, width, dispatch knobs) in the operator cache, so
-    repeated same-width calls replay resolved state).  Under an active
-    check region every column is differentially verified against the
-    width-1 kernel.
+    ``mbsr_spmv(mat, x[:, j], ...)``: both run the operator's memoised
+    :class:`TilePasses`, this one through scipy's multi-vector product.
+    Under an active check region every column is differentially verified
+    against the width-1 kernel.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != mat.ncols:
@@ -661,17 +718,10 @@ def mbsr_spmm(
     cache = mat.cache
     if plan is None:
         plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
-    binding = cache.spmm_binding(
-        precision, width,
-        allow_tensor_cores=allow_tensor_cores,
-        tc_threshold=tc_threshold,
-        storage_itemsize=storage_itemsize,
-    )
     record = KernelRecord(kernel="spmm", backend="amgt", precision=precision)
     _account_spmm(record, mat, plan, precision, width, storage_itemsize)
 
-    y_rows = binding.run_acc(np.ascontiguousarray(x.T))
-    y = np.ascontiguousarray(y_rows.T)
+    y = cache.tile_passes(precision.np_dtype, precision.accum_dtype)(x)
     assert y.dtype == np.dtype(precision.accum_dtype), (
         f"mbsr_spmm produced {y.dtype}, expected accumulator "
         f"{precision.accum_dtype}"

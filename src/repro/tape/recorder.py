@@ -7,7 +7,7 @@ kernels it *emits* fully-bound closures over the tape's workspace slots.
 Kernel dispatch is resolved here, once: each (level, operator) pair is
 bound through the supplied binding factory (the backend's
 ``bind_matvec``), freezing the TC/CUDA plan, the precision cast and the
-gather/scatter indices into the closure.
+operator's tile contraction into the closure.
 """
 
 from __future__ import annotations

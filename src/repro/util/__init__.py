@@ -10,7 +10,6 @@ GPU implementation uses.
 from repro.util.prefix_sum import exclusive_scan, inclusive_scan
 from repro.util.hashing import HashTable
 from repro.util.segops import (
-    flat_segment_ids,
     scatter_accumulate,
     segment_bitwise_or,
     segment_max,
@@ -27,7 +26,6 @@ __all__ = [
     "exclusive_scan",
     "inclusive_scan",
     "HashTable",
-    "flat_segment_ids",
     "scatter_accumulate",
     "segment_bitwise_or",
     "segment_max",

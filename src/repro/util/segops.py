@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "flat_segment_ids",
     "segment_sum",
     "segment_bitwise_or",
     "segment_max",
@@ -105,23 +104,7 @@ def _ragged_sum(values, ids, num_segments, sorted_ids, out_dtype):
     return out
 
 
-def flat_segment_ids(segment_ids: np.ndarray, ncomp: int) -> np.ndarray:
-    """Precompute the per-(segment, component) bin ids of the bincount path.
-
-    For repeated reductions over the same layout (the SpMV epilogue reduces
-    a (blc_num, 4) contribution array into block rows on every call), pass
-    the result to :func:`segment_sum` via ``flat_ids=`` to skip rebuilding
-    this array per call.  ``ncomp`` must equal ``prod(values.shape[1:])``.
-    """
-    ids = _as_ids(segment_ids)
-    ncomp = int(ncomp)
-    if ncomp == 1:
-        return ids
-    comp = np.arange(ncomp, dtype=_INDEX_DTYPE)
-    return (ids[:, None] * ncomp + comp).ravel()
-
-
-def _bincount_sum(values, ids, num_segments, out_dtype, flat_ids=None):
+def _bincount_sum(values, ids, num_segments, out_dtype):
     """float64-exact segmented sum via ``np.bincount``.
 
     bincount accumulates its weights as float64 in input order — the same
@@ -130,8 +113,9 @@ def _bincount_sum(values, ids, num_segments, out_dtype, flat_ids=None):
     (tile rows, whole tiles) flatten to per-(segment, component) bins.
     """
     ncomp = int(np.prod(values.shape[1:], dtype=np.int64)) if values.ndim > 1 else 1
-    if flat_ids is None:
-        flat_ids = flat_segment_ids(ids, ncomp)
+    flat_ids = ids
+    if ncomp != 1:
+        flat_ids = (ids[:, None] * ncomp + np.arange(ncomp, dtype=_INDEX_DTYPE)).ravel()
     flat_vals = values.reshape(-1) if values.ndim > 1 else values
     summed = np.bincount(
         flat_ids, weights=flat_vals, minlength=num_segments * ncomp
@@ -147,7 +131,6 @@ def segment_sum(
     num_segments: int,
     *,
     sorted_ids: bool = False,
-    flat_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum *values* into *num_segments* buckets keyed by *segment_ids*.
 
@@ -156,11 +139,6 @@ def segment_sum(
     (sequential float64 accumulation), integers through ``reduceat``
     (associative), float32/float16 through the ragged sequential sweep.
     Values may be multi-dimensional; the reduction runs over axis 0.
-
-    ``flat_ids`` optionally supplies :func:`flat_segment_ids(segment_ids,
-    prod(values.shape[1:]))` precomputed, saving its construction on
-    repeated float64 reductions over an unchanged layout (other dtypes
-    ignore it).
     """
     values = np.asarray(values)
     ids = _as_ids(segment_ids)
@@ -174,7 +152,7 @@ def segment_sum(
         raise ValueError("segment id out of range")
     dt = values.dtype
     if dt == np.float64:
-        return _bincount_sum(values, ids, num_segments, dt, flat_ids)
+        return _bincount_sum(values, ids, num_segments, dt)
     if np.issubdtype(dt, np.integer) or dt == np.bool_:
         out_dtype = dt if dt != np.bool_ else np.bool_
         return _reduceat(np.add, values, ids, num_segments, sorted_ids, out_dtype)

@@ -90,6 +90,18 @@ class TestCoarseSolver:
         cs = CoarseSolver(CSRMatrix.zeros((0, 0)), "direct")
         assert cs.solve(np.zeros(0)).shape == (0,)
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 37])
+    def test_direct_bit_equal_to_lu_solve(self, rng, n):
+        import scipy.linalg
+
+        a = random_spd_csr(n, 0.4, seed=n)
+        cs = CoarseSolver(a, "direct")
+        for b in rng.normal(size=(50, n)) * 10.0 ** rng.uniform(-8, 8, (50, 1)):
+            np.testing.assert_array_equal(
+                cs.solve(b).view(np.int64),
+                scipy.linalg.lu_solve(cs._lu, b).view(np.int64),
+            )
+
 
 class TestSetup:
     def test_paper_defaults(self):

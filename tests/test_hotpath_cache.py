@@ -1,23 +1,37 @@
 """Operator-cache correctness: cached paths must be *exactly* the uncached ones.
 
 The solve-phase cache (``repro.kernels.cache.OperatorCache``) memoises the
-SpMV plan, the quantised/widened tile arrays, and the structural
-expansions.  Nothing it returns may change a single bit of any kernel
-result — these tests compare cold-cache, warm-cache and hand-built
-reference paths for every precision, including the FP16 quantisation
-rounding the double-cast fix had to preserve.
+SpMV plan, the quantised/widened tile arrays, the two-pass tile
+contraction and the structural expansions.  Nothing it returns may change
+a single bit of any kernel result — these tests compare cold-cache,
+warm-cache and hand-built reference paths for every precision, including
+the FP16 quantisation rounding the double-cast fix had to preserve, over
+ragged shapes, empty block rows, empty matrices, values and vectors
+spanning 1e-8..1e8, non-finite vectors and RHS panels.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import random_csr
 from repro.formats.convert import csr_to_mbsr
+from repro.formats.csr import CSRMatrix
+from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import Precision
 from repro.hypre.csr_matrix import HypreCSRMatrix
-from repro.kernels.spmv import build_spmv_plan, mbsr_spmv
+from repro.kernels import spmv as spmv_mod
+from repro.kernels.spmv import (
+    bind_spmm,
+    bind_spmv,
+    build_spmv_plan,
+    mbsr_spmm,
+    mbsr_spmv,
+)
 
 PRECISIONS = [Precision.FP64, Precision.FP32, Precision.FP16]
 
@@ -45,9 +59,48 @@ def _naive_spmv_values(mat, x, precision):
     return y[: mat.nrows]
 
 
-@pytest.fixture(params=[0, 1, 2])
+#: The wide-magnitude and non-finite inputs overflow FP16 and produce
+#: inf - inf by design; the kernels and the reference both warn.
+_EXPECTED_FP_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+
+
+def _assert_same_bits(y, ref):
+    """Bit-for-bit equality on finite entries (zero signs included);
+    non-finite entries must match as values, NaN by position."""
+    y, ref = np.asarray(y), np.asarray(ref)
+    assert y.dtype == ref.dtype and y.shape == ref.shape
+    assert np.array_equal(y, ref, equal_nan=True)
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(np.signbit(y[finite]), np.signbit(ref[finite]))
+
+
+def _wide(rng, shape):
+    """Normal samples scaled by magnitudes spanning 1e-8..1e8."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+def _empty_block_rows_case():
+    """Ragged rows and columns, with two all-zero block rows."""
+    dense = np.where(
+        np.random.default_rng(9).random((45, 38)) < 0.2,
+        np.random.default_rng(10).normal(size=(45, 38)), 0.0,
+    )
+    dense[4:8] = 0.0
+    dense[20:24] = 0.0
+    return csr_to_mbsr(CSRMatrix.from_dense(dense))
+
+
+@pytest.fixture(params=[0, 1, 2, 3, 4])
 def mbsr_case(request):
-    seeds = {0: (60, 60, 0.08), 1: (37, 53, 0.2), 2: (128, 128, 0.02)}
+    """0: square, 1: ragged columns, 2: sparse, 3: ragged with empty
+    block rows, 4: no tiles at all."""
+    if request.param == 3:
+        return _empty_block_rows_case()
+    seeds = {0: (60, 60, 0.08), 1: (37, 53, 0.2), 2: (128, 128, 0.02),
+             4: (13, 22, 0.0)}
     m, n, dens = seeds[request.param]
     return csr_to_mbsr(random_csr(m, n, dens, seed=request.param + 7))
 
@@ -81,6 +134,83 @@ class TestCachedSpMVExactness:
         ref = _naive_spmv_values(mbsr_case, x, precision)
         np.testing.assert_array_equal(np.asarray(y), ref)
 
+    @_EXPECTED_FP_WARNINGS
+    @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.value)
+    def test_wide_magnitudes_match_reference(self, mbsr_case, precision):
+        """Values and x across 1e-8..1e8 (FP16 over- and underflows)."""
+        rng = np.random.default_rng(6)
+        m = mbsr_case
+        mat = MBSRMatrix(m.shape, m.blc_ptr, m.blc_idx,
+                         m.blc_val * 10.0 ** rng.uniform(-8, 8, m.blc_val.shape),
+                         m.blc_map)
+        x = _wide(rng, mat.ncols)
+        ref = _naive_spmv_values(mat, x, precision)
+        y, _ = mbsr_spmv(mat, x, precision)
+        _assert_same_bits(y, ref)
+        _assert_same_bits(bind_spmv(mat, precision).run(x),
+                          ref.astype(np.float64))
+
+    @_EXPECTED_FP_WARNINGS
+    @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.value)
+    def test_nonfinite_x_matches_reference(self, mbsr_case, precision):
+        """inf/NaN in x reach exactly the outputs the dense tile product
+        sends them to, structural zeros included."""
+        x = np.random.default_rng(8).normal(size=mbsr_case.ncols)
+        x[::7] = np.inf
+        x[3::11] = -np.inf
+        x[5::13] = np.nan
+        ref = _naive_spmv_values(mbsr_case, x, precision)
+        y, _ = mbsr_spmv(mbsr_case, x, precision)
+        _assert_same_bits(y, ref)
+        _assert_same_bits(bind_spmv(mbsr_case, precision).run(x),
+                          ref.astype(np.float64))
+
+    @_EXPECTED_FP_WARNINGS
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.value)
+    def test_panel_columns_equal_width_one(self, mbsr_case, precision, width):
+        rng = np.random.default_rng(width)
+        x = _wide(rng, (mbsr_case.ncols, width))
+        x[0, -1] = np.nan
+        y, _ = mbsr_spmm(mbsr_case, x, precision)
+        rows = bind_spmm(mbsr_case, width, precision).run(
+            np.ascontiguousarray(x.T))
+        assert y.shape == (mbsr_case.nrows, width)
+        assert rows.shape == (width, mbsr_case.nrows)
+        for j in range(width):
+            y1, _ = mbsr_spmv(mbsr_case, x[:, j], precision)
+            _assert_same_bits(y[:, j], y1)
+            _assert_same_bits(rows[j], y1.astype(np.float64))
+
+    @_EXPECTED_FP_WARNINGS
+    def test_matmul_fallback_is_bit_identical(self, mbsr_case, monkeypatch):
+        """An accumulator dtype whose association probe finds no slot
+        pairing keeps the matmul contraction — same bits as the reference
+        and as the two-pass path, width 1 and panel."""
+        from repro.check.structural import validate_operator_cache
+
+        rng = np.random.default_rng(12)
+        x, panel = _wide(rng, mbsr_case.ncols), _wide(rng, (mbsr_case.ncols, 3))
+        expected = {
+            p: (mbsr_spmv(mbsr_case, x, p)[0], mbsr_spmm(mbsr_case, panel, p)[0])
+            for p in PRECISIONS
+        }
+        for acc in (np.float64, np.float32):
+            monkeypatch.setitem(spmv_mod._SLOT_PAIRING, np.dtype(acc), None)
+        mat = mbsr_case.copy()  # fresh cache, built under the fallback
+        for precision in PRECISIONS:
+            y, _ = mbsr_spmv(mat, x, precision)
+            y_panel, _ = mbsr_spmm(mat, panel, precision)
+            passes = mat.cache.tile_passes(precision.np_dtype,
+                                           precision.accum_dtype)
+            assert passes.pairing is None and passes.pairs is None
+            _assert_same_bits(y, _naive_spmv_values(mat, x, precision))
+            _assert_same_bits(y, expected[precision][0])
+            _assert_same_bits(y_panel, expected[precision][1])
+            _assert_same_bits(bind_spmv(mat, precision).run(x),
+                              y.astype(np.float64))
+        validate_operator_cache(mat)
+
     def test_counters_unchanged_by_cache_state(self, mbsr_case):
         x = np.ones(mbsr_case.ncols)
         _, cold = mbsr_spmv(mbsr_case.copy(), x, Precision.FP64)
@@ -100,7 +230,6 @@ class TestOperatorCacheState:
         assert c.pop_per_tile is c.pop_per_tile
         assert c.block_row_ids is c.block_row_ids
         assert c.blocks_per_row is c.blocks_per_row
-        assert c.x_gather is c.x_gather
         np.testing.assert_array_equal(
             c.block_row_ids,
             np.repeat(
@@ -169,6 +298,57 @@ class TestOperatorCacheState:
         ) == 1
         obs.reset()
 
+    def test_tile_passes_memoised_frozen_and_coherent(self, mbsr_case):
+        from repro.check.structural import validate_operator_cache
+
+        c = mbsr_case.cache
+        for precision in PRECISIONS:
+            key = (precision.np_dtype, precision.accum_dtype)
+            passes = c.tile_passes(*key)
+            assert passes is c.tile_passes(*key)
+            assert passes.pairing == spmv_mod.slot_pairing(key[1])
+            for part in (passes.pairs, passes.reduce):
+                if part is None:
+                    continue
+                assert part.indices.dtype == np.int32
+                for arr in (part.data, part.indices, part.indptr):
+                    assert not arr.flags.writeable
+        validate_operator_cache(mbsr_case)
+
+    def test_tile_passes_requests_feed_metrics_registry(self, mbsr_case):
+        import repro.obs as obs
+        from repro.obs import names as obs_names
+
+        obs.reset()
+        c = mbsr_case.cache
+        with obs.trace_region():
+            c.tile_passes(np.float64, np.float64)
+            c.tile_passes(np.float64, np.float64)
+        for result in ("miss", "hit"):
+            assert obs.REGISTRY.value(
+                obs_names.OPERATOR_CACHE_REQUESTS, entry="tile_passes",
+                result=result,
+            ) == 1
+        obs.reset()
+
+    def test_matrix_freed_by_refcount(self, mbsr_case):
+        """The cache refers back to its matrix weakly: dropping the last
+        reference frees the operator with no cyclic collection."""
+        mat = mbsr_case.copy()
+        cache = mat.cache
+        mbsr_spmv(mat, np.ones(mat.ncols))
+        bind_spmv(mat).run(np.ones(mat.ncols))
+        cache.spmv_binding(Precision.FP32)
+        ref = weakref.ref(mat)
+        gc.disable()
+        try:
+            del mat
+            assert ref() is None
+        finally:
+            gc.enable()
+        with pytest.raises(ReferenceError):
+            cache.pattern_key
+
     def test_pop_hist_matches_popcounts(self, mbsr_case):
         hist = mbsr_case.cache.pop_hist
         assert hist.shape == (17,)
@@ -176,6 +356,58 @@ class TestOperatorCacheState:
         np.testing.assert_array_equal(
             hist, np.bincount(mbsr_case.cache.pop_per_tile, minlength=17)
         )
+
+
+def test_setup_builds_no_tile_passes():
+    """The two-pass structure is built on the first SpMV or bind of an
+    operator, never inside ``setup()``."""
+    from repro.amg.solver import AmgTSolver
+    from repro.matrices import poisson2d
+
+    a = poisson2d(16)
+    solver = AmgTSolver(backend="amgt", precision="mixed").setup(a)
+
+    def built():
+        return sum(
+            len(m._cache._tile_passes)
+            for entry in solver._driver._wrapped
+            for w in entry.values()
+            for m in (w.mbsr, *w._casts.values())
+            if m is not None and m._cache is not None
+        )
+
+    assert built() == 0
+    solver.solve(np.ones(a.nrows), max_iterations=1)
+    assert built() > 0
+
+
+def test_dropped_solver_frees_operators_without_gc(monkeypatch):
+    """No reference cycle keeps a dropped solver's operators alive: after
+    setup, interpreted, taped, panel and PCG solves and an exact re-setup,
+    the level-0 mBSR form is freed by reference counting alone."""
+    from repro.amg.solver import AmgTSolver
+    from repro.matrices import poisson2d
+
+    # Checked bindings hold their operator for the differential oracle;
+    # this test pins the production (unchecked) path.
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    a = poisson2d(16)
+    b = np.ones(a.nrows)
+    gc.collect()
+    gc.disable()
+    try:
+        solver = AmgTSolver(backend="amgt", precision="mixed").setup(a)
+        solver.solve(b, max_iterations=2)
+        solver.solve(b, max_iterations=2, tape=True)
+        solver.solve_multi(np.ones((a.nrows, 3)), max_iterations=2)
+        solver.solve_krylov(b, "pcg", max_iterations=3)
+        solver.setup(a, reuse=True)
+        solver.solve(b, max_iterations=2, tape=True)
+        ref = weakref.ref(solver._driver._wrapped[0]["A"].mbsr)
+        del solver
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.perf_smoke

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.segops import (
-    flat_segment_ids,
     scatter_accumulate,
     segment_bitwise_or,
     segment_max,
@@ -88,20 +87,6 @@ class TestSegmentSumBitIdentity:
             vals = rng.normal(size=ids.shape[0]).astype(dtype)
             got = segment_sum(vals, ids, k, sorted_ids=True)
             want = _reference_at(np.add, ids, vals, k)
-            np.testing.assert_array_equal(got, want)
-
-    @given(layouts, st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_precomputed_flat_ids(self, layout, seed):
-        """`flat_ids=` (the SpMV-epilogue fast path) changes nothing."""
-        k, ids_list = layout
-        ids = np.asarray(ids_list, dtype=np.int64)
-        rng = np.random.default_rng(seed)
-        for shape, ncomp in [((ids.shape[0],), 1), ((ids.shape[0], 4), 4)]:
-            vals = rng.normal(size=shape)
-            flat = flat_segment_ids(ids, ncomp)
-            got = segment_sum(vals, ids, k, flat_ids=flat)
-            want = segment_sum(vals, ids, k)
             np.testing.assert_array_equal(got, want)
 
     def test_empty_and_out_of_range(self):
