@@ -36,7 +36,7 @@ import numpy as np
 
 import common
 
-from repro.amg.cycle import SolveParams, SolveStats, v_cycle
+from repro.amg.cycle import SolveParams, SolveStats, mg_cycle
 from repro.amg.hierarchy import SetupParams, amg_setup
 from repro.formats.bitmap import BLOCK_SIZE, bitmap_popcount
 from repro.formats.convert import csr_to_mbsr
@@ -211,7 +211,7 @@ def bench_v_cycle(hierarchy, rng, repeats):
     params = SolveParams()
 
     def one_cycle(spmv):
-        return v_cycle(hierarchy, b, np.zeros(n), spmv, params, SolveStats())
+        return mg_cycle(hierarchy, b, np.zeros(n), spmv, params, SolveStats())
 
     x_new = one_cycle(spmv_new)  # also warms every operator cache
     x_naive = one_cycle(spmv_naive)
@@ -238,7 +238,8 @@ def bench_v_cycle_taped(hierarchy, rng, repeats):
     tape = record_cycle(
         hierarchy,
         SolveParams(),
-        bindings=lambda level, op: bind_spmv(wrapped[level][op], precision),
+        bindings=lambda level, op, width: bind_spmv(
+            wrapped[level][op], precision, width=width),
     )
 
     def spmv_new(level, op, x):
@@ -251,8 +252,8 @@ def bench_v_cycle_taped(hierarchy, rng, repeats):
     params = SolveParams()
 
     def interpreted():
-        return v_cycle(hierarchy, b, np.zeros(n), spmv_new, params,
-                       SolveStats())
+        return mg_cycle(hierarchy, b, np.zeros(n), spmv_new, params,
+                        SolveStats())
 
     x_taped = tape.cycle(b)
     x_interp = interpreted()
@@ -282,8 +283,8 @@ def _instrumented_pass(mbsr, hierarchy, rng):
     tape = record_cycle(
         hierarchy,
         SolveParams(),
-        bindings=lambda level, op: bind_spmv(wrapped[level][op],
-                                             Precision.FP64),
+        bindings=lambda level, op, width: bind_spmv(
+            wrapped[level][op], Precision.FP64, width=width),
     )
     tape.cycle(rng.normal(size=hierarchy.levels[0].n))
 

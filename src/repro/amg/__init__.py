@@ -4,9 +4,11 @@ The setup phase (Alg. 1) lives in :mod:`repro.amg.hierarchy` and composes
 strength-of-connection (:mod:`repro.amg.strength`), PMIS coarsening
 (:mod:`repro.amg.coarsen`), SpGEMM-based interpolation
 (:mod:`repro.amg.interp`) and the Galerkin product
-(:mod:`repro.amg.galerkin`).  The solve phase (Alg. 2) lives in
-:mod:`repro.amg.cycle` with smoothers in :mod:`repro.amg.smoothers` and the
-coarsest-level solver in :mod:`repro.amg.coarse`.
+(:mod:`repro.amg.galerkin`).  The solve phase (Alg. 2) executes through the
+kernel tape (:mod:`repro.tape`); :mod:`repro.amg.cycle` holds its
+functional entry point :func:`amg_solve` and the interpreted reference
+cycle :func:`mg_cycle`, with smoothers in :mod:`repro.amg.smoothers` and
+the coarsest-level solver in :mod:`repro.amg.coarse`.
 :class:`repro.amg.solver.AmgTSolver` is the standalone public API.
 """
 
@@ -16,7 +18,7 @@ from repro.amg.interp import build_interpolation, truncate_interpolation
 from repro.amg.galerkin import galerkin_product
 from repro.amg.hierarchy import AMGHierarchy, AMGLevel, SetupParams, amg_setup
 from repro.amg.smoothers import l1_jacobi_diagonal, jacobi_sweep
-from repro.amg.cycle import v_cycle, SolveParams, amg_solve
+from repro.amg.cycle import mg_cycle, SolveParams, amg_solve
 from repro.amg.coarse import CoarseSolver
 from repro.amg.precision import PrecisionSchedule
 from repro.amg.solver import AmgTSolver, SolveResult
@@ -33,7 +35,7 @@ __all__ = [
     "amg_setup",
     "l1_jacobi_diagonal",
     "jacobi_sweep",
-    "v_cycle",
+    "mg_cycle",
     "SolveParams",
     "amg_solve",
     "CoarseSolver",

@@ -1,4 +1,11 @@
-"""The solve phase: V-cycles (Alg. 2).
+"""The solve phase: multigrid cycles (Alg. 2).
+
+Solves execute through the kernel tape (:mod:`repro.tape`): the cycle is
+recorded once into bound closures and :func:`repro.tape.taped_solve`
+iterates it; :func:`amg_solve` is the functional entry point.  The
+interpreted recursion :func:`mg_cycle` survives as the reference the tape
+is recorded from and checked against — the ``REPRO_CHECK`` differential
+oracle and the tests' reference cycle.
 
 One V-cycle per level performs, in order: ``mu1`` pre-smoothing sweeps
 (one SpMV each), the residual (one SpMV), the restriction (one SpMV),
@@ -22,13 +29,8 @@ import numpy as np
 from repro.amg.hierarchy import AMGHierarchy
 from repro.amg.precision import accumulator
 from repro.check import runtime as check_runtime
-from repro.obs import convergence as obs_conv
-from repro.obs import trace as obs_trace
-from repro.obs import names as obs_names
-from repro.util.validation import normalize_rhs, normalize_rhs_panel
 
-__all__ = ["SolveParams", "SolveStats", "mg_cycle", "v_cycle", "amg_solve",
-           "amg_solve_multi"]
+__all__ = ["SolveParams", "SolveStats", "mg_cycle", "amg_solve"]
 
 # spmv(level_index, operator, x) -> A_op @ x, where operator is one of
 # 'A' (level matrix), 'R' (restriction), 'P' (interpolation).
@@ -118,35 +120,6 @@ def _smooth(
     """Apply *num_sweeps* of the configured smoother at *level*."""
     if num_sweeps == 0:
         return x
-    if obs_trace.is_active():
-        from repro.obs import metrics as obs_metrics
-
-        sp = obs_trace.TRACER.open(
-            "smoother", "kernel",
-            {"smoother": params.smoother, "level": level, "sweeps": num_sweeps},
-        )
-        obs_metrics.REGISTRY.counter(
-            obs_names.SMOOTHER_SWEEPS,
-            smoother=params.smoother, level=level,
-        ).inc(num_sweeps)
-    else:
-        sp = obs_trace.NULL_SPAN
-    with sp:
-        return _apply_smoother(
-            hierarchy, level, x, b, spmv, params, stats, num_sweeps
-        )
-
-
-def _apply_smoother(
-    hierarchy: AMGHierarchy,
-    level: int,
-    x: np.ndarray,
-    b: np.ndarray,
-    spmv: LevelSpMV,
-    params: SolveParams,
-    stats: SolveStats,
-    num_sweeps: int,
-) -> np.ndarray:
     lvl = hierarchy.levels[level]
     if params.smoother == "l1-jacobi":
         x0 = x
@@ -192,28 +165,12 @@ def mg_cycle(
     stats: SolveStats | None = None,
     level: int = 0,
 ) -> np.ndarray:
-    """One multigrid cycle (V, W or F per ``params.cycle_type``)."""
+    """One interpreted multigrid cycle (V, W or F per
+    ``params.cycle_type``) from *level* down: the reference every replayed
+    cycle must reproduce bit for bit."""
     params = params or SolveParams()
     spmv = spmv or _default_spmv(hierarchy)
     stats = stats if stats is not None else SolveStats()
-    lsp = (
-        obs_trace.TRACER.open(f"level[{level}]", "level", {"level": level})
-        if obs_trace.is_active()
-        else obs_trace.NULL_SPAN
-    )
-    with lsp:
-        return _cycle_at_level(hierarchy, b, x, spmv, params, stats, level)
-
-
-def _cycle_at_level(
-    hierarchy: AMGHierarchy,
-    b: np.ndarray,
-    x: np.ndarray,
-    spmv: LevelSpMV,
-    params: SolveParams,
-    stats: SolveStats,
-    level: int,
-) -> np.ndarray:
     if level == hierarchy.num_levels - 1:
         return hierarchy.coarse_solver.solve(b)
 
@@ -261,167 +218,29 @@ def _cycle_at_level(
     return x
 
 
-def v_cycle(
-    hierarchy: AMGHierarchy,
-    b: np.ndarray,
-    x: np.ndarray,
-    spmv: LevelSpMV | None = None,
-    params: SolveParams | None = None,
-    stats: SolveStats | None = None,
-    level: int = 0,
-) -> np.ndarray:
-    """One V-cycle starting at *level* (Alg. 2); returns the new iterate."""
-    params = params or SolveParams()
-    if params.cycle_type != "V":
-        from dataclasses import replace
-
-        params = replace(params, cycle_type="V")
-    return mg_cycle(hierarchy, b, x, spmv, params, stats, level)
-
-
 def amg_solve(
     hierarchy: AMGHierarchy,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     spmv: LevelSpMV | None = None,
     params: SolveParams | None = None,
-    tape: bool = False,
-) -> tuple[np.ndarray, SolveStats]:
-    """Iterate V-cycles until convergence or the iteration cap (paper: 50).
+) -> tuple[np.ndarray, SolveStats | list[SolveStats]]:
+    """Iterate cycles until convergence or the iteration cap (paper: 50).
 
-    The relative residual is measured with one extra SpMV per iteration
-    (plus one for the initial residual), matching the paper's call count of
-    ``iterations * (5 * (levels - 1) + 1) + 1``.
-
-    The default ``params.tolerance`` is ``0.0`` — *paper mode*: every
-    iteration runs (the evaluation times fixed 50-cycle solves), but
-    ``stats.converged`` is still set whenever the residual reaches the
-    requested tolerance *or* underflows the float64 machine-precision
-    floor ``norm0 * eps`` — at that point the iteration is converged by
-    any usable definition, even though no positive tolerance was given.
-    With a positive tolerance the loop also stops early, as usual.
-
-    With ``tape=True`` the cycle is recorded once into a
+    The functional entry point: records the cycle into a
     :class:`repro.tape.CycleTape` (binding *spmv* — or the host matvec
-    fallback — per (level, operator)) and then replayed, bit-identically,
-    with zero per-iteration dispatch.  Callers that solve repeatedly
-    against one hierarchy should hold the tape themselves (see
+    fallback — per (level, operator)) and runs the solve loop
+    :func:`repro.tape.taped_solve` on it.  *b* is an ``(n,)`` vector or an
+    ``(n, k)`` panel of right-hand sides (then one :class:`SolveStats`
+    per column comes back); see ``taped_solve`` for the convergence
+    semantics.  Callers that solve repeatedly against one hierarchy
+    should hold the tape themselves (see
     :meth:`repro.hypre.boomeramg.BoomerAMG.get_tape`) to amortise the
     recording pass as well.
     """
-    params = params or SolveParams()
-    if tape:
-        from repro.tape import record_cycle, taped_solve
-
-        recorded = record_cycle(hierarchy, params, spmv=spmv)
-        return taped_solve(recorded, b, x0=x0, params=params)
-    spmv = spmv or _default_spmv(hierarchy)
-    n = hierarchy.levels[0].n
-    b = normalize_rhs(b, n)
-    x = accumulator(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    stats = SolveStats()
-
-    psp = obs_trace.phase_span("solve")
-    tel = obs_conv.start_solve(
-        "amg",
-        cycle_type=params.cycle_type,
-        smoother=params.smoother,
-        levels=hierarchy.num_levels,
-    )
-    with psp:
-        r0 = b - np.asarray(spmv(0, "A", x), dtype=np.float64)
-        stats.spmv_calls += 1
-        norm0 = float(np.linalg.norm(r0))
-        stats.residual_history.append(norm0)
-        if tel is not None:
-            tel.record_initial(norm0)
-        if norm0 == 0.0:
-            stats.converged = True
-            if tel is not None:
-                tel.converged = True
-            return x, stats
-
-        for it in range(params.max_iterations):
-            csp = (
-                obs_trace.TRACER.open(f"cycle[{it}]", "cycle", {"iteration": it})
-                if obs_trace.is_active()
-                else obs_trace.NULL_SPAN
-            )
-            with csp:
-                x = mg_cycle(hierarchy, b, x, spmv, params, stats)
-                r = b - np.asarray(spmv(0, "A", x), dtype=np.float64)
-                stats.spmv_calls += 1
-                rnorm = float(np.linalg.norm(r))
-            stats.residual_history.append(rnorm)
-            stats.iterations = it + 1
-            if tel is not None:
-                tel.record_iteration(rnorm, csp if csp else None)
-            # Converged when the residual meets the tolerance, or underflows
-            # machine precision (norm0 * eps): with the paper-mode default
-            # tolerance=0.0 a residual of ~1e-17 * norm0 is converged by any
-            # usable definition, and must be reported as such even though all
-            # iterations still run for the fixed-cycle timing methodology.
-            eps_floor = norm0 * float(np.finfo(np.float64).eps)
-            if rnorm <= max(params.tolerance * norm0, eps_floor):
-                stats.converged = True
-                if params.tolerance > 0:
-                    break
-        if tel is not None:
-            tel.converged = stats.converged
-        from repro.obs import blackbox as obs_blackbox
-
-        final = stats.residual_history[-1]
-        rel = final / norm0 if norm0 else 0.0
-        obs_blackbox.record(
-            "amg_solve", iterations=stats.iterations,
-            converged=stats.converged, rel_residual=rel,
-        )
-        # A residual that *grew* an order of magnitude is a diverged
-        # solve, not merely an unconverged one — postmortem material.
-        if not stats.converged and rel > 10.0:
-            obs_blackbox.trigger(
-                "divergence",
-                detail=(
-                    f"amg_solve: residual grew {rel:.3g}x over "
-                    f"{stats.iterations} cycles"
-                ),
-                extra={
-                    "iterations": stats.iterations,
-                    "residual_tail": [
-                        float(r) for r in stats.residual_history[-10:]
-                    ],
-                },
-            )
-    return x, stats
-
-
-def amg_solve_multi(
-    hierarchy: AMGHierarchy,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    spmv: LevelSpMV | None = None,
-    params: SolveParams | None = None,
-) -> tuple[np.ndarray, list["SolveStats"]]:
-    """Solve an ``(n, k)`` block of right-hand sides against one hierarchy.
-
-    The batch path is tape-only: the cycle is recorded once at width k
-    (``record_cycle(..., batch=k)``) and every iteration advances all k
-    columns through one widened replay.  Column j of the result and its
-    :class:`SolveStats` are bit-identical to
-    ``amg_solve(hierarchy, b[:, j], x0[:, j], spmv, params)`` — batching
-    can change only speed, never answers (enforced per replay under
-    ``REPRO_CHECK=1``).
-
-    With an injected *spmv* closure (or the host matvec fallback) the
-    panel ops loop per column — correctness without the blocked kernels.
-    Drivers wanting the real SpMM amortisation go through
-    :meth:`repro.hypre.boomeramg.BoomerAMG.solve_multi`, which binds the
-    backend's blocked kernels and caches the width-k tape.
-    """
-    from repro.tape import record_cycle, taped_solve_multi
+    from repro.tape import record_cycle, taped_solve
 
     params = params or SolveParams()
-    n = hierarchy.levels[0].n
-    b = normalize_rhs_panel(b, n)
-    recorded = record_cycle(hierarchy, params, spmv=spmv, batch=b.shape[1])
-    return taped_solve_multi(recorded, b, x0=x0, params=params)
+    batch = 1 if np.ndim(b) == 1 else np.shape(b)[1]
+    tape = record_cycle(hierarchy, params, spmv=spmv, batch=batch)
+    return taped_solve(tape, b, x0=x0, params=params)

@@ -279,22 +279,17 @@ def bind_chebyshev(
 
 def bind_gauss_seidel(a: CSRMatrix, x: np.ndarray, b: np.ndarray,
                       num_sweeps: int) -> Callable[[], None]:
-    """Record host-side (S)SOR sweeps onto slots *x*, *b*.
+    """Record host-side (S)SOR sweeps onto ``(k, n)`` row-panel slots
+    *x*, *b*.
 
-    With ``(k, n)`` row-panel slots the triangular sweeps run one panel
-    row at a time — the sequential dependence chain of Gauss-Seidel runs
-    *within* a right-hand side, so the per-row loop is exactly k
-    independent width-1 sweeps (bit-identity per column by construction).
+    The triangular sweeps run one panel row at a time — the sequential
+    dependence chain of Gauss-Seidel runs *within* a right-hand side, so
+    the per-row loop is exactly k independent width-1 sweeps (bit-identity
+    per column by construction).
     """
-    if x.ndim == 2:
-        def sweeps() -> None:
-            for j in range(x.shape[0]):
-                x[j] = gauss_seidel_sweep(a, x[j], b[j],
-                                          num_sweeps=num_sweeps)
-
-        return sweeps
 
     def sweeps() -> None:
-        x[...] = gauss_seidel_sweep(a, x, b, num_sweeps=num_sweeps)
+        for j in range(x.shape[0]):
+            x[j] = gauss_seidel_sweep(a, x[j], b[j], num_sweeps=num_sweeps)
 
     return sweeps

@@ -192,26 +192,19 @@ class AmgTSolver:
         cycles; ``smoother`` selects ``'l1-jacobi'`` (paper default),
         ``'chebyshev'`` or ``'gauss-seidel'``.
 
-        ``tape=True`` records the cycle once into a kernel tape
+        Every solve records the cycle once into a kernel tape
         (:mod:`repro.tape`) and replays it with zero per-iteration
-        dispatch — bit-identical results, one tape per cycle shape cached
-        on the driver until the hierarchy changes.
+        dispatch — one tape per cycle shape cached on the driver until
+        the hierarchy changes.  ``tape`` is accepted and ignored: the
+        tape is the only solve path.
         """
-        if self._driver is None:
-            raise RuntimeError("call setup() before solve()")
-        from repro.check import checked_region
-        from repro.obs import trace as obs_trace
+        from repro.util.validation import normalize_rhs
 
-        params = SolveParams(
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            cycle_type=cycle_type,
-            smoother=smoother,
+        x, stats = self._solve(
+            "solve", normalize_rhs, b, x0,
+            dict(max_iterations=max_iterations, tolerance=tolerance,
+                 cycle_type=cycle_type, smoother=smoother),
         )
-        with obs_trace.span("AmgTSolver.solve", "solver"):
-            with checked_region(enabled=self.checked):
-                x, stats = self._driver.solve(b, x0=x0, params=params,
-                                              tape=tape)
         return SolveResult(x=x, stats=stats, performance=self._driver.perf)
 
     # ------------------------------------------------------------------
@@ -226,35 +219,40 @@ class AmgTSolver:
     ) -> MultiSolveResult:
         """Solve ``A X = B`` for an ``(n, k)`` block of right-hand sides.
 
-        One batched kernel tape is recorded per (cycle shape, width) and
-        replayed over the whole panel: every SpMV of the width-1 cycle
-        becomes one blocked SpMM, so the matrix's tiles, indices and
-        bitmaps stream from memory once per *panel* instead of once per
-        RHS.  Column ``j`` of the result is bit-identical to
-        ``solve(B[:, j], tape=True)`` with the same parameters — columns
-        whose convergence test fires freeze exactly where the width-1
-        solve would have stopped (see
-        :func:`repro.tape.tape.taped_solve_multi`).
-
-        Always tape-backed: recording is how the blocked kernels are
-        bound, there is no interpreted multi-RHS path.
+        The same path as :meth:`solve`, on a panel: one kernel tape is
+        recorded per (cycle shape, width) and replayed over the whole
+        panel, every SpMV of the cycle becoming one blocked SpMM, so the
+        matrix's tiles, indices and bitmaps stream from memory once per
+        *panel* instead of once per RHS.  Column ``j`` of the result is
+        bit-identical to ``solve(B[:, j])`` with the same parameters —
+        columns whose convergence test fires freeze exactly where their
+        own solve would have stopped (see :func:`repro.tape.taped_solve`).
+        A 1-D *b* is a panel of one.
         """
+        from repro.util.validation import normalize_rhs_panel
+
+        x, stats = self._solve(
+            "solve_multi", normalize_rhs_panel, b, x0,
+            dict(max_iterations=max_iterations, tolerance=tolerance,
+                 cycle_type=cycle_type, smoother=smoother),
+        )
+        return MultiSolveResult(x=x, stats=stats,
+                                performance=self._driver.perf)
+
+    def _solve(self, entry: str, normalize, b, x0, params: dict):
+        """One driver solve — :meth:`solve` on a vector, :meth:`solve_multi`
+        on a panel — inside the entry point's span and this solver's
+        checked region."""
         if self._driver is None:
-            raise RuntimeError("call setup() before solve_multi()")
+            raise RuntimeError(f"call setup() before {entry}()")
         from repro.check import checked_region
         from repro.obs import trace as obs_trace
 
-        params = SolveParams(
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            cycle_type=cycle_type,
-            smoother=smoother,
-        )
-        with obs_trace.span("AmgTSolver.solve_multi", "solver"):
+        b = normalize(b, self.hierarchy.levels[0].n)
+        with obs_trace.span(f"AmgTSolver.{entry}", "solver"):
             with checked_region(enabled=self.checked):
-                x, stats = self._driver.solve_multi(b, x0=x0, params=params)
-        return MultiSolveResult(x=x, stats=stats,
-                                performance=self._driver.perf)
+                return self._driver.solve(b, x0=x0,
+                                          params=SolveParams(**params))
 
     # ------------------------------------------------------------------
     def solve_krylov(
@@ -273,10 +271,9 @@ class AmgTSolver:
         through the backend kernels as well, so the performance log
         accounts for every SpMV of the preconditioned iteration — the
         "preconditioners often include a number of SpMV calls" scenario of
-        Sec. II.B.  With ``tape=True`` both the outer matvec and every
-        preconditioner application replay through recorded kernel
-        bindings instead of interpreted dispatch.  Returns the Krylov
-        result object.
+        Sec. II.B.  Both the outer matvec and every preconditioner
+        application replay through recorded kernel bindings; ``tape`` is
+        accepted and ignored.  Returns the Krylov result object.
         """
         if self._driver is None:
             raise RuntimeError("call setup() before solve_krylov()")
@@ -288,24 +285,18 @@ class AmgTSolver:
             raise ValueError(
                 f"unknown Krylov method {method!r}; use one of {sorted(solvers)}"
             )
+        from repro.obs.metrics import charge
+
         driver = self._driver
-        wrapped = driver._wrapped[0]["A"]
+        binding = driver.backend.bind_matvec(driver._wrapped[0]["A"],
+                                             driver.perf, "solve", 0)
+        run, records, perf = binding.run, (binding.record,), driver.perf
 
-        if tape:
-            binding = driver.backend.bind_matvec(wrapped, driver.perf,
-                                                 "solve", 0)
-            run, rec, perf = binding.run, binding.record, driver.perf
+        def matvec(v: np.ndarray) -> np.ndarray:
+            charge(perf, records)
+            return run(v)
 
-            def matvec(v: np.ndarray) -> np.ndarray:
-                perf.append(rec)
-                return run(v)
-        else:
-
-            def matvec(v: np.ndarray) -> np.ndarray:
-                return driver.backend.matvec_device(wrapped, v, driver.perf,
-                                                    "solve", 0)
-
-        preconditioner = self.as_preconditioner(tape=tape)
+        preconditioner = self.as_preconditioner()
         with obs_trace.span("AmgTSolver.solve_krylov", "solver"):
             return solvers[method](
                 matvec,
@@ -321,11 +312,12 @@ class AmgTSolver:
         """Return ``M(r) -> z``: one V-cycle applied to *r* (for PCG).
 
         The returned object is callable and also exposes ``.apply(r)``,
-        the protocol the Krylov solvers accept directly.  ``tape=True``
-        replays the recorded cycle tape per application.
+        the protocol the Krylov solvers accept directly; every application
+        replays the recorded cycle tape.  ``tape`` is accepted and
+        ignored.
         """
         if self._driver is None:
             raise RuntimeError("call setup() before building a preconditioner")
         from repro.solvers.preconditioners import VCyclePreconditioner
 
-        return VCyclePreconditioner(self._driver, tape=tape)
+        return VCyclePreconditioner(self._driver)

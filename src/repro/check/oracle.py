@@ -44,6 +44,10 @@ _SAFETY = 4.0
 #: apply, used where the call site cannot see the executing precision.
 _WORST_CASE_EPS = float(np.finfo(np.float16).eps)
 
+#: Absolute quantisation error of that precision's gradual underflow: the
+#: subnormal spacing (twice the round-to-nearest error).
+_UNDERFLOW_STEP = float(np.finfo(np.float16).smallest_subnormal)
+
 
 def _fail(kernel, invariant, detail, **operands):
     raise ContractViolation(
@@ -390,19 +394,26 @@ def verify_smoother(a, dinv, x0, b, x_out, num_sweeps,
     The injected SpMV may have run at any precision of the backend's
     schedule, so the band is the worst-case FP16 quantisation error
     propagated through the sweeps; the per-precision tight check happens
-    at the SpMV kernel entry underneath.
+    at the SpMV kernel entry underneath.  Besides the relative term, an
+    iterate entry below FP16's smallest normal quantises onto the
+    subnormal grid with an *absolute* error of up to half its spacing,
+    whatever its own size; ``under`` carries that gradual-underflow error
+    through the sweeps alongside ``bound``.
     """
     a_s = a.to_scipy().astype(np.float64)
     a_abs = abs(a_s)
     d = np.asarray(dinv, dtype=np.float64)
     x = np.asarray(x0, dtype=np.float64).copy()
     bound = np.zeros_like(x)
+    under = np.zeros_like(x)
     b64 = np.asarray(b, dtype=np.float64)
     for _ in range(int(num_sweeps)):
         ax_mag = a_abs @ np.abs(x)
         x = x + d * (b64 - a_s @ x)
         bound = bound + np.abs(d) * (np.abs(b64) + ax_mag + a_abs @ bound)
+        under = under + np.abs(d) * (a_abs @ (under + _UNDERFLOW_STEP))
     terms = np.diff(a_s.indptr)
-    tol = _SAFETY * _WORST_CASE_EPS * (terms + 8.0) * (bound + np.abs(x))
+    tol = _SAFETY * (_WORST_CASE_EPS * (terms + 8.0) * (bound + np.abs(x))
+                     + under)
     _compare_vectors(kernel, np.asarray(x_out, dtype=np.float64), x, tol,
                      {"A": a, "x0": x0, "b": b, "x_out": x_out})

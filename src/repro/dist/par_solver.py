@@ -324,8 +324,8 @@ class ParAMGSolver:
     def _solve_pcg_impl(
         self, b: np.ndarray, max_iterations: int, tolerance: float
     ) -> tuple[np.ndarray, ParSolveReport]:
-        from repro.amg.cycle import SolveParams, SolveStats, mg_cycle
         from repro.solvers import pcg
+        from repro.tape import record_cycle
 
         report = ParSolveReport(iterations=0, converged=False, relative_residual=1.0)
 
@@ -335,13 +335,11 @@ class ParAMGSolver:
         def matvec(v: np.ndarray) -> np.ndarray:
             return spmv(0, "A", v)
 
-        def precondition(r: np.ndarray) -> np.ndarray:
-            stats = SolveStats()
-            return mg_cycle(self.hierarchy, np.asarray(r, dtype=np.float64),
-                            np.zeros(self.hierarchy.levels[0].n), spmv,
-                            SolveParams(), stats)
-
-        result = pcg(matvec, b, preconditioner=precondition,
+        # One zero-guess V-cycle per application, replayed from a tape
+        # whose bindings are the distributed SpMV closure: every replayed
+        # SpMV still prices its halo exchange and local kernels per call.
+        tape = record_cycle(self.hierarchy, spmv=spmv)
+        result = pcg(matvec, b, preconditioner=tape,
                      tolerance=tolerance, max_iterations=max_iterations)
         report.iterations = result.iterations
         report.converged = result.converged

@@ -3,11 +3,14 @@
 A backend owns a device, a cost model and a precision schedule, and
 exposes the two device entry points of the HYPRE integration:
 
-* :meth:`KernelBackend.matmul_device` — ``hypre_CSRMatrixMultiplyDevice``;
-* :meth:`KernelBackend.matvec_device` — ``hypre_CSRMatrixMatvecDevice2``.
-
-Both append priced :class:`~repro.kernels.record.KernelRecord` entries to
-the supplied :class:`~repro.perf.timeline.PerformanceLog`.
+* :meth:`KernelBackend.matmul_device` — ``hypre_CSRMatrixMultiplyDevice``:
+  runs the product and appends its priced
+  :class:`~repro.kernels.record.KernelRecord` to the supplied
+  :class:`~repro.perf.timeline.PerformanceLog`;
+* :meth:`KernelBackend.bind_matvec` — ``hypre_CSRMatrixMatvecDevice2``:
+  resolves one operator's SpMV, over a vector or a panel of right-hand
+  sides, into a replayable binding whose record is priced once; callers
+  charge it per call (the kernel tape in bulk, see :mod:`repro.tape`).
 
 :class:`HypreBackend` calls the vendor-style CSR kernels (cuSPARSE on
 NVIDIA devices, rocSPARSE on AMD) in FP64 — the paper's baseline.
@@ -33,10 +36,9 @@ from repro.gpu.cost import CostModel
 from repro.gpu.counters import Precision
 from repro.gpu.specs import DeviceSpec
 from repro.hypre.csr_matrix import HypreCSRMatrix
-from repro.kernels.baseline import csr_spgemm, csr_spmv
+from repro.kernels.baseline import bind_csr_spmv, csr_spgemm
 from repro.kernels.record import KernelRecord
 from repro.kernels.spgemm import mbsr_spgemm
-from repro.kernels.spmv import mbsr_spmv
 from repro.amg.precision import PrecisionSchedule
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -96,52 +98,24 @@ class KernelBackend:
     ) -> HypreCSRMatrix:
         raise NotImplementedError
 
-    def matvec_device(
-        self,
-        a: HypreCSRMatrix,
-        x: np.ndarray,
-        perf: PerformanceLog,
-        phase: str,
-        level: int,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
     def bind_matvec(
         self,
         a: HypreCSRMatrix,
         perf: PerformanceLog,
         phase: str,
         level: int,
+        width: int = 1,
     ):
-        """Resolve one operator's SpMV into a replayable binding.
+        """Resolve one operator's SpMV over *width* right-hand sides into a
+        replayable :class:`~repro.kernels.spmv.SpMVBinding`.
 
-        The record-time half of the kernel tape (:mod:`repro.tape`):
-        returns a :class:`~repro.kernels.spmv.SpMVBinding` whose
-        ``run(x)`` is bit-identical to :meth:`matvec_device` (minus the
-        per-call perf/obs bookkeeping) and whose ``record`` is already
-        stamped and priced for this phase/level, so replays can replicate
-        the perf log in bulk.  Any format conversion is charged here, as
-        the first interpreted call would have.
-        """
-        raise NotImplementedError
-
-    def bind_matmat(
-        self,
-        a: HypreCSRMatrix,
-        perf: PerformanceLog,
-        phase: str,
-        level: int,
-        width: int,
-    ):
-        """Resolve one operator's blocked SpMM into a replayable binding.
-
-        The batched twin of :meth:`bind_matvec`: returns a
-        :class:`~repro.kernels.spmv.SpMMBinding` whose ``run`` maps a
-        ``(width, ncols)`` row panel to a fresh float64
-        ``(width, nrows)`` panel, row j bit-identical to the width-1
-        binding on that row, and whose priced ``record`` charges matrix
-        bytes once per panel call but MMA issues/flops per column —
-        the arithmetic-intensity rise the batch path exists for.
+        ``run`` takes an ``(ncols,)`` vector or a ``(width, ncols)`` row
+        panel and returns float64 in the same layout, row j bit-identical
+        to the width-1 run on that row.  ``record`` is already stamped
+        and priced for this phase/level: a panel call charges matrix
+        bytes once but MMA issues/flops per column — the
+        arithmetic-intensity rise the panel path exists for.  Any format
+        conversion is charged here, when the operator is first bound.
         """
         raise NotImplementedError
 
@@ -201,33 +175,10 @@ class HypreBackend(KernelBackend):
         _finish_record(sp, rec)
         return HypreCSRMatrix(csr=c)
 
-    def matvec_device(self, a, x, perf, phase, level):
+    def bind_matvec(self, a, perf, phase, level, width=1):
         a = HypreCSRMatrix.wrap(a)
-        sp = _kernel_span("spmv", phase, level)
-        with sp:
-            y, rec = csr_spmv(a.csr, x, Precision.FP64, backend=self.vendor)
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
-        perf.append(rec)
-        _finish_record(sp, rec)
-        return np.asarray(y, dtype=np.float64)
-
-    def bind_matvec(self, a, perf, phase, level):
-        from repro.kernels.baseline import bind_csr_spmv
-
-        a = HypreCSRMatrix.wrap(a)
-        binding = bind_csr_spmv(a.csr, Precision.FP64, backend=self.vendor)
-        rec = binding.record
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
-        return binding
-
-    def bind_matmat(self, a, perf, phase, level, width):
-        from repro.kernels.baseline import bind_csr_spmm
-
-        a = HypreCSRMatrix.wrap(a)
-        binding = bind_csr_spmm(a.csr, width, Precision.FP64,
-                                backend=self.vendor)
+        binding = bind_csr_spmv(a.csr, Precision.FP64, backend=self.vendor,
+                                width=width)
         rec = binding.record
         rec.phase, rec.level = phase, level
         rec.price(self.cost)
@@ -364,50 +315,18 @@ class AmgTBackend(KernelBackend):
         return _BackendGalerkinPlan(self, r, a, p, perf, phase, level,
                                     on_result)
 
-    def matvec_device(self, a, x, perf, phase, level):
-        a = HypreCSRMatrix.wrap(a)
-        self._ensure_mbsr(a, perf, phase, level)
-        prec = self.schedule.for_level(level)
-        am = a.mbsr_at_precision(prec)
-        plan = a.spmv_plan(self.allow_tensor_cores)
-        sp = _kernel_span("spmv", phase, level)
-        with sp:
-            y, rec = mbsr_spmv(am, np.asarray(x, dtype=np.float64), prec, plan,
-                               allow_tensor_cores=self.allow_tensor_cores,
-                               storage_itemsize=self.storage_itemsize)
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
-        perf.append(rec)
-        _finish_record(sp, rec)
-        return np.asarray(y, dtype=np.float64)
-
-    def bind_matvec(self, a, perf, phase, level):
+    def bind_matvec(self, a, perf, phase, level, width=1):
         a = HypreCSRMatrix.wrap(a)
         self._ensure_mbsr(a, perf, phase, level)
         prec = self.schedule.for_level(level)
         am = a.mbsr_at_precision(prec)
         # The memoised binding freezes plan, casts and index arrays; its
-        # numeric result never depends on the plan, so sharing the
-        # cast-matrix cache's plan (structurally identical to the
-        # canonical one matvec_device consults) is exact.
+        # numeric result never depends on the plan, so the cast matrix's
+        # own plan (structurally identical to the canonical form's) is
+        # exact.
         binding = am.cache.spmv_binding(
             prec,
-            allow_tensor_cores=self.allow_tensor_cores,
-            storage_itemsize=self.storage_itemsize,
-        )
-        rec = binding.record
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
-        return binding
-
-    def bind_matmat(self, a, perf, phase, level, width):
-        a = HypreCSRMatrix.wrap(a)
-        self._ensure_mbsr(a, perf, phase, level)
-        prec = self.schedule.for_level(level)
-        am = a.mbsr_at_precision(prec)
-        binding = am.cache.spmm_binding(
-            prec,
-            width,
+            width=width,
             allow_tensor_cores=self.allow_tensor_cores,
             storage_itemsize=self.storage_itemsize,
         )

@@ -2,9 +2,10 @@
 
 The driver executes the shared AMG algorithms (setup Alg. 1, solve Alg. 2)
 while routing every SpGEMM through ``backend.matmul_device`` and every SpMV
-through ``backend.matvec_device``, so the baseline HYPRE configuration and
-both AmgT configurations are timed on *identical* algebra, coarsening and
-call counts — the alignment the paper enforces in Sec. V.A.
+through a ``backend.bind_matvec`` binding replayed by the kernel tape, so
+the baseline HYPRE configuration and both AmgT configurations are timed on
+*identical* algebra, coarsening and call counts — the alignment the paper
+enforces in Sec. V.A.
 
 Per level the setup performs exactly three SpGEMM calls when extended+i
 interpolation is used: one inside interpolation and two in the Galerkin
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amg.cycle import SolveParams, SolveStats, amg_solve, v_cycle
+from repro.amg.cycle import SolveParams, SolveStats
 from repro.amg.hierarchy import AMGHierarchy, SetupParams, amg_setup
 from repro.formats.csr import CSRMatrix
 from repro.hypre.backends import KernelBackend
@@ -258,40 +259,33 @@ amg_setup`).
     # ------------------------------------------------------------------
     # solve phase
     # ------------------------------------------------------------------
-    def _level_spmv(self, level: int, op: str, x: np.ndarray) -> np.ndarray:
-        mat = self._wrapped[level][op]
-        return self.backend.matvec_device(mat, x, self.perf, "solve", level)
+    def get_tape(self, params: SolveParams | None = None, batch: int = 1):
+        """Recorded cycle tape for *params*' cycle shape over panels of
+        *batch* right-hand sides (record or reuse).
 
-    def get_tape(self, params: SolveParams | None = None,
-                 batch: int | None = None):
-        """Recorded cycle tape for *params*' cycle shape (record or reuse).
-
-        One tape per cycle shape per hierarchy: the first request records
-        (one instrumented pass resolving every kernel binding through
-        ``backend.bind_matvec``); later requests replay the cached tape.
-        A stale tape — the hierarchy mutated or its generation counter
-        bumped since recording — is silently re-recorded, never replayed.
-
-        With ``batch=k`` a *batched* tape is recorded instead, keyed by
-        ``(cycle_shape, k)`` and bound through ``backend.bind_matmat`` —
-        width-1 tapes keep their bare cycle-shape keys, so batch tapes of
-        any width coexist with them in ``_tapes``.
+        One tape per (cycle shape, width, check gate) per hierarchy: the
+        first request records (one instrumented pass resolving every
+        kernel binding through ``backend.bind_matvec`` at the tape's
+        width); later requests replay the cached tape.  The check gate is
+        in the key because bindings resolve it when bound: a tape recorded
+        outside a checked region must not serve one inside it.  A stale
+        tape — the hierarchy mutated or its generation counter bumped
+        since recording — is silently re-recorded, never replayed.
         """
         if self.hierarchy is None:
             raise RuntimeError("setup() must run before get_tape()")
+        from repro.check import runtime as check_runtime
         from repro.tape import record_cycle
         from repro.tape.tape import _cycle_shape
 
         params = params or SolveParams()
-        shape = _cycle_shape(params)
-        key = shape if batch is None else (shape, batch)
+        key = (_cycle_shape(params), batch, check_runtime.is_active())
         tape = self._tapes.get(key)
         if tape is None or tape.is_stale():
             from repro.obs import blackbox as obs_blackbox
 
             obs_blackbox.record(
-                "tape_record", batch=batch or 1,
-                rerecord=tape is not None,
+                "tape_record", batch=batch, rerecord=tape is not None,
             )
             # The closures outlive recording (the tape's oracle binds
             # lazily), so they capture the wrappers, never ``self``: a
@@ -299,27 +293,16 @@ amg_setup`).
             # the driver, or a dropped solver waits for the cyclic GC.
             backend, perf, wrapped = self.backend, self.perf, self._wrapped
 
-            def bindings(level: int, op: str):
+            def bindings(level: int, op: str, width: int):
                 return backend.bind_matvec(
-                    wrapped[level][op], perf, "solve", level
+                    wrapped[level][op], perf, "solve", level, width
                 )
 
-            if batch is None:
-                with obs_trace.span("tape.record", "solver"):
-                    tape = record_cycle(self.hierarchy, params,
-                                        bindings=bindings)
-            else:
-                def panel_bindings(level: int, op: str):
-                    return backend.bind_matmat(
-                        wrapped[level][op], perf, "solve", level, batch,
-                    )
-
-                with obs_trace.span("tape.record", "solver",
-                                    attrs={"batch": batch}):
-                    tape = record_cycle(self.hierarchy, params,
-                                        bindings=panel_bindings,
-                                        batch=batch,
-                                        scalar_bindings=bindings)
+            with obs_trace.span("tape.record", "solver",
+                                attrs={"batch": batch}):
+                tape = record_cycle(self.hierarchy, params,
+                                    bindings=bindings, batch=batch)
+            obs_metrics.charge(perf, tape.estimate_records)
             self._tapes[key] = tape
             obs_metrics.inc(obs_names.TAPE_RECORDS)
         return tape
@@ -329,130 +312,60 @@ amg_setup`).
         b: np.ndarray,
         x0: np.ndarray | None = None,
         params: SolveParams | None = None,
-        tape: bool = False,
-    ) -> tuple[np.ndarray, SolveStats]:
+    ) -> tuple[np.ndarray, SolveStats | list[SolveStats]]:
+        """Solve for an ``(n,)`` vector or an ``(n, k)`` panel of
+        right-hand sides by replaying the cached tape of that width.
+
+        A panel advances all k columns through one widened replay per
+        iteration — one blocked SpMM per operator, streaming its tiles
+        once per panel — and returns one :class:`SolveStats` per column;
+        column j is bit-identical to the vector solve of ``b[:, j]``.
+        """
         if self.hierarchy is None:
             raise RuntimeError("setup() must run before solve()")
-        params = params or SolveParams()
-        if tape:
-            from repro.tape import taped_solve
-
-            t = self.get_tape(params)
-            with obs_trace.phase_span("solve"):
-                x, stats = taped_solve(t, b, x0=x0, params=params)
-                self._replicate_tape_perf(t, stats)
-                self._charge_solve_other(stats)
-            return x, stats
-        with obs_trace.phase_span("solve"):
-            x, stats = amg_solve(self.hierarchy, b, x0=x0, spmv=self._level_spmv,
-                                 params=params)
-            self._charge_solve_other(stats)
-        return x, stats
-
-    def solve_multi(
-        self,
-        b: np.ndarray,
-        x0: np.ndarray | None = None,
-        params: SolveParams | None = None,
-    ) -> tuple[np.ndarray, list[SolveStats]]:
-        """Solve an ``(n, k)`` block of right-hand sides in one widened
-        tape replay per iteration.
-
-        The batch path is tape-only by design — the whole point is the
-        blocked SpMM amortising each loaded operator tile across the
-        panel.  Column j of the result and its stats are bit-identical to
-        ``solve(b[:, j], x0[:, j], params, tape=True)``; a width-k tape
-        is recorded on first use and cached under ``(cycle_shape, k)``.
-        """
-        if self.hierarchy is None:
-            raise RuntimeError("setup() must run before solve_multi()")
-        from repro.tape import taped_solve_multi
-        from repro.util.validation import normalize_rhs_panel
+        from repro.tape import taped_solve
 
         params = params or SolveParams()
-        b = normalize_rhs_panel(b, self.hierarchy.levels[0].n)
-        t = self.get_tape(params, batch=b.shape[1])
+        vector = np.ndim(b) == 1
+        width = 1 if vector else np.shape(b)[1]
+        t = self.get_tape(params, batch=width)
         with obs_trace.phase_span("solve"):
-            x, stats = taped_solve_multi(t, b, x0=x0, params=params)
-            self._replicate_tape_perf(
-                t, max(stats, key=lambda s: s.iterations)
-            )
-            self._charge_solve_other(
-                max(stats, key=lambda s: s.iterations), width=b.shape[1]
-            )
+            x, stats = taped_solve(t, b, x0=x0, params=params)
+            slowest = stats if vector else max(stats, key=lambda s: s.iterations)
+            self._charge_replay(t, slowest.iterations)
+            self._charge_solve_other(slowest, width=width)
         return x, stats
 
-    def precondition(self, r: np.ndarray, tape: bool = False) -> np.ndarray:
-        """One V-cycle with zero initial guess (the PCG preconditioner).
-
-        With ``tape=True`` the cycle replays through the recorded kernel
-        tape (recording it on first use) instead of the interpreted
-        recursion — same bits, no per-application dispatch.
-
-        A 2-D ``(n, k)`` residual block routes to the blocked
-        preconditioner: one width-k tape replay whose column j is
-        bit-identical to preconditioning ``r[:, j]`` alone (tape-only,
-        like :meth:`solve_multi`).
-        """
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """One zero-guess V-cycle on an ``(n,)`` residual or an ``(n, k)``
+        residual panel (the PCG preconditioner), replayed from the cached
+        tape of that width; panel column j is bit-identical to
+        preconditioning ``r[:, j]`` alone."""
         if self.hierarchy is None:
             raise RuntimeError("setup() must run before precondition()")
-        r = np.asarray(r, dtype=np.float64)
-        if r.ndim == 2 and r.shape[1] != 1:
-            return self.precondition_multi(r, tape=tape)
-        if r.ndim == 2:
-            r = np.ascontiguousarray(r[:, 0])
-        if tape:
-            t = self.get_tape(SolveParams())
-            with obs_trace.phase_span("solve"):
-                z = t.apply(r)
-                self.perf.records.extend(t.records)
-            return z
-        stats = SolveStats()
-        with obs_trace.phase_span("solve"):
-            z = v_cycle(
-                self.hierarchy,
-                np.asarray(r, dtype=np.float64),
-                np.zeros(self.hierarchy.levels[0].n),
-                self._level_spmv,
-                SolveParams(),
-                stats,
-            )
-        return z
-
-    def precondition_multi(self, r: np.ndarray, tape: bool = True) -> np.ndarray:
-        """Blocked preconditioner: one zero-guess widened V-cycle on an
-        ``(n, k)`` residual block, returning the ``(n, k)`` correction.
-
-        Column j is bit-identical to ``precondition(r[:, j], tape=True)``.
-        The *tape* flag is accepted for interface symmetry but the batch
-        path always replays a tape — there is no interpreted panel cycle.
-        """
-        if self.hierarchy is None:
-            raise RuntimeError("setup() must run before precondition_multi()")
         from repro.util.validation import normalize_rhs_panel
 
-        r = normalize_rhs_panel(r, self.hierarchy.levels[0].n, name="r")
-        t = self.get_tape(SolveParams(), batch=r.shape[1])
+        r = np.asarray(r, dtype=np.float64)
+        rows = r if r.ndim == 1 else normalize_rhs_panel(
+            r, self.hierarchy.levels[0].n, name="r").T
+        t = self.get_tape(SolveParams(), batch=1 if r.ndim == 1 else r.shape[1])
         with obs_trace.phase_span("solve"):
-            z = t.cycle(np.ascontiguousarray(r.T))
-            self.perf.records.extend(t.records)
-        return np.ascontiguousarray(z.T)
+            z = t.cycle(rows)
+            obs_metrics.charge(self.perf, t.records)
+        return z if r.ndim == 1 else np.ascontiguousarray(z.T)
 
-    def _replicate_tape_perf(self, tape, stats: SolveStats) -> None:
-        """Bulk-append the replayed kernels' records to the perf log.
+    def _charge_replay(self, tape, iterations: int) -> None:
+        """Charge a replayed solve's kernels to the perf log and registry.
 
         The tape's record templates are priced at bind time and the SpMV
-        cost never depends on the operand vector, so an interpreted solve
-        and a replayed one produce the same record sequence: one initial
-        residual, then per iteration the cycle's records plus a residual.
+        cost never depends on the operand, so a solve's record sequence
+        is one initial residual, then per iteration the cycle's records
+        plus a residual.
         """
-        records = self.perf.records
         if tape.residual_record is None:
             return
-        records.append(tape.residual_record)
-        for _ in range(stats.iterations):
-            records.extend(tape.records)
-            records.append(tape.residual_record)
+        res = (tape.residual_record,)
+        obs_metrics.charge(self.perf, res + (tape.records + res) * iterations)
 
     def _charge_solve_other(self, stats: SolveStats, width: int = 1) -> None:
         """Vector updates + coarse solves, proportional to the SpMV count.

@@ -31,8 +31,7 @@ from repro.util.hashing import distinct_count_per_segment, distinct_sorted_per_s
 from repro.util.prefix_sum import counts_to_ptr
 from repro.util.segops import segment_sum
 
-__all__ = ["csr_spgemm", "csr_spmv", "bind_csr_spmv", "csr_spmm",
-           "bind_csr_spmm"]
+__all__ = ["csr_spgemm", "csr_spmv", "bind_csr_spmv"]
 
 
 def _expand_pairs(a: CSRMatrix, b: CSRMatrix):
@@ -111,38 +110,57 @@ def csr_spmv(
     precision: Precision = Precision.FP64,
     backend: str = "cusparse",
 ) -> tuple[np.ndarray, KernelRecord]:
-    """y = A @ x with a vendor-style row-parallel CSR SpMV."""
+    """y = A @ x with a vendor-style row-parallel CSR SpMV.
+
+    *x* is an ``(ncols,)`` vector or an ``(ncols, k)`` panel with one
+    right-hand side per column (cuSPARSE ``SpMM`` / rocSPARSE ``csrmm``);
+    ``y`` comes back in the same layout in the accumulator dtype, panel
+    column j bit-identical to the vector call on ``x[:, j]``.
+    """
     x = np.asarray(x)
-    if x.shape != (a.ncols,):
-        raise ValueError(f"x has shape {x.shape}, expected ({a.ncols},)")
-    record = KernelRecord(kernel="spmv", backend=backend, precision=precision)
-    counters = record.counters
-    in_dtype = precision.np_dtype
-    acc_dtype = precision.accum_dtype
-
-    data = a.data.astype(in_dtype).astype(acc_dtype)
-    xv = x.astype(in_dtype).astype(acc_dtype)
-    products = data * xv[a.indices]
-    y = np.bincount(a.row_ids(), weights=products.astype(np.float64), minlength=a.nrows)
-    y = y.astype(acc_dtype)
-
-    _account_csr_spmv(record, a, precision)
+    if x.ndim not in (1, 2) or x.shape[0] != a.ncols:
+        raise ValueError(
+            f"x has shape {x.shape}, expected ({a.ncols},) or ({a.ncols}, k)"
+        )
+    width = 1 if x.ndim == 1 else x.shape[1]
+    record = _new_record(backend, precision, width)
+    _account_csr_spmv(record, a, precision, width)
+    run_acc = _csr_run_acc(a, precision)
+    y = run_acc(x) if x.ndim == 1 else np.ascontiguousarray(run_acc(x.T).T)
     if check_runtime.is_active():
-        from repro.check import oracle
-
-        oracle.verify_csr_spmv(a, x, y, precision)
+        _verify_rows(a, precision, x.T, y.T)
     return y, record
 
 
-def _account_csr_spmv(record: KernelRecord, a: CSRMatrix, precision: Precision) -> None:
-    """Fill *record* with the cost of one CSR SpMV on *a* (x-independent)."""
+def _new_record(backend: str, precision: Precision, width: int) -> KernelRecord:
+    kernel = "spmv" if width == 1 else "spmm"
+    return KernelRecord(kernel=kernel, backend=backend, precision=precision)
+
+
+def _verify_rows(a: CSRMatrix, precision: Precision, x: np.ndarray,
+                 y: np.ndarray) -> None:
+    """Check every right-hand side of a vector or row-panel call."""
+    from repro.check import oracle
+
+    for xj, yj in zip(np.atleast_2d(x), np.atleast_2d(y)):
+        oracle.verify_csr_spmv(a, xj, yj, precision)
+
+
+def _account_csr_spmv(record: KernelRecord, a: CSRMatrix, precision: Precision,
+                      width: int = 1) -> None:
+    """Fill *record* with the cost of one CSR SpMV on *a* over *width*
+    right-hand sides (x-independent).
+
+    Matrix values, column indices and row pointers are read once per
+    call; flops, the x gather and the y write scale with *width*.
+    """
     counters = record.counters
     acc_dtype = precision.accum_dtype
-    counters.add_flops(precision, 2.0 * a.nnz)
+    counters.add_flops(precision, 2.0 * a.nnz * width)
     counters.add_bytes(
         read=a.nnz * (precision.itemsize + 4) + (a.nrows + 1) * 8
-        + a.nnz * precision.itemsize,  # x gather, uncoalesced
-        written=a.nrows * acc_dtype().itemsize,
+        + a.nnz * precision.itemsize * width,  # x gather, uncoalesced
+        written=a.nrows * acc_dtype().itemsize * width,
     )
     # Row-parallel vendor kernel: imbalance = row-length skew.
     row_nnz = a.row_nnz().astype(np.float64)
@@ -151,20 +169,18 @@ def _account_csr_spmv(record: KernelRecord, a: CSRMatrix, precision: Precision) 
     # Vendor kernels bound the skew penalty with internal row splitting.
     counters.imbalance = min(counters.imbalance, 4.0)
     counters.launches = 1
+    record.detail = {"width": width}
 
 
-def bind_csr_spmv(a: CSRMatrix, precision: Precision = Precision.FP64,
-                  backend: str = "cusparse"):
-    """Resolve one CSR SpMV into a replayable binding (the tape's baseline
-    path).  The per-call ``data.astype(in).astype(acc)`` double cast and
-    the COO row-id expansion are captured once; ``run(x)`` is then the
-    product + bincount core of :func:`csr_spmv`, bit-identical to it
-    followed by ``np.asarray(y, dtype=np.float64)``.
+def _csr_run_acc(a: CSRMatrix, precision: Precision):
+    """The CSR SpMV core with the ``data.astype(in).astype(acc)`` double
+    cast and the COO row-id expansion captured once.
+
+    ``run_acc(x)`` takes an ``(ncols,)`` vector or a ``(k, ncols)`` row
+    panel and returns the result in the same layout in the accumulator
+    dtype; a panel runs the vector core per row, so row j is the vector
+    call on ``x[j]`` by construction.
     """
-    from repro.kernels.spmv import SpMVBinding
-
-    record = KernelRecord(kernel="spmv", backend=backend, precision=precision)
-    _account_csr_spmv(record, a, precision)
     in_dtype = np.dtype(precision.np_dtype)
     acc_dtype = np.dtype(precision.accum_dtype)
     data = a.data.astype(in_dtype).astype(acc_dtype)
@@ -172,13 +188,8 @@ def bind_csr_spmv(a: CSRMatrix, precision: Precision = Precision.FP64,
     indices = a.indices
     nrows = a.nrows
     f64_acc = acc_dtype == np.float64
-    # Check gate resolved at bind time, like the dispatch itself: under
-    # an active checked region (or REPRO_CHECK) every run verifies
-    # against the differential oracle, otherwise replay is check-free.
-    checked = check_runtime.is_active()
 
-    def run_acc(x: np.ndarray) -> np.ndarray:
-        """The replay core; returns y in the accumulator dtype."""
+    def run_vector(x: np.ndarray) -> np.ndarray:
         xv = x if x.dtype == in_dtype else x.astype(in_dtype)
         if xv.dtype != acc_dtype:
             xv = xv.astype(acc_dtype)
@@ -186,160 +197,37 @@ def bind_csr_spmv(a: CSRMatrix, precision: Precision = Precision.FP64,
         if not f64_acc:
             products = products.astype(np.float64)
         y = np.bincount(row_ids, weights=products, minlength=nrows)
-        if not f64_acc:
-            # Match csr_spmv's round-to-accumulator before the float64
-            # widening the backend applies.
-            y = y.astype(acc_dtype)
-        return y
+        # Round to the accumulator before any float64 widening (and pin
+        # the dtype: an empty bincount comes back int64).
+        return y.astype(acc_dtype, copy=False)
 
-    if checked:
-        def run(x: np.ndarray) -> np.ndarray:
-            from repro.check import oracle
+    def run_acc(x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return run_vector(x)
+        return np.stack([run_vector(xj) for xj in x])
 
-            y = run_acc(x)
-            oracle.verify_csr_spmv(a, x, y, precision)
-            return y if f64_acc else y.astype(np.float64)
-    elif f64_acc:
-        run = run_acc
-    else:
-        def run(x: np.ndarray) -> np.ndarray:
-            return run_acc(x).astype(np.float64)
-
-    return SpMVBinding(run, record, precision, plan=None,
-                       nrows=nrows, ncols=a.ncols)
+    return run_acc
 
 
-def _account_csr_spmm(
-    record: KernelRecord, a: CSRMatrix, precision: Precision, width: int
-) -> None:
-    """Fill *record* with the cost of one width-*width* CSR SpMM on *a*.
+def bind_csr_spmv(a: CSRMatrix, precision: Precision = Precision.FP64,
+                  backend: str = "cusparse", width: int = 1):
+    """Resolve one CSR SpMV over *width* right-hand sides into a
+    replayable :class:`repro.kernels.spmv.SpMVBinding` (the tape's
+    baseline path).
 
-    The vendor-SpMM analogue of :func:`_account_csr_spmv`: matrix values,
-    column indices and row pointers are read once per panel; flops, the
-    x-panel gather and the y-panel write scale with *width*.
+    ``run(x)`` takes a vector or a ``(width, ncols)`` row panel and is
+    bit-identical, row by row, to :func:`csr_spmv` followed by
+    ``np.asarray(y, dtype=np.float64)``.  The check gate is resolved at
+    bind time, like the dispatch itself.
     """
-    counters = record.counters
-    acc_dtype = precision.accum_dtype
-    counters.add_flops(precision, 2.0 * a.nnz * width)
-    counters.add_bytes(
-        read=a.nnz * (precision.itemsize + 4) + (a.nrows + 1) * 8
-        + a.nnz * precision.itemsize * width,  # x gather per column
-        written=a.nrows * acc_dtype().itemsize * width,
-    )
-    row_nnz = a.row_nnz().astype(np.float64)
-    mean = row_nnz.mean() if a.nrows else 0.0
-    counters.imbalance = float(row_nnz.max() / mean) if mean > 0 else 1.0
-    counters.imbalance = min(counters.imbalance, 4.0)
-    counters.launches = 1
-    record.detail = {"width": width}
-
-
-def bind_csr_spmm(a: CSRMatrix, width: int,
-                  precision: Precision = Precision.FP64,
-                  backend: str = "cusparse"):
-    """Resolve one CSR SpMM into a replayable blocked binding.
-
-    The batched twin of :func:`bind_csr_spmv`, same row-panel layout as
-    :class:`repro.kernels.spmv.SpMMBinding`: ``run(X)`` takes a
-    ``(width, ncols)`` panel (row j is RHS j) and returns a fresh float64
-    ``(width, nrows)`` panel, row j bit-identical to the width-1 binding
-    on ``X[j]``.  The product stage is one broadcast elementwise multiply
-    (per-element, hence per-row, identical to the width-1 multiply); the
-    reduction is one ``bincount`` per column with the same row ids in
-    the same input order.
-    """
-    from repro.kernels.spmv import SpMMBinding
+    from repro.kernels.spmv import SpMVBinding, _float64_run
 
     if width < 1:
         raise ValueError(f"panel width must be >= 1, got {width}")
-    record = KernelRecord(kernel="spmm", backend=backend, precision=precision)
-    _account_csr_spmm(record, a, precision, width)
-    in_dtype = np.dtype(precision.np_dtype)
-    acc_dtype = np.dtype(precision.accum_dtype)
-    data = a.data.astype(in_dtype).astype(acc_dtype)
-    row_ids = a.row_ids()
-    indices = a.indices
-    nrows, ncols = a.nrows, a.ncols
-    f64_acc = acc_dtype == np.float64
-    checked = check_runtime.is_active()
-    # Reused work buffers: the gathered x panel and the per-entry
-    # products (single-threaded replay, like the SpMV binding).
-    gather_buf = np.empty((width, indices.shape[0]), dtype=acc_dtype)
-    prod_buf = np.empty_like(gather_buf)
+    record = _new_record(backend, precision, width)
+    _account_csr_spmv(record, a, precision, width)
 
-    def run_acc(x: np.ndarray) -> np.ndarray:
-        """The panel replay core; returns (width, nrows) in the
-        accumulator dtype, row j bit-identical to the width-1 core."""
-        xv = x if x.dtype == in_dtype else x.astype(in_dtype)
-        if xv.dtype != acc_dtype:
-            xv = xv.astype(acc_dtype)
-        np.take(xv, indices, axis=1, out=gather_buf)
-        np.multiply(data, gather_buf, out=prod_buf)
-        weights = prod_buf if f64_acc else prod_buf.astype(np.float64)
-        y = np.empty((width, nrows),
-                     dtype=np.float64 if f64_acc else acc_dtype)
-        for j in range(width):
-            yj = np.bincount(row_ids, weights=weights[j], minlength=nrows)
-            y[j] = yj if f64_acc else yj.astype(acc_dtype)
-        return y
+    def verify(x: np.ndarray, y: np.ndarray) -> None:
+        _verify_rows(a, precision, x, y)
 
-    if checked:
-        def run(x: np.ndarray) -> np.ndarray:
-            from repro.check import oracle
-
-            y = run_acc(x)
-            for j in range(width):
-                oracle.verify_csr_spmv(a, x[j], y[j], precision)
-            return y if f64_acc else y.astype(np.float64)
-    elif f64_acc:
-        run = run_acc
-    else:
-        def run(x: np.ndarray) -> np.ndarray:
-            return run_acc(x).astype(np.float64)
-
-    return SpMMBinding(run, run_acc, record, precision, plan=None,
-                       nrows=nrows, ncols=ncols, width=width)
-
-
-def csr_spmm(
-    a: CSRMatrix,
-    x: np.ndarray,
-    precision: Precision = Precision.FP64,
-    backend: str = "cusparse",
-) -> tuple[np.ndarray, KernelRecord]:
-    """Compute ``Y = A @ X`` for an ``(ncols, k)`` RHS panel.
-
-    The vendor-style blocked SpMM (cuSPARSE ``SpMM`` / rocSPARSE
-    ``csrmm``): public column-panel convention — *x* has one right-hand
-    side per column, the returned ``Y`` is ``(nrows, k)`` in the
-    accumulator dtype, column j bit-identical to
-    ``csr_spmv(a, x[:, j], ...)``.  Under an active check region every
-    column is differentially verified against the width-1 kernel.
-    """
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != a.ncols:
-        raise ValueError(
-            f"x has shape {x.shape}, expected ({a.ncols}, k) — one "
-            f"right-hand side per column"
-        )
-    width = x.shape[1]
-    binding = bind_csr_spmm(a, width, precision, backend)
-    record = KernelRecord(kernel="spmm", backend=backend, precision=precision)
-    _account_csr_spmm(record, a, precision, width)
-    y = np.ascontiguousarray(binding.run_acc(np.ascontiguousarray(x.T)).T)
-    if check_runtime.is_active():
-        # Differential oracle for the batch path: the column loop itself.
-        for j in range(width):
-            y1, _ = csr_spmv(a, x[:, j], precision, backend)
-            if not np.array_equal(y[:, j], y1, equal_nan=True):
-                from repro.check import ContractViolation
-
-                bad = int(np.flatnonzero(y[:, j] != y1)[0])
-                raise ContractViolation(
-                    "csr_spmm",
-                    "spmm/column-differential",
-                    f"panel column {j} diverges from the 1-RHS kernel "
-                    f"(first mismatch at row {bad}: panel={y[bad, j]!r}, "
-                    f"spmv={y1[bad]!r})",
-                )
-    return y, record
+    return SpMVBinding(_float64_run(_csr_run_acc(a, precision), verify), record)

@@ -29,6 +29,7 @@ import weakref
 
 import numpy as np
 
+from repro.check import runtime as check_runtime
 from repro.obs import blackbox as obs_blackbox
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
@@ -66,12 +67,10 @@ class OperatorCache:
         self._tile_passes: dict[tuple[np.dtype, np.dtype], object] = {}
         #: SpMV plans keyed by (allow_tensor_cores, tc_threshold).
         self._spmv_plans: dict[tuple[bool, float], object] = {}
-        #: Replayable SpMV bindings keyed by (precision, allow_tc,
-        #: tc_threshold, storage_itemsize) — the tape's plan handles.
+        #: Replayable SpMV bindings keyed by (precision, width, allow_tc,
+        #: tc_threshold, storage_itemsize, check gate) — the tape's plan
+        #: handles.
         self._spmv_bindings: dict[tuple, object] = {}
-        #: Replayable blocked-SpMM bindings; the SpMV key plus the panel
-        #: width (the priced record scales with it).
-        self._spmm_bindings: dict[tuple, object] = {}
         #: Reuse telemetry over the per-call entries (:meth:`tiles`,
         #: :meth:`tile_passes` and :meth:`spmv_plan` — the lookups every
         #: kernel call makes).
@@ -261,21 +260,26 @@ class OperatorCache:
         self,
         precision,
         *,
+        width: int = 1,
         allow_tensor_cores: bool = True,
         tc_threshold=None,
         storage_itemsize: int | None = None,
     ):
         """Memoised :func:`repro.kernels.spmv.bind_spmv`.
 
-        One binding per (precision, dispatch knobs) per operator: tapes
-        recorded against the same hierarchy share the resolved kernels.
+        One binding per (precision, panel width, dispatch knobs, check
+        gate) per operator: tapes recorded against the same hierarchy at
+        the same width share the resolved kernels.  The width is in the
+        key because the priced record scales with it; the gate because a
+        binding resolves it at bind time — a binding built outside a
+        checked region must not serve one inside it.
         """
         from repro.formats.bitmap import TC_NNZ_THRESHOLD
         from repro.kernels.spmv import bind_spmv
 
         threshold = TC_NNZ_THRESHOLD if tc_threshold is None else tc_threshold
-        key = (precision, bool(allow_tensor_cores), float(threshold),
-               storage_itemsize)
+        key = (precision, int(width), bool(allow_tensor_cores),
+               float(threshold), storage_itemsize, check_runtime.is_active())
         binding = self._spmv_bindings.get(key)
         if binding is None:
             self.misses += 1
@@ -291,6 +295,7 @@ class OperatorCache:
                 self._mat,
                 precision,
                 self.spmv_plan(allow_tensor_cores, tc_threshold=threshold),
+                width=int(width),
                 allow_tensor_cores=allow_tensor_cores,
                 tc_threshold=threshold,
                 storage_itemsize=storage_itemsize,
@@ -300,57 +305,6 @@ class OperatorCache:
             self.hits += 1
             obs_metrics.inc(
                 obs_names.OPERATOR_CACHE_REQUESTS, entry="spmv_binding",
-                result="hit",
-            )
-        return binding
-
-    def spmm_binding(
-        self,
-        precision,
-        width: int,
-        *,
-        allow_tensor_cores: bool = True,
-        tc_threshold=None,
-        storage_itemsize: int | None = None,
-    ):
-        """Memoised :func:`repro.kernels.spmv.bind_spmm`.
-
-        The batched twin of :meth:`spmv_binding`, additionally keyed by
-        the RHS-panel *width*, which its priced record scales with.  Batch
-        tapes recorded against the same hierarchy at the same width share
-        it.
-        """
-        from repro.formats.bitmap import TC_NNZ_THRESHOLD
-        from repro.kernels.spmv import bind_spmm
-
-        threshold = TC_NNZ_THRESHOLD if tc_threshold is None else tc_threshold
-        key = (precision, int(width), bool(allow_tensor_cores),
-               float(threshold), storage_itemsize)
-        binding = self._spmm_bindings.get(key)
-        if binding is None:
-            self.misses += 1
-            obs_metrics.inc(
-                obs_names.OPERATOR_CACHE_REQUESTS, entry="spmm_binding",
-                result="miss",
-            )
-            obs_blackbox.record(
-                "operator_cache_miss", entry="spmm_binding",
-                precision=precision.name.lower(),
-            )
-            binding = bind_spmm(
-                self._mat,
-                int(width),
-                precision,
-                self.spmv_plan(allow_tensor_cores, tc_threshold=threshold),
-                allow_tensor_cores=allow_tensor_cores,
-                tc_threshold=threshold,
-                storage_itemsize=storage_itemsize,
-            )
-            self._spmm_bindings[key] = binding
-        else:
-            self.hits += 1
-            obs_metrics.inc(
-                obs_names.OPERATOR_CACHE_REQUESTS, entry="spmm_binding",
                 result="hit",
             )
         return binding

@@ -26,8 +26,6 @@ import scipy.sparse as sp
 
 from repro.check import runtime as check_runtime
 from repro.formats.bitmap import BLOCK_SIZE, TC_NNZ_THRESHOLD, TILE_SLOTS
-from repro.obs import trace as obs_trace
-from repro.obs import names as obs_names
 from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import Precision, effective_value_bytes
 from repro.kernels.record import KernelRecord
@@ -37,13 +35,10 @@ __all__ = [
     "VARIATION_THRESHOLD",
     "SpMVPlan",
     "SpMVBinding",
-    "SpMMBinding",
     "TilePasses",
     "build_spmv_plan",
     "bind_spmv",
-    "bind_spmm",
     "mbsr_spmv",
-    "mbsr_spmm",
     "slot_pairing",
 ]
 
@@ -364,20 +359,28 @@ def _account_spmv(
     plan: SpMVPlan,
     precision: Precision,
     storage_itemsize: int | None,
+    width: int = 1,
 ) -> None:
-    """Fill *record* with the cost of one SpMV on *mat* under *plan*.
+    """Fill *record* with the cost of one SpMV on *mat* under *plan*, over
+    a panel of *width* right-hand sides (1 = a single vector).
 
-    The counters depend only on the operator, the plan and the precision —
-    never on ``x`` — which is what lets a tape binding price its record
-    once at bind time and replay it per call.
+    Tile values, bitmaps and index structures are read once per call —
+    the amortisation a panel exists for; MMA issues / scalar flops, the x
+    gather and the y write scale with *width*.  The counters depend only
+    on the operator, the plan, the precision and the width — never on
+    ``x`` — which is what lets a tape binding price its record once at
+    bind time and replay it per call.  ``detail['pop_hist']`` carries the
+    operator's tile-popcount histogram for the metrics fold.
     """
     counters = record.counters
     acc_dtype = precision.accum_dtype
     nnz = mat.nnz
     itemsize = storage_itemsize or precision.itemsize
     if plan.use_tensor_cores:
-        counters.add_mma(precision, plan.mma_issues)
-        # fragA: two dense tiles per issue; fragB: replicated x slices.
+        # Each loaded tile pair issues one MMA per panel column: fragA is
+        # loaded once, fragB (the replicated x slices) cycles through the
+        # columns.
+        counters.add_mma(precision, plan.mma_issues * width)
         counters.add_bytes(
             read=effective_value_bytes(mat.blc_num * TILE_SLOTS * itemsize, itemsize)
         )
@@ -386,213 +389,6 @@ def _account_spmv(
         # bit-walk and index arithmetic around it (pipeline overhead).
         # Value traffic is sector-granular (~2x the raw gathered bytes),
         # capped at streaming the whole contiguous tile.
-        from repro.gpu.counters import (
-            SCALAR_GATHER_OVERHEAD,
-            SCALAR_PIPELINE_OVERHEAD,
-        )
-
-        counters.add_flops(precision, 2.0 * nnz * SCALAR_PIPELINE_OVERHEAD)
-        value_bytes = min(
-            float(nnz) * itemsize * SCALAR_GATHER_OVERHEAD,
-            float(mat.blc_num) * TILE_SLOTS * itemsize,
-        )
-        counters.add_bytes(read=effective_value_bytes(value_bytes, itemsize))
-    # Index structures + bitmaps + x gather + y write.
-    counters.add_bytes(
-        read=mat.blc_num * (8 + 2) + (mat.mb + 1) * 8
-        + effective_value_bytes(mat.blc_num * BLOCK_SIZE * itemsize, itemsize),
-        written=mat.nrows * max(acc_dtype().itemsize, itemsize),
-    )
-    counters.imbalance = plan.imbalance
-    counters.launches = 1
-    record.detail = {"path": plan.kernel_path, "variation": plan.variation}
-
-
-def mbsr_spmv(
-    mat: MBSRMatrix,
-    x: np.ndarray,
-    precision: Precision = Precision.FP64,
-    plan: SpMVPlan | None = None,
-    *,
-    allow_tensor_cores: bool = True,
-    tc_threshold: float | None = None,
-    storage_itemsize: int | None = None,
-) -> tuple[np.ndarray, KernelRecord]:
-    """Compute ``y = A @ x`` with the adaptive mBSR kernel.
-
-    Returns ``y`` in the accumulator dtype of *precision* and the kernel
-    record.  Pass a prebuilt *plan* to skip preprocessing on repeated
-    calls; without one, the memoised per-operator plan is built with the
-    caller's *tc_threshold* (``None`` = the paper's ``TC_NNZ_THRESHOLD``)
-    — the threshold used to be hard-wired here, silently discarding any
-    non-default core-selection point.  ``storage_itemsize`` overrides the
-    per-value byte size charged for memory traffic: devices whose
-    low-precision path computes in reduced precision but keeps
-    FP64-resident data (the MI210 configuration of Sec. V.F) pass 8 here,
-    which is what makes mixed precision a wash there.
-    """
-    x = np.asarray(x)
-    if x.shape != (mat.ncols,):
-        raise ValueError(f"x has shape {x.shape}, expected ({mat.ncols},)")
-    cache = mat.cache
-    if plan is None:
-        plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
-
-    record = KernelRecord(kernel="spmv", backend="amgt", precision=precision)
-    acc_dtype = precision.accum_dtype
-    # Tile products then the row reduction, as in both device kernels,
-    # with the precision semantics of the selected core type; the tile
-    # values are quantised-and-widened once per operator, not per call.
-    y = cache.tile_passes(precision.np_dtype, acc_dtype)(x)
-    _account_spmv(record, mat, plan, precision, storage_itemsize)
-    # Output-dtype pin: mixed-precision callers must get the accumulator
-    # dtype back, or they silently lose (or fabricate) precision downstream.
-    assert y.dtype == acc_dtype, (
-        f"mbsr_spmv produced {y.dtype}, expected accumulator {acc_dtype}"
-    )
-    if check_runtime.is_active():
-        from repro.check import oracle
-
-        oracle.verify_spmv(mat, x, y, precision, plan)
-    if obs_trace.is_active():
-        from repro.obs import metrics as obs_metrics
-
-        obs_metrics.REGISTRY.counter(
-            obs_names.SPMV_DISPATCH,
-            core="tc" if plan.use_tensor_cores else "cuda",
-            schedule="balanced" if plan.load_balanced else "row-warp",
-        ).inc()
-        obs_metrics.REGISTRY.histogram(
-            obs_names.SPMV_TILE_POPCOUNT,
-            buckets=obs_metrics.POP_BUCKETS,
-            kernel="spmv",
-        ).observe_counts(cache.pop_hist)
-    return y, record
-
-
-@dataclass
-class SpMVBinding:
-    """A fully-resolved, replayable SpMV — the tape's plan handle.
-
-    ``run(x)`` returns a fresh float64 vector bit-identical to
-    ``np.asarray(mbsr_spmv(mat, x, precision, plan)[0], dtype=np.float64)``
-    with every per-call decision already taken: the TC/CUDA plan, the
-    operator's :class:`TilePasses` at this precision and the check gate
-    are all captured at bind time, so a replay is just the two CSR
-    passes.  Scratch is allocated per call and the captured state is
-    immutable, so bindings hold no per-binding buffers.
-
-    ``record`` is the unpriced cost template of one call — identical
-    counters to the record :func:`mbsr_spmv` would produce, built once
-    because the accounting never depends on ``x``.  Callers that charge
-    replays stamp/price it once and append it per call.
-    """
-
-    run: Callable[[np.ndarray], np.ndarray]
-    record: KernelRecord
-    precision: Precision
-    plan: SpMVPlan | None
-    nrows: int
-    ncols: int
-
-
-def bind_spmv(
-    mat: MBSRMatrix,
-    precision: Precision = Precision.FP64,
-    plan: SpMVPlan | None = None,
-    *,
-    allow_tensor_cores: bool = True,
-    tc_threshold: float | None = None,
-    storage_itemsize: int | None = None,
-) -> SpMVBinding:
-    """Resolve one operator's SpMV into a :class:`SpMVBinding`.
-
-    This is the record-time half of the kernel tape: everything
-    :func:`mbsr_spmv` re-derives or re-checks per call (argument
-    validation, plan lookup, cache attribute walks, record construction,
-    cost accounting) happens here exactly once.
-    """
-    cache = mat.cache
-    if plan is None:
-        plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
-    record = KernelRecord(kernel="spmv", backend="amgt", precision=precision)
-    _account_spmv(record, mat, plan, precision, storage_itemsize)
-    passes = cache.tile_passes(precision.np_dtype, precision.accum_dtype)
-
-    def verify(x: np.ndarray, y: np.ndarray) -> None:
-        from repro.check import oracle
-
-        oracle.verify_spmv(mat, x, y, precision, plan)
-
-    return SpMVBinding(_float64_run(passes, verify), record, precision, plan,
-                       mat.nrows, mat.ncols)
-
-
-def _float64_run(run_acc: Callable[[np.ndarray], np.ndarray],
-                 verify: Callable[[np.ndarray, np.ndarray], None]):
-    """A binding's float64 ``run`` over its accumulator-dtype core.
-
-    The check gate is resolved here, once at bind time, exactly like the
-    TC/CUDA dispatch: under an active checked region (or REPRO_CHECK)
-    every call is verified against the differential oracle; otherwise the
-    replay path carries zero check overhead.
-    """
-    def widened(x: np.ndarray) -> np.ndarray:
-        y = run_acc(x)
-        return y if y.dtype == np.float64 else y.astype(np.float64)
-
-    if not check_runtime.is_active():
-        return widened
-
-    def run(x: np.ndarray) -> np.ndarray:
-        y = run_acc(x)
-        verify(x, y)
-        return y if y.dtype == np.float64 else y.astype(np.float64)
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Blocked SpMM: the multi-RHS panel twin of the SpMV above.
-#
-# The tensor-core economics of the paper hinge on arithmetic intensity:
-# an mBSR tile loaded for one MMA is reused across every column of the
-# RHS panel, so value/index traffic is charged once per tile while the
-# MMA/flop count scales with the panel width.  The numeric contract is
-# *per-column bit-identity* with the 1-RHS kernel, and it holds by
-# construction: the panel runs the same :class:`TilePasses` as width 1,
-# through scipy's multi-vector CSR product, whose per-column arithmetic
-# is the single-vector product's.
-# ----------------------------------------------------------------------
-
-def _account_spmm(
-    record: KernelRecord,
-    mat: MBSRMatrix,
-    plan: SpMVPlan,
-    precision: Precision,
-    width: int,
-    storage_itemsize: int | None,
-) -> None:
-    """Fill *record* with the cost of one width-*width* SpMM on *mat*.
-
-    Tile values, bitmaps and index structures are read once per panel
-    (the amortisation the batched path exists for); MMA issues / scalar
-    flops, the x-panel gather and the y-panel write scale with *width*.
-    Like :func:`_account_spmv` the counters never depend on the operand,
-    so tape bindings price the record once at bind time.
-    """
-    counters = record.counters
-    acc_dtype = precision.accum_dtype
-    nnz = mat.nnz
-    itemsize = storage_itemsize or precision.itemsize
-    if plan.use_tensor_cores:
-        # Each loaded tile-pair issues one MMA per panel column: fragA is
-        # loaded once, fragB cycles through the columns.
-        counters.add_mma(precision, plan.mma_issues * width)
-        counters.add_bytes(
-            read=effective_value_bytes(mat.blc_num * TILE_SLOTS * itemsize, itemsize)
-        )
-    else:
         from repro.gpu.counters import (
             SCALAR_GATHER_OVERHEAD,
             SCALAR_PIPELINE_OVERHEAD,
@@ -616,79 +412,18 @@ def _account_spmm(
         "path": plan.kernel_path,
         "variation": plan.variation,
         "width": width,
+        "pop_hist": mat.cache.pop_hist,
     }
 
 
-@dataclass
-class SpMMBinding:
-    """A fully-resolved, replayable blocked SpMM — the batched tape's
-    plan handle.
-
-    Layout: ``run(X)`` takes a **row panel** ``(width, ncols)`` — row j
-    is right-hand side j, contiguous — and returns a fresh float64
-    ``(width, nrows)`` panel whose row j is bit-identical to the width-1
-    :class:`SpMVBinding` ``run`` applied to ``X[j]``.  The row-panel
-    layout is the widened workspace's slot layout (each RHS stays
-    contiguous for the per-column norms and reductions); the public
-    ``(n, k)`` column-panel convention of :func:`mbsr_spmm` transposes
-    at the boundary.
-
-    ``run_acc`` is the accumulator-dtype inner core; ``record`` is the
-    priced one-panel-call cost template (bytes once per tile, flops per
-    column).  Like :class:`SpMVBinding` it holds no work buffers.
-    """
-
-    run: Callable[[np.ndarray], np.ndarray]
-    run_acc: Callable[[np.ndarray], np.ndarray]
-    record: KernelRecord
-    precision: Precision
-    plan: SpMVPlan | None
-    nrows: int
-    ncols: int
-    width: int
+def _new_record(precision: Precision, width: int) -> KernelRecord:
+    """An unpriced SpMV record: ``spmv`` for one vector, ``spmm`` for a
+    panel of several."""
+    kernel = "spmv" if width == 1 else "spmm"
+    return KernelRecord(kernel=kernel, backend="amgt", precision=precision)
 
 
-def bind_spmm(
-    mat: MBSRMatrix,
-    width: int,
-    precision: Precision = Precision.FP64,
-    plan: SpMVPlan | None = None,
-    *,
-    allow_tensor_cores: bool = True,
-    tc_threshold: float | None = None,
-    storage_itemsize: int | None = None,
-) -> SpMMBinding:
-    """Resolve one operator's blocked SpMM into a :class:`SpMMBinding`.
-
-    Same plan/dispatch machinery and the same :class:`TilePasses` as
-    :func:`bind_spmv`; the row panel transposes to the ``(ncols, width)``
-    column panel scipy's multi-vector product takes, and back.
-    """
-    if width < 1:
-        raise ValueError(f"panel width must be >= 1, got {width}")
-    cache = mat.cache
-    if plan is None:
-        plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
-    record = KernelRecord(kernel="spmm", backend="amgt", precision=precision)
-    _account_spmm(record, mat, plan, precision, width, storage_itemsize)
-    passes = cache.tile_passes(precision.np_dtype, precision.accum_dtype)
-
-    def run_acc(x: np.ndarray) -> np.ndarray:
-        """The panel replay core; returns (width, nrows) in the
-        accumulator dtype, row j bit-identical to the width-1 core."""
-        return np.ascontiguousarray(passes(x.T).T)
-
-    def verify(x: np.ndarray, y: np.ndarray) -> None:
-        from repro.check import oracle
-
-        for j in range(width):
-            oracle.verify_spmv(mat, x[j], y[j], precision, plan)
-
-    return SpMMBinding(_float64_run(run_acc, verify), run_acc, record,
-                       precision, plan, mat.nrows, mat.ncols, width)
-
-
-def mbsr_spmm(
+def mbsr_spmv(
     mat: MBSRMatrix,
     x: np.ndarray,
     precision: Precision = Precision.FP64,
@@ -698,68 +433,149 @@ def mbsr_spmm(
     tc_threshold: float | None = None,
     storage_itemsize: int | None = None,
 ) -> tuple[np.ndarray, KernelRecord]:
-    """Compute ``Y = A @ X`` for an ``(ncols, k)`` RHS panel.
+    """Compute ``y = A @ x`` with the adaptive mBSR kernel.
 
-    The public column-panel convention: *x* has one right-hand side per
-    column, and the returned ``Y`` is ``(nrows, k)`` in the accumulator
-    dtype of *precision* — column j bit-identical to
-    ``mbsr_spmv(mat, x[:, j], ...)``: both run the operator's memoised
-    :class:`TilePasses`, this one through scipy's multi-vector product.
-    Under an active check region every column is differentially verified
-    against the width-1 kernel.
+    *x* is an ``(ncols,)`` vector or an ``(ncols, k)`` panel with one
+    right-hand side per column; ``y`` comes back in the same layout, in
+    the accumulator dtype of *precision*, with the kernel record.  Panel
+    column j is bit-identical to the vector call on ``x[:, j]``: both run
+    the operator's memoised :class:`TilePasses`, the panel through
+    scipy's multi-vector product.  Pass a prebuilt *plan* to skip
+    preprocessing on repeated calls; without one, the memoised
+    per-operator plan is built with the caller's *tc_threshold*
+    (``None`` = the paper's ``TC_NNZ_THRESHOLD``).  ``storage_itemsize``
+    overrides the per-value byte size charged for memory traffic:
+    devices whose low-precision path computes in reduced precision but
+    keeps FP64-resident data (the MI210 configuration of Sec. V.F) pass 8
+    here, which is what makes mixed precision a wash there.
     """
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != mat.ncols:
+    if x.ndim not in (1, 2) or x.shape[0] != mat.ncols:
         raise ValueError(
-            f"x has shape {x.shape}, expected ({mat.ncols}, k) — one "
-            f"right-hand side per column"
+            f"x has shape {x.shape}, expected ({mat.ncols},) or "
+            f"({mat.ncols}, k) — one right-hand side per column"
         )
-    width = x.shape[1]
+    width = 1 if x.ndim == 1 else x.shape[1]
     cache = mat.cache
     if plan is None:
         plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
-    record = KernelRecord(kernel="spmm", backend="amgt", precision=precision)
-    _account_spmm(record, mat, plan, precision, width, storage_itemsize)
 
-    y = cache.tile_passes(precision.np_dtype, precision.accum_dtype)(x)
-    assert y.dtype == np.dtype(precision.accum_dtype), (
-        f"mbsr_spmm produced {y.dtype}, expected accumulator "
-        f"{precision.accum_dtype}"
+    record = _new_record(precision, width)
+    acc_dtype = precision.accum_dtype
+    # Tile products then the row reduction, as in both device kernels,
+    # with the precision semantics of the selected core type; the tile
+    # values are quantised-and-widened once per operator, not per call.
+    y = cache.tile_passes(precision.np_dtype, acc_dtype)(x)
+    _account_spmv(record, mat, plan, precision, storage_itemsize, width)
+    # Output-dtype pin: mixed-precision callers must get the accumulator
+    # dtype back, or they silently lose (or fabricate) precision downstream.
+    assert y.dtype == acc_dtype, (
+        f"mbsr_spmv produced {y.dtype}, expected accumulator {acc_dtype}"
     )
     if check_runtime.is_active():
-        # The batch path's differential oracle is the column loop itself:
-        # each column must reproduce the 1-RHS kernel bit for bit (which
-        # in turn verifies against the quantisation-exact reference).
-        for j in range(width):
-            y1, _ = mbsr_spmv(
-                mat, x[:, j], precision, plan,
-                allow_tensor_cores=allow_tensor_cores,
-                tc_threshold=tc_threshold,
-                storage_itemsize=storage_itemsize,
-            )
-            if not np.array_equal(y[:, j], y1, equal_nan=True):
-                from repro.check import ContractViolation
-
-                bad = int(np.flatnonzero(y[:, j] != y1)[0])
-                raise ContractViolation(
-                    "mbsr_spmm",
-                    "spmm/column-differential",
-                    f"panel column {j} diverges from the 1-RHS kernel "
-                    f"(first mismatch at row {bad}: panel={y[bad, j]!r}, "
-                    f"spmv={y1[bad]!r})",
-                )
-    if obs_trace.is_active():
-        from repro.obs import metrics as obs_metrics
-
-        obs_metrics.REGISTRY.counter(
-            obs_names.SPMM_DISPATCH,
-            core="tc" if plan.use_tensor_cores else "cuda",
-            schedule="balanced" if plan.load_balanced else "row-warp",
-            width=width,
-        ).inc()
-        obs_metrics.REGISTRY.histogram(
-            obs_names.SPMV_TILE_POPCOUNT,
-            buckets=obs_metrics.POP_BUCKETS,
-            kernel="spmm",
-        ).observe_counts(cache.pop_hist)
+        _verify_rows(mat, precision, plan, x.T, y.T)
     return y, record
+
+
+def _verify_rows(mat, precision, plan, x: np.ndarray, y: np.ndarray) -> None:
+    """Check every right-hand side of a vector (1-D) or row-panel call
+    against the quantisation-exact reference."""
+    from repro.check import oracle
+
+    for xj, yj in zip(np.atleast_2d(x), np.atleast_2d(y)):
+        oracle.verify_spmv(mat, xj, yj, precision, plan)
+
+
+@dataclass
+class SpMVBinding:
+    """A fully-resolved, replayable SpMV — the tape's plan handle.
+
+    ``run(x)`` takes an ``(ncols,)`` vector or a ``(width, ncols)`` **row
+    panel** (row j is right-hand side j, the tape workspace's slot
+    layout) and returns a fresh float64 result in the same layout, row j
+    bit-identical to the vector call on ``x[j]``.  For an mBSR operator
+    (:func:`bind_spmv`) every per-call decision is already taken: the
+    TC/CUDA plan, the operator's :class:`TilePasses` at this precision
+    and the check gate are captured at bind time, so a replay is just the
+    two CSR passes.  The layout is chosen by the input's shape: a vector,
+    or a one-row panel through its row view, runs the single-vector
+    product; a wider panel transposes to the ``(ncols, width)`` column
+    panel scipy's multi-vector product takes, and back.  Scratch is
+    allocated per call and the captured state is immutable, so bindings
+    hold no buffers.
+
+    ``record`` is the unpriced cost template of one call at the bound
+    width — identical counters to the record :func:`mbsr_spmv` would
+    produce, built once because the accounting never depends on ``x`` —
+    or ``None`` for a wrapped host closure.  Callers that charge replays
+    stamp/price it once and append it per call.
+    """
+
+    run: Callable[[np.ndarray], np.ndarray]
+    record: KernelRecord | None
+
+
+def bind_spmv(
+    mat: MBSRMatrix,
+    precision: Precision = Precision.FP64,
+    plan: SpMVPlan | None = None,
+    *,
+    width: int = 1,
+    allow_tensor_cores: bool = True,
+    tc_threshold: float | None = None,
+    storage_itemsize: int | None = None,
+) -> SpMVBinding:
+    """Resolve one operator's SpMV over *width* right-hand sides into a
+    :class:`SpMVBinding`.
+
+    This is the record-time half of the kernel tape: everything
+    :func:`mbsr_spmv` re-derives or re-checks per call (argument
+    validation, plan lookup, cache attribute walks, record construction,
+    cost accounting) happens here exactly once.
+    """
+    if width < 1:
+        raise ValueError(f"panel width must be >= 1, got {width}")
+    cache = mat.cache
+    if plan is None:
+        plan = cache.spmv_plan(allow_tensor_cores, tc_threshold=tc_threshold)
+    record = _new_record(precision, width)
+    _account_spmv(record, mat, plan, precision, storage_itemsize, width)
+    passes = cache.tile_passes(precision.np_dtype, precision.accum_dtype)
+
+    def run_acc(x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            return passes(x)
+        if x.shape[0] == 1:
+            return passes(x[0])[None]
+        return np.ascontiguousarray(passes(x.T).T)
+
+    def verify(x: np.ndarray, y: np.ndarray) -> None:
+        _verify_rows(mat, precision, plan, x, y)
+
+    return SpMVBinding(_float64_run(run_acc, verify), record)
+
+
+def _float64_run(run_acc: Callable[[np.ndarray], np.ndarray],
+                 verify: Callable[[np.ndarray, np.ndarray], None]):
+    """A binding's float64 ``run`` over its accumulator-dtype core.
+
+    The check gate is resolved here, once at bind time, exactly like the
+    TC/CUDA dispatch: under an active checked region (or REPRO_CHECK)
+    every call is verified against the differential oracle; otherwise the
+    replay path carries zero check overhead.  Memoised bindings therefore
+    key on the gate (see :meth:`repro.kernels.cache.OperatorCache.\
+spmv_binding`).
+    """
+    def widened(x: np.ndarray) -> np.ndarray:
+        y = run_acc(x)
+        return y if y.dtype == np.float64 else y.astype(np.float64)
+
+    if not check_runtime.is_active():
+        return widened
+
+    def run(x: np.ndarray) -> np.ndarray:
+        y = run_acc(x)
+        verify(x, y)
+        return y if y.dtype == np.float64 else y.astype(np.float64)
+
+    return run

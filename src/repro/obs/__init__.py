@@ -3,7 +3,7 @@
 Three instruments behind one ``REPRO_TRACE`` gate:
 
 * :mod:`repro.obs.trace` — wall-clock span trees
-  (``solve > cycle[k] > level[l] > kernel``);
+  (``solve > cycle[k] > kernel``);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms (cache hit
   rates, TC-vs-CUDA dispatch, popcount distributions, bytes/MMA);
 * :mod:`repro.obs.convergence` — per-iteration residual norms and

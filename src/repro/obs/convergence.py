@@ -50,12 +50,13 @@ class SolveTelemetry:
 
     def record_iteration(self, residual: float, cycle_span=None) -> None:
         """Append one iteration; *cycle_span* (a closed, truthy span)
-        contributes its wall time and per-level breakdown."""
+        contributes its wall time and per-level breakdown — the wall time
+        of its kernel spans, by their ``level`` attribute."""
         self.residual_norms.append(float(residual))
         if cycle_span:
             self.cycle_wall_ns.append(cycle_span.wall_ns)
             per_level: dict[int, int] = {}
-            for sp in cycle_span.find(kind="level"):
+            for sp in cycle_span.find(kind="kernel"):
                 lvl = int(sp.attrs.get("level", -1))
                 per_level[lvl] = per_level.get(lvl, 0) + sp.wall_ns
             self.level_wall_ns.append(per_level)

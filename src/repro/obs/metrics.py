@@ -38,6 +38,7 @@ __all__ = [
     "observe",
     "observe_counts",
     "observe_kernel",
+    "charge",
 ]
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -240,10 +241,12 @@ def observe_counts(name: str, counts, **labels) -> None:
 
 def observe_kernel(record) -> None:
     """Fold one :class:`~repro.kernels.record.KernelRecord` into the
-    registry: call counts, simulated µs, bytes moved, and MMA issues.
+    registry: call counts, simulated µs, bytes moved, and MMA issues; for
+    mBSR SpMV/SpMM records also the TC-vs-CUDA dispatch path and the
+    operator's tile-popcount histogram.
 
-    Called from every ``perf.append`` site in the backends; gated here so
-    the call sites stay one line.
+    Called from every ``perf.append`` site in the backends and from
+    :func:`charge`; gated here so the call sites stay one line.
     """
     if not is_active():
         return
@@ -270,3 +273,28 @@ def observe_kernel(record) -> None:
     flops = counters.total_scalar_flops
     if flops:
         REGISTRY.counter(names.KERNEL_SCALAR_FLOPS, **labels).inc(flops)
+    pop_hist = record.detail.get("pop_hist")
+    if pop_hist is not None:
+        core, schedule = record.detail["path"].split("/")
+        if record.kernel == "spmv":
+            REGISTRY.counter(names.SPMV_DISPATCH, core=core,
+                             schedule=schedule).inc()
+        else:
+            REGISTRY.counter(names.SPMM_DISPATCH, core=core, schedule=schedule,
+                             width=record.detail["width"]).inc()
+        REGISTRY.histogram(
+            names.SPMV_TILE_POPCOUNT, buckets=POP_BUCKETS, kernel=record.kernel,
+        ).observe_counts(pop_hist)
+
+
+def charge(log, records) -> None:
+    """Append priced kernel records to a performance log and fold the same
+    records into the registry.
+
+    The one path by which replayed kernels reach both streams, so the
+    perf log and ``repro_kernel_*`` can never disagree on what ran.
+    """
+    log.records.extend(records)
+    if is_active():
+        for record in records:
+            observe_kernel(record)

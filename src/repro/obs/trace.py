@@ -4,11 +4,13 @@ The perf layer (:mod:`repro.perf.timeline`) records *simulated* device
 prices; this module records what the Python engines actually spend, as a
 tree of spans::
 
-    solve > cycle[k] > level[l] > kernel(spmv|spgemm|smoother|conversion)
+    setup > kernel(spgemm|conversion)
+    solve > cycle[k] > kernel(spmv|smoother)
 
 Each span carries wall-clock nanoseconds plus free-form attributes — the
-kernel spans attach the matching :class:`~repro.kernels.record.KernelRecord`
-facts (simulated µs, level, phase, precision, backend, dispatch path) so
+kernel spans carry their phase and level and attach the matching
+:class:`~repro.kernels.record.KernelRecord` facts (simulated µs,
+precision, backend, dispatch path) so
 the measured and simulated breakdowns can be laid side by side by
 :mod:`repro.obs.export`.
 
@@ -292,7 +294,7 @@ def phase_span(name: str, attrs: dict | None = None):
     """Open a ``kind='phase'`` span unless one is already on the stack.
 
     The setup/solve drivers nest (``AmgTSolver.solve`` ->
-    ``BoomerAMG.solve`` -> ``amg_solve``); each opens the phase span so it
+    ``BoomerAMG.solve`` -> ``taped_solve``); each opens the phase span so it
     is present whichever layer is the entry point, and the idempotence
     here keeps the tree from stuttering ``solve > solve > ...``.
     """

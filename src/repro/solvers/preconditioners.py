@@ -19,29 +19,25 @@ MatVec = Callable[[np.ndarray], np.ndarray]
 
 
 class VCyclePreconditioner:
-    """One AMG V-cycle per application, optionally through the kernel tape.
+    """One AMG V-cycle per application, replayed from the kernel tape.
 
-    Wraps a :class:`repro.hypre.boomeramg.BoomerAMG` driver.  With
-    ``tape=True`` every application replays the driver's recorded cycle
-    tape (recorded on first use, re-recorded if the hierarchy changes)
-    instead of the interpreted cycle recursion — bit-identical results,
-    no per-application dispatch.
+    Wraps a :class:`repro.hypre.boomeramg.BoomerAMG` driver; every
+    application replays the driver's recorded cycle tape (recorded on
+    first use, re-recorded if the hierarchy changes).
     """
 
-    def __init__(self, driver, tape: bool = False):
+    def __init__(self, driver):
         self._driver = driver
-        self.tape = bool(tape)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Apply one V-cycle to *r*.
 
-        *r* may be a single residual (``(n,)`` or ``(n, 1)``) or an
-        ``(n, k)`` panel — panels route through the driver's batched
-        tape (:meth:`~repro.hypre.boomeramg.BoomerAMG.precondition_multi`)
-        and come back column-for-column bit-identical to ``k`` width-1
-        applications.
+        *r* may be a single ``(n,)`` residual or an ``(n, k)`` panel,
+        which comes back column-for-column bit-identical to ``k`` single
+        applications (see
+        :meth:`~repro.hypre.boomeramg.BoomerAMG.precondition`).
         """
-        return self._driver.precondition(r, tape=self.tape)
+        return self._driver.precondition(r)
 
     __call__ = apply
 

@@ -1,28 +1,22 @@
-"""Kernel-tape compilation of the multigrid cycle: record once, replay
-with zero per-iteration dispatch.
+"""Kernel-tape compilation of the multigrid cycle — the solve phase's one
+execution path: record once, replay with zero per-iteration dispatch.
 
 * :func:`record_cycle` — one instrumented pass over the cycle recursion,
-  emitting fully-bound closures over a preallocated workspace;
+  emitting fully-bound closures over a preallocated workspace of
+  ``(batch, n)`` row panels (a single right-hand side is a panel of one);
 * :class:`CycleTape` — the recorded tape: replay, staleness check,
-  differential verification, perf/metrics templates;
-* :func:`taped_solve` — the replay twin of ``amg_solve``;
-* :func:`taped_solve_multi` — the batched replay over an ``(n, k)``
-  block of right-hand sides (record with ``batch=k``), per-column
-  bit-identical to the width-1 solve.
+  differential verification against :func:`repro.amg.cycle.mg_cycle`,
+  perf/metrics templates;
+* :func:`taped_solve` — the solve loop, over an ``(n,)`` vector or an
+  ``(n, k)`` panel, per-column bit-identical to the vector solve.
 
-High-level entry points: ``AmgTSolver.solve(..., tape=True)``,
-``AmgTSolver.solve_multi``, ``amg_solve(..., tape=True)`` and
-``amg_solve_multi``.
+High-level entry points: ``AmgTSolver.solve``, ``AmgTSolver.solve_multi``
+(the same path on a panel), ``BoomerAMG.solve`` / ``precondition`` and
+the functional ``amg_solve``.
 """
 
 from repro.tape.recorder import record_cycle
-from repro.tape.tape import (
-    CycleTape,
-    TapeOp,
-    Workspace,
-    taped_solve,
-    taped_solve_multi,
-)
+from repro.tape.tape import CycleTape, TapeOp, Workspace, taped_solve
 
 __all__ = [
     "CycleTape",
@@ -30,5 +24,4 @@ __all__ = [
     "Workspace",
     "record_cycle",
     "taped_solve",
-    "taped_solve_multi",
 ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.amg.coarse import CoarseSolver
-from repro.amg.cycle import SolveParams, SolveStats, amg_solve, v_cycle
+from repro.amg.cycle import SolveParams, SolveStats, amg_solve, mg_cycle
 from repro.amg.hierarchy import SetupParams, amg_setup
 from repro.amg.smoothers import (
     jacobi_sweep,
@@ -227,7 +227,7 @@ class TestSolve:
         h = amg_setup(a)
         b = np.ones(a.nrows)
         stats = SolveStats()
-        x = v_cycle(h, b, np.zeros(a.nrows), stats=stats)
+        x = mg_cycle(h, b, np.zeros(a.nrows), stats=stats)
         assert np.linalg.norm(b - a.matvec(x)) < np.linalg.norm(b)
         assert stats.spmv_calls == 5 * (h.num_levels - 1)
 

@@ -25,13 +25,7 @@ from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import Precision
 from repro.hypre.csr_matrix import HypreCSRMatrix
 from repro.kernels import spmv as spmv_mod
-from repro.kernels.spmv import (
-    bind_spmm,
-    bind_spmv,
-    build_spmv_plan,
-    mbsr_spmm,
-    mbsr_spmv,
-)
+from repro.kernels.spmv import bind_spmv, build_spmv_plan, mbsr_spmv
 
 PRECISIONS = [Precision.FP64, Precision.FP32, Precision.FP16]
 
@@ -172,8 +166,8 @@ class TestCachedSpMVExactness:
         rng = np.random.default_rng(width)
         x = _wide(rng, (mbsr_case.ncols, width))
         x[0, -1] = np.nan
-        y, _ = mbsr_spmm(mbsr_case, x, precision)
-        rows = bind_spmm(mbsr_case, width, precision).run(
+        y, _ = mbsr_spmv(mbsr_case, x, precision)
+        rows = bind_spmv(mbsr_case, precision, width=width).run(
             np.ascontiguousarray(x.T))
         assert y.shape == (mbsr_case.nrows, width)
         assert rows.shape == (width, mbsr_case.nrows)
@@ -192,7 +186,7 @@ class TestCachedSpMVExactness:
         rng = np.random.default_rng(12)
         x, panel = _wide(rng, mbsr_case.ncols), _wide(rng, (mbsr_case.ncols, 3))
         expected = {
-            p: (mbsr_spmv(mbsr_case, x, p)[0], mbsr_spmm(mbsr_case, panel, p)[0])
+            p: (mbsr_spmv(mbsr_case, x, p)[0], mbsr_spmv(mbsr_case, panel, p)[0])
             for p in PRECISIONS
         }
         for acc in (np.float64, np.float32):
@@ -200,7 +194,7 @@ class TestCachedSpMVExactness:
         mat = mbsr_case.copy()  # fresh cache, built under the fallback
         for precision in PRECISIONS:
             y, _ = mbsr_spmv(mat, x, precision)
-            y_panel, _ = mbsr_spmm(mat, panel, precision)
+            y_panel, _ = mbsr_spmv(mat, panel, precision)
             passes = mat.cache.tile_passes(precision.np_dtype,
                                            precision.accum_dtype)
             assert passes.pairing is None and passes.pairs is None

@@ -16,6 +16,15 @@ from repro.perf.timeline import PerformanceLog
 from conftest import random_csr
 
 
+def _matvec(backend, a, x, perf, phase, level):
+    """One charged SpMV through the backend's binding."""
+    from repro.obs.metrics import charge
+
+    binding = backend.bind_matvec(a, perf, phase, level)
+    charge(perf, (binding.record,))
+    return binding.run(x)
+
+
 class TestHypreCSRMatrix:
     def test_wrap_idempotent(self):
         a = random_csr(10, 10, 0.3)
@@ -79,7 +88,7 @@ class TestBackends:
         x = rng.normal(size=20)
         for backend in (HypreBackend(H100), AmgTBackend(H100)):
             perf = PerformanceLog()
-            y = backend.matvec_device(a, x, perf, "solve", 0)
+            y = _matvec(backend, a, x, perf, "solve", 0)
             np.testing.assert_allclose(y, a.to_dense() @ x, atol=1e-9)
             assert perf.count("spmv") == 1
 
@@ -88,9 +97,9 @@ class TestBackends:
         a = random_csr(16, 16, 0.3, seed=4)
         perf = PerformanceLog()
         x = rng.normal(size=16)
-        backend.matvec_device(HypreCSRMatrix.wrap(a), x, perf, "solve", 0)
-        backend.matvec_device(HypreCSRMatrix.wrap(a), x, perf, "solve", 1)
-        backend.matvec_device(HypreCSRMatrix.wrap(a), x, perf, "solve", 3)
+        _matvec(backend, HypreCSRMatrix.wrap(a), x, perf, "solve", 0)
+        _matvec(backend, HypreCSRMatrix.wrap(a), x, perf, "solve", 1)
+        _matvec(backend, HypreCSRMatrix.wrap(a), x, perf, "solve", 3)
         precs = [r.precision for r in perf.by_kernel("spmv")]
         assert precs == [Precision.FP64, Precision.FP32, Precision.FP16]
 
@@ -108,8 +117,8 @@ class TestBackends:
         backend = AmgTBackend(H100)
         a = HypreCSRMatrix.wrap(random_csr(16, 16, 0.3, seed=7))
         perf = PerformanceLog()
-        backend.matvec_device(a, np.ones(16), perf, "solve", 0)
-        backend.matvec_device(a, np.ones(16), perf, "solve", 0)
+        _matvec(backend, a, np.ones(16), perf, "solve", 0)
+        _matvec(backend, a, np.ones(16), perf, "solve", 0)
         assert perf.count("csr2mbsr") == 1
         assert perf.count("spmv") == 2
 
@@ -198,7 +207,7 @@ class TestAMDStorageBehaviour:
             backend = AmgTBackend(MI210, precision=mode)
             perf = PerformanceLog()
             w = HypreCSRMatrix.wrap(a)
-            backend.matvec_device(w, x, perf, "solve", 2)  # coarse level
+            _matvec(backend, w, x, perf, "solve", 2)  # coarse level
             rec = perf.by_kernel("spmv")[0]
             times[mode] = rec.sim_time_us
         assert times["mixed"] == pytest.approx(times["fp64"], rel=1e-6)
@@ -211,7 +220,7 @@ class TestAMDStorageBehaviour:
             backend = AmgTBackend(H100, precision=mode)
             perf = PerformanceLog()
             w = HypreCSRMatrix.wrap(a)
-            backend.matvec_device(w, x, perf, "solve", 2)
+            _matvec(backend, w, x, perf, "solve", 2)
             times[mode] = perf.by_kernel("spmv")[0].sim_time_us
         assert times["mixed"] < times["fp64"]
 

@@ -1,8 +1,10 @@
-"""Multi-RHS batched solve path: blocked SpMM kernels, widened tape
-replay and the RHS shape-handling fixes that rode along.
+"""Multi-RHS panels: the SpMV kernels and bindings over ``(ncols, k)``
+panels, the widened tape replay and the RHS shape-handling fixes that
+rode along.
 
-The load-bearing contract everywhere: column ``j`` of any batched result
-is **bit-identical** to the width-1 path applied to column ``j``.
+The load-bearing contract everywhere: column ``j`` of any panel result
+is **bit-identical** to the width-1 call on column ``j`` — a single
+right-hand side is a panel of one.
 """
 
 from __future__ import annotations
@@ -12,17 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amg.cycle import SolveParams, amg_solve, amg_solve_multi
+from repro.amg.cycle import SolveParams, amg_solve
 from repro.amg.hierarchy import amg_setup
 from repro.amg.solver import AmgTSolver, MultiSolveResult
 from repro.check import ContractViolation, checked_region
 from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import Precision
-from repro.kernels.baseline import bind_csr_spmm, csr_spmm, csr_spmv
-from repro.kernels.spmv import bind_spmm, bind_spmv, mbsr_spmm, mbsr_spmv
+from repro.kernels.baseline import bind_csr_spmv, csr_spmv
+from repro.kernels.spmv import bind_spmv, mbsr_spmv
 from repro.matrices import poisson2d
-from repro.tape import record_cycle, taped_solve, taped_solve_multi
-from repro.tape.tape import _cycle_shape
+from repro.tape import record_cycle, taped_solve
 from repro.util.validation import normalize_rhs, normalize_rhs_panel
 
 from conftest import random_csr
@@ -47,7 +48,7 @@ def _dense_block(n=24, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Kernel level: blocked SpMM vs column-by-column SpMV
+# Kernel level: panel SpMV vs column-by-column vector SpMV
 # ---------------------------------------------------------------------------
 
 
@@ -58,9 +59,10 @@ class TestSpMMKernels:
     def test_mbsr_spmm_columns_match_spmv(self, precision, width):
         mat = MBSRMatrix.from_dense(_dense_block())
         x = _panel(mat.ncols, width)
-        y, record = mbsr_spmm(mat, x, precision=precision)
+        y, record = mbsr_spmv(mat, x, precision=precision)
         assert y.shape == (mat.nrows, width)
         assert record.detail["width"] == width
+        assert record.kernel == ("spmv" if width == 1 else "spmm")
         for j in range(width):
             yj, _ = mbsr_spmv(mat, x[:, j], precision=precision)
             np.testing.assert_array_equal(y[:, j], yj)
@@ -70,31 +72,37 @@ class TestSpMMKernels:
     def test_csr_spmm_columns_match_spmv(self, backend, precision):
         a = random_csr(20, 26, density=0.3, seed=3)
         x = _panel(a.ncols, 5)
-        y, _ = csr_spmm(a, x, precision=precision, backend=backend)
+        y, rec = csr_spmv(a, x, precision=precision, backend=backend)
+        assert y.shape == (a.nrows, 5) and rec.kernel == "spmm"
+        rows = bind_csr_spmv(a, precision, backend, width=5).run(
+            np.ascontiguousarray(x.T))
         for j in range(5):
             yj, _ = csr_spmv(a, x[:, j], precision=precision,
                              backend=backend)
             np.testing.assert_array_equal(y[:, j], yj)
+            np.testing.assert_array_equal(rows[j], yj.astype(np.float64))
 
     def test_bind_spmm_width1_matches_spmv_binding(self):
+        """A one-row panel runs the vector kernel on its row view."""
         mat = MBSRMatrix.from_dense(_dense_block())
         b1 = bind_spmv(mat)
-        bk = bind_spmm(mat, 1)
         x = _panel(mat.ncols, 1)
-        np.testing.assert_array_equal(bk.run(np.ascontiguousarray(x.T))[0],
-                                      b1.run(x[:, 0]))
+        row = b1.run(np.ascontiguousarray(x.T))
+        assert row.shape == (1, mat.nrows)
+        np.testing.assert_array_equal(row[0], b1.run(x[:, 0]))
 
     def test_spmm_empty_matrix(self):
         mat = MBSRMatrix.empty((8, 8))
-        y, _ = mbsr_spmm(mat, np.ones((8, 3)))
+        y, _ = mbsr_spmv(mat, np.ones((8, 3)))
         assert y.shape == (8, 3)
         assert not y.any()
 
     def test_spmm_record_charges_bytes_once_flops_per_column(self):
         mat = MBSRMatrix.from_dense(_dense_block(n=32, seed=1))
-        b1 = bind_spmm(mat, 1)
-        b8 = bind_spmm(mat, 8)
+        b1 = bind_spmv(mat)
+        b8 = bind_spmv(mat, width=8)
         assert b8.record.detail["width"] == 8
+        assert (b1.record.kernel, b8.record.kernel) == ("spmv", "spmm")
         c1, c8 = b1.record.counters, b8.record.counters
         work1 = sum(c1.scalar_flops.values()) + sum(c1.mma_issues.values())
         work8 = sum(c8.scalar_flops.values()) + sum(c8.mma_issues.values())
@@ -104,14 +112,17 @@ class TestSpMMKernels:
     def test_spmm_checked_region_differential(self):
         mat = MBSRMatrix.from_dense(_dense_block())
         with checked_region(enabled=True):
-            mbsr_spmm(mat, _panel(mat.ncols, 4))
+            mbsr_spmv(mat, _panel(mat.ncols, 4))
+            bind_spmv(mat, width=4).run(_panel(4, mat.ncols))
 
     def test_spmm_rejects_bad_panel_shapes(self):
         mat = MBSRMatrix.from_dense(_dense_block())
         with pytest.raises(ValueError):
-            mbsr_spmm(mat, np.ones(mat.ncols))  # 1-D: spmv's job
+            mbsr_spmv(mat, np.ones((3, mat.ncols)))  # transposed panel
         with pytest.raises(ValueError):
-            mbsr_spmm(mat, np.ones((3, mat.ncols)))  # transposed panel
+            mbsr_spmv(mat, np.ones((mat.ncols, 2, 2)))  # not a panel
+        with pytest.raises(ValueError):
+            bind_spmv(mat, width=0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +145,7 @@ class TestBatchedTape:
                              smoother=smoother)
         b = _panel(h.levels[0].n, width)
         tape = record_cycle(h, params, batch=width)
-        x, stats = taped_solve_multi(tape, b, params=params)
+        x, stats = taped_solve(tape, b, params=params)
         tape1 = record_cycle(h, params)
         for j in range(width):
             xj, sj = taped_solve(tape1, b[:, j], params=params)
@@ -149,7 +160,7 @@ class TestBatchedTape:
         b = _panel(n, 3, seed=11)
         b[:, 1] = 0.0  # zero column: converged at iteration 0
         tape = record_cycle(h, params, batch=3)
-        x, stats = taped_solve_multi(tape, b, params=params)
+        x, stats = taped_solve(tape, b, params=params)
         assert stats[1].iterations == 0 and stats[1].converged
         tape1 = record_cycle(h, params)
         for j in range(3):
@@ -163,7 +174,7 @@ class TestBatchedTape:
         params = SolveParams(max_iterations=2)
         tape = record_cycle(h, params, batch=3)
         with checked_region(enabled=True):
-            taped_solve_multi(tape, _panel(h.levels[0].n, 3), params=params)
+            taped_solve(tape, _panel(h.levels[0].n, 3), params=params)
 
     def test_corrupted_batch_tape_caught_by_oracle(self):
         h = amg_setup(poisson2d(16))
@@ -180,27 +191,34 @@ class TestBatchedTape:
         object.__setattr__(tape, "_fns", tape._fns + (corrupt,))
         with checked_region(enabled=True):
             with pytest.raises(ContractViolation, match="column 1"):
-                taped_solve_multi(tape, _panel(h.levels[0].n, 2),
-                                  params=params)
+                taped_solve(tape, _panel(h.levels[0].n, 2), params=params)
 
     def test_width_mismatch_and_width1_guard(self):
         h = amg_setup(poisson2d(16))
         n = h.levels[0].n
         tape = record_cycle(h, batch=3)
         with pytest.raises(ValueError, match="width"):
-            taped_solve_multi(tape, _panel(n, 4))
-        with pytest.raises(ValueError, match="taped_solve_multi"):
+            taped_solve(tape, _panel(n, 4))
+        with pytest.raises(ValueError, match="width"):
             taped_solve(tape, np.ones(n))
         tape1 = record_cycle(h)
-        with pytest.raises(ValueError, match="batch"):
-            taped_solve_multi(tape1, _panel(n, 3))
+        with pytest.raises(ValueError, match="width"):
+            taped_solve(tape1, _panel(n, 3))
+        # A one-column panel is a width-1 solve, returned as a panel.
+        x, stats = taped_solve(tape1, _panel(n, 1), params=SolveParams(
+            max_iterations=2))
+        xv, sv = taped_solve(tape1, _panel(n, 1)[:, 0],
+                             params=SolveParams(max_iterations=2))
+        assert x.shape == (n, 1) and len(stats) == 1
+        np.testing.assert_array_equal(x[:, 0], xv)
+        assert stats[0].residual_history == sv.residual_history
 
     def test_record_cycle_rejects_bad_batch(self):
         h = amg_setup(poisson2d(16))
         with pytest.raises(ValueError):
             record_cycle(h, batch=0)
-        with pytest.raises(ValueError, match="scalar_bindings"):
-            record_cycle(h, bindings=lambda lvl, op: None, batch=2)
+        with pytest.raises(ValueError):
+            record_cycle(h, batch=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +247,11 @@ class TestDriverMultiRHS:
         d = s._driver
         n = s.hierarchy.levels[0].n
         s.solve(np.ones(n), max_iterations=1, tape=True)
+        s.solve_multi(_panel(n, 1), max_iterations=1)  # a panel of one
         s.solve_multi(_panel(n, 2), max_iterations=1)
         s.solve_multi(_panel(n, 5), max_iterations=1)
         s.solve_multi(_panel(n, 5), max_iterations=1)  # cache hit
-        params = SolveParams()
-        shape = _cycle_shape(params)
-        assert set(d._tapes) == {shape, (shape, 2), (shape, 5)}
-        assert d._tapes[(shape, 5)].batch == 5
+        assert sorted(t.batch for t in d._tapes.values()) == [1, 2, 5]
 
     def test_setup_invalidates_batch_tapes(self):
         s = _solver()
@@ -248,10 +264,10 @@ class TestDriverMultiRHS:
         s = _solver()
         d = s._driver
         r = _panel(s.hierarchy.levels[0].n, 3)
-        z = d.precondition(r)  # 2-D routes to precondition_multi
+        z = d.precondition(r)  # a panel replays the width-3 tape
         for j in range(3):
             sj = _solver()
-            zj = sj._driver.precondition(r[:, j], tape=True)
+            zj = sj._driver.precondition(r[:, j])
             np.testing.assert_array_equal(z[:, j], zj)
 
     def test_solve_multi_perf_records_spmm(self):
@@ -265,7 +281,7 @@ class TestDriverMultiRHS:
         h = amg_setup(poisson2d(16))
         b = _panel(h.levels[0].n, 3)
         params = SolveParams(max_iterations=3)
-        x, stats = amg_solve_multi(h, b, params=params)
+        x, stats = amg_solve(h, b, params=params)
         for j in range(3):
             xj, sj = amg_solve(h, b[:, j], params=params)
             np.testing.assert_array_equal(x[:, j], xj)

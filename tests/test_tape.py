@@ -1,12 +1,14 @@
 """Kernel-tape record/replay: bit-identity, invalidation, perf parity.
 
-The tape's contract is strict: a replayed cycle produces *the same bits*
-as the interpreted cycle recursion, for every backend, precision, cycle
-shape and smoother — not merely the same convergence.  These tests pin
-that contract (hypothesis-driven and on the model problems), the
-invalidation protocol (hierarchy mutations force a re-record, never a
-stale replay), the checked-mode differential oracle, the perf-log
-replication, and the replay speedup the tape exists to deliver.
+Every solve runs through the tape, so its contract is strict: a replayed
+solve produces *the same bits* as the interpreted reference — the
+``mg_cycle`` recursion, iterated by ``conftest.reference_solve`` — for
+every backend, precision, cycle shape and smoother, not merely the same
+convergence.  These tests pin that contract (hypothesis-driven and on the
+model problems), the invalidation protocol (hierarchy mutations force a
+re-record, never a stale replay), the checked-mode differential oracle,
+the perf-log replication, and the replay speedup the tape exists to
+deliver.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from repro.amg.solver import AmgTSolver
 from repro.check import ContractViolation, checked_region
 from repro.matrices import poisson2d
 from repro.tape import CycleTape, Workspace, record_cycle, taped_solve
-from repro.tape.tape import _cycle_shape
 
-from conftest import random_spd_csr
+from conftest import backend_spmv, random_spd_csr, reference_solve
 
 
 def _solver(backend="amgt", precision="fp64", n=32):
@@ -38,8 +39,22 @@ def _rhs(s, seed=7):
     return rng.normal(size=s.hierarchy.levels[0].n)
 
 
+def _reference(s, b, x0=None, **kw):
+    """The interpreted reference solve of solver *s* (same kernels)."""
+    return reference_solve(s.hierarchy, b, x0=x0, spmv=backend_spmv(s),
+                           params=SolveParams(**kw))
+
+
+def _assert_matches_reference(result, ref):
+    x_ref, st_ref = ref
+    np.testing.assert_array_equal(result.x, x_ref)
+    assert result.stats.residual_history == st_ref.residual_history
+    assert result.stats.spmv_calls == st_ref.spmv_calls
+    assert result.stats.converged == st_ref.converged
+
+
 # ---------------------------------------------------------------------------
-# Bit-identity: taped vs interpreted
+# Bit-identity: taped vs the interpreted reference
 # ---------------------------------------------------------------------------
 
 
@@ -49,11 +64,8 @@ class TestBitIdentity:
     def test_backend_precision_identity(self, backend, precision):
         s = _solver(backend, precision)
         b = _rhs(s)
-        interp = s.solve(b, max_iterations=5)
-        taped = s.solve(b, max_iterations=5, tape=True)
-        np.testing.assert_array_equal(interp.x, taped.x)
-        assert interp.stats.residual_history == taped.stats.residual_history
-        assert interp.stats.spmv_calls == taped.stats.spmv_calls
+        taped = s.solve(b, max_iterations=5)
+        _assert_matches_reference(taped, _reference(s, b, max_iterations=5))
 
     @pytest.mark.parametrize("cycle_type", ["V", "W", "F"])
     @pytest.mark.parametrize(
@@ -63,10 +75,8 @@ class TestBitIdentity:
         s = _solver()
         b = _rhs(s)
         kw = dict(max_iterations=3, cycle_type=cycle_type, smoother=smoother)
-        interp = s.solve(b, **kw)
-        taped = s.solve(b, tape=True, **kw)
-        np.testing.assert_array_equal(interp.x, taped.x)
-        assert interp.stats.spmv_calls == taped.stats.spmv_calls
+        taped = s.solve(b, **kw)
+        _assert_matches_reference(taped, _reference(s, b, **kw))
 
     def test_tape_recorded_before_any_interpreted_solve(self):
         """Recording first (cold extras caches, e.g. the Chebyshev
@@ -74,29 +84,38 @@ class TestBitIdentity:
         solve bit for bit."""
         s = _solver()
         b = _rhs(s)
-        taped = s.solve(b, max_iterations=3, smoother="chebyshev", tape=True)
-        interp = s.solve(b, max_iterations=3, smoother="chebyshev")
-        np.testing.assert_array_equal(interp.x, taped.x)
+        taped = s.solve(b, max_iterations=3, smoother="chebyshev")
+        ref = _reference(s, b, max_iterations=3, smoother="chebyshev")
+        _assert_matches_reference(taped, ref)
 
     def test_nonzero_initial_guess(self):
         s = _solver()
         b = _rhs(s)
         x0 = np.linspace(-1.0, 1.0, b.shape[0])
-        interp = s.solve(b, x0=x0, max_iterations=4)
-        taped = s.solve(b, x0=x0, max_iterations=4, tape=True)
-        np.testing.assert_array_equal(interp.x, taped.x)
+        taped = s.solve(b, x0=x0, max_iterations=4)
+        _assert_matches_reference(taped, _reference(s, b, x0, max_iterations=4))
+
+    def test_tolerance_stops_where_reference_does(self):
+        s = _solver()
+        b = _rhs(s)
+        taped = s.solve(b, max_iterations=40, tolerance=1e-8)
+        ref = _reference(s, b, max_iterations=40, tolerance=1e-8)
+        _assert_matches_reference(taped, ref)
+        assert taped.converged and taped.iterations < 40
 
     def test_amg_solve_tape_flag(self):
-        """The functional entry point records + replays in one call."""
+        """The functional entry point records + replays in one call, on the
+        host matvec fallback."""
         a = poisson2d(24)
         h = amg_setup(a, SetupParams())
         rng = np.random.default_rng(3)
         b = rng.normal(size=h.levels[0].n)
         params = SolveParams(max_iterations=4)
-        x_i, st_i = amg_solve(h, b, params=params)
-        x_t, st_t = amg_solve(h, b, params=params, tape=True)
+        x_t, st_t = amg_solve(h, b, params=params)
+        x_i, st_i = reference_solve(h, b, params=params)
         np.testing.assert_array_equal(x_i, x_t)
         assert st_i.residual_history == st_t.residual_history
+        assert st_i.spmv_calls == st_t.spmv_calls
 
     @given(
         n=st.integers(10, 36),
@@ -113,10 +132,8 @@ class TestBitIdentity:
         rng = np.random.default_rng(seed + 1)
         b = rng.normal(size=n)
         kw = dict(max_iterations=3, cycle_type=cycle_type, smoother=smoother)
-        interp = s.solve(b, **kw)
-        taped = s.solve(b, tape=True, **kw)
-        np.testing.assert_array_equal(interp.x, taped.x)
-        assert interp.stats.spmv_calls == taped.stats.spmv_calls
+        taped = s.solve(b, **kw)
+        _assert_matches_reference(taped, _reference(s, b, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +141,39 @@ class TestBitIdentity:
 # ---------------------------------------------------------------------------
 
 
+def _reference_cycle(s, r):
+    """One zero-guess interpreted V-cycle through solver *s*'s kernels."""
+    n = s.hierarchy.levels[0].n
+    return mg_cycle(s.hierarchy, r, np.zeros(n), backend_spmv(s),
+                    SolveParams(), SolveStats())
+
+
 class TestTapedKrylov:
     @pytest.mark.parametrize("method", ["pcg", "gmres", "bicgstab"])
     def test_krylov_identity(self, method):
+        from repro import solvers
+
         a = poisson2d(28)
         rng = np.random.default_rng(11)
         b = rng.normal(size=a.nrows)
-        si = AmgTSolver().setup(a)
-        ri = si.solve_krylov(b, method=method, tolerance=1e-10)
-        stp = AmgTSolver().setup(a)
-        rt = stp.solve_krylov(b, method=method, tolerance=1e-10, tape=True)
+        s = AmgTSolver().setup(a)
+        rt = s.solve_krylov(b, method=method, tolerance=1e-10)
+        ref = AmgTSolver().setup(a)
+        spmv = backend_spmv(ref)
+        ri = getattr(solvers, method)(
+            lambda v: spmv(0, "A", v), b, tolerance=1e-10,
+            preconditioner=lambda r: _reference_cycle(ref, r),
+        )
         np.testing.assert_array_equal(ri.x, rt.x)
         assert ri.iterations == rt.iterations
 
     def test_as_preconditioner_tape_flag(self):
         s = _solver()
-        m_interp = s.as_preconditioner()
-        m_taped = s.as_preconditioner(tape=True)
+        m_taped = s.as_preconditioner(tape=True)  # accepted, ignored
         r = _rhs(s)
-        np.testing.assert_array_equal(m_interp.apply(r), m_taped.apply(r))
+        np.testing.assert_array_equal(m_taped.apply(r), _reference_cycle(s, r))
+        np.testing.assert_array_equal(s.as_preconditioner()(r),
+                                      m_taped.apply(r))
         # Repeated applications reuse the same recorded tape.
         t = s._driver._tapes
         m_taped.apply(r)
@@ -192,8 +223,7 @@ class TestInvalidation:
         fresh = s._driver.get_tape()
         assert fresh is not stale
         assert not fresh.is_stale()
-        interp = s.solve(b, max_iterations=3)
-        np.testing.assert_array_equal(interp.x, taped.x)
+        _assert_matches_reference(taped, _reference(s, b, max_iterations=3))
 
     def test_setup_clears_cached_tapes(self):
         s = _solver()
@@ -207,11 +237,9 @@ class TestInvalidation:
         b = _rhs(s)
         s.solve(b, max_iterations=2, tape=True)
         s.solve(b, max_iterations=2, cycle_type="W", tape=True)
-        keys = set(s._driver._tapes)
-        assert keys == {
-            _cycle_shape(SolveParams()),
-            _cycle_shape(SolveParams(cycle_type="W")),
-        }
+        tapes = s._driver._tapes.values()
+        assert sorted(t.params.cycle_type for t in tapes) == ["V", "W"]
+        assert all(t.batch == 1 for t in tapes)
         # Same shape, different iteration cap: the cached tape is reused.
         before = s._driver.get_tape()
         s.solve(b, max_iterations=4, tape=True)
@@ -238,14 +266,16 @@ class TestCheckedReplay:
         b = _rhs(s)
         with checked_region():
             taped = s.solve(b, max_iterations=3, tape=True)
-        interp = s.solve(b, max_iterations=3)
-        np.testing.assert_array_equal(interp.x, taped.x)
+        _assert_matches_reference(taped, _reference(s, b, max_iterations=3))
 
     def test_corrupted_tape_raises_contract_violation(self):
         s = _solver()
         b = _rhs(s)
-        s.solve(b, max_iterations=2, tape=True)
-        tape = s._driver.get_tape()
+        with checked_region():
+            # Checked solves replay their own tape (the check gate is in
+            # the tape key): corrupt that one.
+            s.solve(b, max_iterations=2)
+            tape = s._driver.get_tape()
         bad = next(op for op in tape.ops if op.kind == "smooth")
         orig = bad.fn
 
@@ -273,21 +303,34 @@ class TestCheckedReplay:
 
 class TestPerfReplication:
     def test_solve_phase_records_match_interpreted(self):
-        """A taped solve prices the same kernel sequence as the
-        interpreted solve: same kernels, levels and simulated times, in
-        the same order."""
+        """A taped solve prices the same kernel sequence as the interpreted
+        reference charging one record per SpMV call: same kernels, levels
+        and simulated times, in the same order."""
+        for backend in ("amgt", "hypre"):
+            self._check_records_match_reference(backend)
 
-        def solve_records(tape):
-            s = _solver()
-            n0 = len(s.performance.records)
-            s.solve(_rhs(s), max_iterations=4, tape=tape)
-            return [
-                (r.kernel, r.level, r.sim_time_us)
-                for r in s.performance.records[n0:]
-                if r.phase == "solve"
-            ]
+    @staticmethod
+    def _check_records_match_reference(backend):
+        s = _solver(backend)
+        b = _rhs(s)
+        n0 = len(s.performance.records)
+        s.solve(b, max_iterations=4)
+        taped = [(r.kernel, r.level, r.sim_time_us)
+                 for r in s.performance.records[n0:]
+                 if r.phase == "solve" and r.kernel == "spmv"]
 
-        assert solve_records(tape=False) == solve_records(tape=True)
+        ref = _solver(backend)
+        driver, charged = ref._driver, []
+
+        def spmv(level, op, x):
+            binding = driver.backend.bind_matvec(
+                driver._wrapped[level][op], driver.perf, "solve", level)
+            charged.append(binding.record)
+            return binding.run(x)
+
+        reference_solve(ref.hierarchy, b, spmv=spmv,
+                        params=SolveParams(max_iterations=4))
+        assert taped == [(r.kernel, r.level, r.sim_time_us) for r in charged]
 
     def test_tape_structure(self):
         s = _solver()
@@ -324,11 +367,14 @@ class TestPerfReplication:
 @pytest.mark.perf_smoke
 class TestReplaySpeed:
     def test_taped_cycle_faster_than_interpreted(self, monkeypatch):
-        """Median replayed cycle ≥1.2× faster than the interpreted cycle
-        (the CI smoke bound; BENCH_hotpath.json tracks the ≥1.5× target
-        on the full suite matrices)."""
+        """Median replayed cycle ≥1.2× faster than the interpreted
+        ``mg_cycle`` over per-call ``mbsr_spmv`` (the CI smoke bound;
+        BENCH_hotpath.json tracks the ≥1.5× target on the full suite
+        matrices)."""
         import statistics
         import time
+
+        from repro.kernels.spmv import mbsr_spmv
 
         # The env gate cannot be turned off programmatically, so drop it
         # for the timed section: checked replays re-run the interpreted
@@ -344,23 +390,39 @@ class TestReplaySpeed:
         params = SolveParams()
         n = hierarchy.levels[0].n
 
-        def interpreted():
-            return mg_cycle(
-                hierarchy, b, np.zeros(n), driver._level_spmv, params,
-                SolveStats(),
-            )
+        backend = driver.backend
 
-        def timed(fn, reps=7):
-            times = []
+        def level_spmv(level, op, x):
+            # Per-call dispatch, as the interpreted solve issued it: cast
+            # lookup, plan lookup, kernel entry and record per SpMV.
+            am = driver._wrapped[level][op].mbsr_at_precision(
+                backend.schedule.for_level(level))
+            y, _ = mbsr_spmv(
+                am, x, backend.schedule.for_level(level),
+                am.cache.spmv_plan(backend.allow_tensor_cores),
+                allow_tensor_cores=backend.allow_tensor_cores,
+                storage_itemsize=backend.storage_itemsize,
+            )
+            return np.asarray(y, dtype=np.float64)
+
+        def interpreted():
+            return mg_cycle(hierarchy, b, np.zeros(n), level_spmv, params,
+                            SolveStats())
+
+        def timed_pairs(reps=15):
+            # Interleaved, so a spell of host load slows both sides alike.
+            times: dict = {"tape": [], "interp": []}
             for _ in range(reps):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            return statistics.median(times)
+                for key, fn in (("tape", lambda: tape.cycle(b)),
+                                ("interp", interpreted)):
+                    t0 = time.perf_counter()
+                    fn()
+                    times[key].append(time.perf_counter() - t0)
+            return (statistics.median(times["tape"]),
+                    statistics.median(times["interp"]))
 
         np.testing.assert_array_equal(tape.cycle(b), interpreted())
-        t_tape = timed(lambda: tape.cycle(b))
-        t_interp = timed(interpreted)
+        t_tape, t_interp = timed_pairs()
         assert t_interp / t_tape >= 1.2, (
             f"taped replay only {t_interp / t_tape:.2f}x faster "
             f"({t_tape * 1e3:.2f} ms vs {t_interp * 1e3:.2f} ms)"
@@ -378,7 +440,8 @@ class TestWorkspace:
         ws = Workspace(h)
         sizes = [lvl.n for lvl in h.levels]
         for slots in (ws.x, ws.b, ws.r, ws.t):
-            assert [v.shape[0] for v in slots] == sizes
+            # A single right-hand side is a panel of one row.
+            assert [v.shape for v in slots] == [(1, n) for n in sizes]
             assert all(v.dtype == np.float64 for v in slots)
         assert ws.nbytes == sum(
             v.nbytes for slots in (ws.x, ws.b, ws.r, ws.t) for v in slots
