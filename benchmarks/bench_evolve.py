@@ -8,13 +8,12 @@ backend and times, per step and per dirty fraction:
 * ``patch@Npct``   — incremental re-setup ``setup(a, reuse=h, patch=True)``
   (per-block-row fingerprint diff, dirty-row SpGEMM replay, spliced plans)
   versus a cold ``setup(a)`` on a fresh backend.
-* the same steps also time the exact numeric re-setup path
-  (``setup(a, reuse=True)`` without ``patch``) as the ``resetup_median_s``
-  baseline.  The repeats keep it in steady state — after its first call
-  the reused hierarchy's pattern matches the timed matrix exactly — so
-  this is that path's *best* case; in a live evolving chain every
-  pattern-changing step would instead knock it back to a cold build,
-  which is the gap the patch path closes.
+* the same steps also time the exact re-setup (``setup(a, reuse=h)``
+  without ``patch``: frozen interpolation, dirty Galerkin rows replayed)
+  as the ``resetup_median_s`` baseline, chained on the previous step's
+  exact hierarchy the way the patch path is chained on its own.  A
+  pattern-changing step knocks it back to a cold build, which the
+  record's ``resetup_outcome`` reports — the gap the patch path closes.
 
 Correctness is asserted in-run: every hierarchy the patch path returns
 must be bit-identical to a cold setup of the same matrix (level
@@ -70,7 +69,8 @@ def _fracs_from_env() -> list[float]:
 
 
 def _assert_bit_identical(cold, other) -> None:
-    """The patched hierarchy must carry the cold setup's exact bits."""
+    """*other* must carry *cold*'s exact bits (a patched hierarchy those of
+    a cold setup; a repeated exact re-setup those of its first run)."""
     assert cold.num_levels == other.num_levels
     for lc, lo in zip(cold.levels, other.levels):
         for name in ("a", "p", "r"):
@@ -103,7 +103,7 @@ def bench_family(kind: str, frac: float, repeats: int) -> list[dict]:
     solver = _solver()
     prev = solver.setup(seq[0])
     exact_solver = _solver()
-    exact_solver.setup(seq[0])
+    exact_prev = exact_solver.setup(seq[0])
 
     records = []
     for step, a in enumerate(seq[1:], start=1):
@@ -119,12 +119,14 @@ def bench_family(kind: str, frac: float, repeats: int) -> list[dict]:
 
         patched_s, spread = common.median_time_stats(patched_setup, repeats)
         cold_s = _median_time(lambda a=a: _cold_setup(a), repeats)
-        # Exact numeric re-setup (frozen coarsening) as the pre-existing
-        # reuse baseline; the repeats hold it in steady state (after the
-        # first call its own hierarchy matches the pattern exactly).
-        resetup_s = _median_time(
-            lambda a=a: exact_solver.setup(a, reuse=True), repeats
-        )
+        h_exact = exact_solver.setup(a, reuse=exact_prev)
+
+        def exact_setup(a=a, h_exact=h_exact, exact_prev=exact_prev):
+            out = exact_solver.setup(a, reuse=exact_prev)
+            _assert_bit_identical(h_exact, out)
+            return out
+
+        resetup_s = _median_time(exact_setup, repeats)
 
         stats = h.patch_stats if patched else None
         records.append({
@@ -132,6 +134,7 @@ def bench_family(kind: str, frac: float, repeats: int) -> list[dict]:
             "op": op,
             "step": step,
             "outcome": "patched" if patched else "fallback",
+            "resetup_outcome": "exact" if h_exact.reused else "fallback",
             "dirty_rows": None if stats is None else stats["dirty_rows"],
             "median_s": patched_s,
             "cold_median_s": cold_s,
@@ -140,7 +143,7 @@ def bench_family(kind: str, frac: float, repeats: int) -> list[dict]:
             "resetup_speedup": resetup_s / patched_s,
             "spread_rel": spread,
         })
-        prev = h
+        prev, exact_prev = h, h_exact
     return records
 
 

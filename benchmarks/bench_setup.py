@@ -6,7 +6,9 @@ matrices:
 * ``resetup``          — steady-state ``BoomerAMG.setup(a, reuse=True)``
   (frozen coarsening/interpolation, fused numeric-only Galerkin replay)
   versus a cold ``setup(a)`` on a fresh backend.  The serving scenario:
-  the operator's coefficients update, its pattern does not.
+  the operator's coefficients update, its pattern does not.  The values
+  alternate x2 / x1/2 between calls, so every row is dirty and every
+  level replays in full (an unchanged matrix would replay nothing).
 * ``spgemm_plan_hit``  — ``mbsr_spgemm`` against a warm plan cache (the
   analysis + symbolic phases replayed, numeric only) versus the cold
   three-phase call.
@@ -14,8 +16,9 @@ matrices:
   template (value fill only) versus the cold two-pass conversion.
 
 Correctness is asserted in-run: every replayed hierarchy must be
-bit-identical to the cold one (level matrices, interpolation, smoothing
-diagonals, C/F markers), every cache-hit SpGEMM must launch exactly one
+bit-identical to the cold one of the same scaled matrix (level matrices,
+interpolation, smoothing diagonals, C/F markers; a power-of-two scale
+keeps every bit exact), every cache-hit SpGEMM must launch exactly one
 kernel (the numeric phase) and produce the cold product's bits.
 
 Results land in ``BENCH_setup.json`` at the repo root with the same shape
@@ -32,6 +35,7 @@ knobs: ``REPRO_SETUP_MATRICES`` (comma-separated names, default
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -75,21 +79,30 @@ def _cold_setup(csr):
     return amg, amg.setup(csr)
 
 
+def _scaled(csr, factor):
+    out = csr.copy()
+    out.data = csr.data * factor
+    return out
+
+
 def bench_resetup(csr, repeats):
-    """Steady-state numeric re-setup vs cold setup (fresh backend each)."""
-    _, h_cold = _cold_setup(csr)
+    """Steady-state all-dirty numeric re-setup vs cold setup (fresh
+    backend each)."""
+    inputs = [(m, _cold_setup(m)[1]) for m in (_scaled(csr, 2.0), csr)]
 
     amg = BoomerAMG(AmgTBackend(A100, precision="fp64"))
     amg.setup(csr)
-    # Warm-up replay: assembles the fused RAP plans (the intermediate's
+    # Warm-up pair: assembles the fused RAP plans (the intermediate's
     # pattern differs from the cold path's pruned one when the Galerkin
     # product cancels exactly, so its plan is built here, once).
-    h_warm = amg.setup(csr, reuse=True)
-    _assert_hierarchies_identical(h_cold, h_warm)
+    for m, h_cold in inputs:
+        _assert_hierarchies_identical(h_cold, amg.setup(m, reuse=True))
+    calls = itertools.cycle(inputs)
 
     def resetup():
+        m, h_cold = next(calls)
         n0 = len(amg.perf.records)
-        h = amg.setup(csr, reuse=True)
+        h = amg.setup(m, reuse=True)
         _assert_hierarchies_identical(h_cold, h)
         for rec in amg.perf.records[n0:]:
             if rec.kernel == "spgemm":
@@ -143,12 +156,13 @@ def bench_conversion_replay(csr, repeats):
 
 
 def _instrumented_pass(csr):
-    """One cold setup plus one numeric re-setup, re-run (untimed) with
-    observability on so the payload's metrics snapshot documents the
-    plan-cache and conversion-template behaviour being benchmarked."""
+    """One cold setup plus one all-dirty numeric re-setup, re-run
+    (untimed) with observability on so the payload's metrics snapshot
+    documents the plan-cache and conversion-template behaviour being
+    benchmarked."""
     amg = BoomerAMG(AmgTBackend(A100, precision="fp64"))
     amg.setup(csr)
-    amg.setup(csr, reuse=True)
+    amg.setup(_scaled(csr, 2.0), reuse=True)
 
 
 def run(matrices=None, repeats=None, out_path=OUT_PATH):

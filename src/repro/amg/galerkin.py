@@ -31,7 +31,6 @@ def galerkin_product(
     spgemm: SpGEMMFn | None = None,
     *,
     drop_tol: float = 0.0,
-    plan=None,
 ) -> CSRMatrix:
     """Compute ``R @ A @ P`` with two SpGEMM calls.
 
@@ -44,24 +43,14 @@ def galerkin_product(
     drop_tol:
         Entries of the product with ``|v| <= drop_tol`` are eliminated
         (numerical cancellation cleanup; 0 keeps exact zeros only).
-    plan:
-        A fused RAP plan (``matches(r, a, p)`` / ``replay(r, a, p)``
-        protocol, e.g. the AmgT backend's ``galerkin_plan``): when it
-        matches the operands' sparsity patterns, both symbolic phases are
-        skipped and only the two numeric passes run.  A non-matching plan
-        falls back to the two-call *spgemm* path, so a stale plan costs
-        a pattern check, never correctness.
     """
     if r.ncols != a.nrows or a.ncols != p.nrows or r.nrows != p.ncols:
         raise ValueError(
             f"incompatible Galerkin shapes: R {r.shape}, A {a.shape}, P {p.shape}"
         )
-    if plan is not None and plan.matches(r, a, p):
-        rap = plan.replay(r, a, p)
-    else:
-        spgemm = spgemm or _default_spgemm
-        ra = spgemm(r, a)
-        rap = spgemm(ra, p)
+    spgemm = spgemm or _default_spgemm
+    ra = spgemm(r, a)
+    rap = spgemm(ra, p)
     from repro.check import runtime as check_runtime
 
     if check_runtime.is_active():

@@ -19,11 +19,12 @@ from typing import Callable
 import numpy as np
 
 from repro.amg.coarse import CoarseSolver
-from repro.amg.coarsen import pmis_coarsen
+from repro.amg.coarsen import aggressive_coarsen, hmis_coarsen, pmis_coarsen
 from repro.amg.galerkin import galerkin_product
 from repro.amg.interp import build_interpolation
 from repro.amg.smoothers import l1_jacobi_diagonal
 from repro.amg.strength import strength_of_connection
+from repro.check.fingerprint import row_digests
 from repro.formats.csr import CSRMatrix
 from repro.obs import trace as obs_trace
 from repro.obs import names as obs_names
@@ -88,21 +89,29 @@ class AMGHierarchy:
     coarse_solver: CoarseSolver
     params: SetupParams
     #: Number of SpGEMM calls the setup performed (3 per non-coarsest level
-    #: when extended+i interpolation is used: 1 interp + 2 Galerkin).
+    #: when extended+i interpolation is used: 1 interp + 2 Galerkin; a
+    #: re-setup counts only the levels it replayed).
     spgemm_calls: int = 0
     #: Per-level sparsity-pattern digests of the A matrices, finest first.
-    #: ``amg_setup(reuse=...)`` compares them against a recomputed setup to
-    #: decide whether the cached coarsening/interpolation still applies.
+    #: The frozen-interpolation re-setup requires the new fine matrix and
+    #: every recomputed coarse matrix to match them.
     pattern_keys: list = field(default_factory=list)
-    #: True when this hierarchy was produced by a structure-reusing
-    #: re-setup (frozen coarsening + interpolation, numeric Galerkin only).
+    #: Per-row value digests of the fine matrix as this hierarchy was
+    #: built.  A re-setup diffs the new fine matrix against these rather
+    #: than against ``levels[0].a``, the caller's object, whose values
+    #: the caller may have updated in place since.
+    fine_digests: np.ndarray | None = None
+    #: True when this hierarchy was produced by the frozen-interpolation
+    #: policy of the re-setup engine (:mod:`repro.amg.patch`): cached
+    #: coarsening and interpolation, dirty Galerkin rows replayed.
     reused: bool = False
-    #: True when this hierarchy was produced by the incremental patch path
-    #: (:mod:`repro.amg.patch`): dirty rows recomputed and spliced into the
-    #: cached operators, bit-identical to a cold setup.
+    #: True when this hierarchy was produced by the patch policy of the
+    #: re-setup engine: dirty rows recomputed and spliced into the cached
+    #: operators, bit-identical to a cold setup.
     patched: bool = False
-    #: Telemetry of the patch path: per-level dirty-row counts/fractions
-    #: plus patched/clean level totals (empty unless ``patched``).
+    #: Telemetry of the re-setup engine (either policy): per-level
+    #: dirty-row counts/fractions plus replayed/clean level totals (empty
+    #: after a cold setup).
     patch_stats: dict = field(default_factory=dict)
     #: Monotone invalidation counter for recorded solve tapes
     #: (:mod:`repro.tape`).  Any in-place mutation of the hierarchy that
@@ -145,17 +154,18 @@ def amg_setup(
     *,
     on_level_built: Callable[[int, CSRMatrix], None] | None = None,
     reuse: AMGHierarchy | None = None,
-    galerkin_planner: Callable | None = None,
     patch: bool = False,
     patcher=None,
-    patch_threshold: float = 0.5,
 ) -> AMGHierarchy:
     """Run the M-level setup phase on *a*.
 
     Parameters
     ----------
     a:
-        The fine-level matrix (square CSR).
+        The fine-level matrix (square CSR).  For a re-setup it may be a
+        new matrix or the cached fine matrix with its values updated in
+        place: *a* is diffed against the value digests the hierarchy
+        recorded when it was built (:attr:`AMGHierarchy.fine_digests`).
     params:
         Setup configuration; defaults to the paper's.
     spgemm:
@@ -165,42 +175,37 @@ def amg_setup(
         coarse matrix is produced (the hypre layer uses it for per-level
         bookkeeping such as format conversions).
     reuse:
-        A hierarchy from an earlier setup on a same-pattern matrix.  When
-        the pattern fingerprints match level by level, coarsening and
-        interpolation are frozen (HYPRE's reuse-interpolation semantics)
-        and only the numeric Galerkin passes and smoothing diagonals are
-        recomputed — the alpha-Setup scenario.  Any mismatch (different
-        fine pattern, different params, or a coarse matrix whose recomputed
-        pattern drifts from the cached one) falls back to a full setup, so
-        ``reuse`` is always safe to pass.
+        A hierarchy from an earlier setup.  The re-setup engine
+        (:func:`repro.amg.patch.patched_resetup`) diffs per-row value
+        digests level by level, reuses clean levels as they are and
+        replays only the dirty Galerkin rows, spliced into the cached
+        coarse operators.  By default it runs the *frozen-interpolation*
+        policy (HYPRE's reuse-interpolation semantics, the alpha-Setup
+        scenario): coarsening and interpolation are kept, values included,
+        and only the dirty coarse rows and the smoothing diagonals are
+        recomputed.  Any mismatch (different params or shape, a fine
+        pattern or recomputed coarse pattern that drifts from the cached
+        keys) falls back to a full setup, so ``reuse`` is always safe to
+        pass.
 
-        Reuse (exact or patched) is only implemented for the classical
-        family: with ``amg_family='aggregation'`` the argument is ignored,
-        a full setup runs, and a ``setup_reuse_total{outcome='fallback',
+        Reuse is only implemented for the classical family: with
+        ``amg_family='aggregation'`` the argument is ignored, a full setup
+        runs, and a ``setup_reuse_total{outcome='fallback',
         reason='amg-family'}`` counter records the miss.
-    galerkin_planner:
-        Optional ``planner(r, a, p) -> plan`` producing fused RAP plans
-        for :func:`~repro.amg.galerkin.galerkin_product` during a reused
-        setup (the AmgT backend's ``galerkin_plan``).  Ignored on the full
-        path.
     patch:
-        With ``reuse``, try the *incremental patch path* first
-        (:func:`repro.amg.patch.patched_resetup`): diff per-row value
-        digests level by level, recompute only the dirty interpolation
-        and Galerkin rows, and splice them into the cached operators.
-        The result is bit-identical to a cold setup on *a* (unlike the
-        frozen-interpolation exact re-setup, which keeps stale
-        interpolation weights); on any fallback a full cold setup runs.
+        With ``reuse``, run the engine's *patch* policy instead: the
+        cheap stages (strength, PMIS) rerun on dirty levels, and the dirty
+        interpolation rows are rebuilt too, so the result is bit-identical
+        to a cold setup on *a* (unlike the frozen policy, which keeps
+        stale interpolation weights).  It falls back to a cold setup when
+        the cumulative dirt exceeds
+        :data:`repro.amg.patch.DIRTY_FRACTION_LIMIT` of the fine rows
+        (``'dirty-fraction'``) or the coarsening drifts
+        (``'level-drift'``, ``'cf-drift'``).
     patcher:
-        Row-ranged product engine for the patch path (the AmgT backend's
+        Row-ranged product engine of the re-setup (the AmgT backend's
         block-aligned patcher); defaults to the row-local CSR engine
         wrapping *spgemm*.
-    patch_threshold:
-        Fallback guard for the patch path: when the cumulative dirty-row
-        count across levels exceeds this fraction of the fine-level row
-        count, the patch falls back to a full setup (reason
-        ``'dirty-fraction'``) — patch work scales with the dirty rows,
-        cold work with the fine level.
     """
     if a.nrows != a.ncols:
         raise ValueError("AMG requires a square matrix")
@@ -210,10 +215,8 @@ def amg_setup(
             a, params, spgemm,
             on_level_built=on_level_built,
             reuse=reuse,
-            galerkin_planner=galerkin_planner,
             patch=patch,
             patcher=patcher,
-            patch_threshold=patch_threshold,
         )
 
 
@@ -230,6 +233,30 @@ def _count_reuse(outcome: str, reason: str | None = None) -> None:
     blackbox.record("setup_reuse", **labels)
 
 
+def _coarsen_level(current: CSRMatrix, params: SetupParams, index: int):
+    """Strength and C/F splitting of level *index*, or ``None`` where the
+    cold loop stops coarsening (no strong couplings, no coarse points, or
+    too few points dropped).  The patch policy reruns it to mirror the
+    cold loop exactly."""
+    strength = strength_of_connection(
+        current, params.strength_threshold, params.max_row_sum
+    )
+    if strength.nnz == 0:
+        return None  # nothing to coarsen on
+    coarsen = {
+        "pmis": pmis_coarsen,
+        "hmis": hmis_coarsen,
+        "aggressive": aggressive_coarsen,
+    }.get(params.coarsen_method)
+    if coarsen is None:
+        raise ValueError(f"unknown coarsen_method {params.coarsen_method!r}")
+    coarsening = coarsen(strength, seed=params.seed + index)
+    nc = coarsening.n_coarse
+    if nc == 0 or nc >= current.nrows * params.min_coarsen_rate or nc == current.nrows:
+        return None
+    return strength, coarsening
+
+
 def _amg_setup_impl(
     a: CSRMatrix,
     params: SetupParams,
@@ -237,26 +264,24 @@ def _amg_setup_impl(
     *,
     on_level_built: Callable[[int, CSRMatrix], None] | None,
     reuse: AMGHierarchy | None,
-    galerkin_planner: Callable | None,
     patch: bool = False,
     patcher=None,
-    patch_threshold: float = 0.5,
 ) -> AMGHierarchy:
     if reuse is not None and params.amg_family != "classical":
         # Reuse is only implemented for the classical family; record the
         # miss instead of silently ignoring the argument (see docstring).
         _count_reuse("fallback", "amg-family")
-    elif reuse is not None and patch:
+    elif reuse is not None:
         from repro.amg.patch import patched_resetup, verify_patched_hierarchy
 
         hierarchy, reason = patched_resetup(
             a, reuse, params, spgemm,
+            patch=patch,
             patcher=patcher,
-            threshold=patch_threshold,
             on_level_built=on_level_built,
         )
         if hierarchy is not None:
-            _count_reuse("patched")
+            _count_reuse("patched" if patch else "exact")
             from repro.check import runtime as check_runtime
 
             if check_runtime.is_active():
@@ -264,28 +289,24 @@ def _amg_setup_impl(
 
                 validate_hierarchy(hierarchy)
                 verify_patched_hierarchy(
-                    hierarchy, a, params, spgemm, on_level_built
+                    hierarchy, a, reuse, params, spgemm, on_level_built
                 )
             return hierarchy
-        # The patch path falls back to a *cold* setup, not the exact
-        # re-setup: exact reuse freezes interpolation weights, which is a
-        # weaker contract than the patch path's cold-identical one.  A
-        # cold fallback on an evolving problem is the forensic case the
-        # flight recorder exists for: dump a postmortem bundle.
         _count_reuse("fallback", reason)
-        from repro.obs import blackbox
+        if patch:
+            # The patch policy falls back to a *cold* setup, not the frozen
+            # one: frozen reuse keeps stale interpolation weights, a weaker
+            # contract than the patch policy's cold-identical one.  A cold
+            # fallback on an evolving problem is the forensic case the
+            # flight recorder exists for: dump a postmortem bundle.
+            from repro.obs import blackbox
 
-        blackbox.trigger("patch-fallback", detail=reason or "")
-    elif reuse is not None:
-        hierarchy, reason = _numeric_resetup(
-            a, reuse, params, spgemm, galerkin_planner, on_level_built
-        )
-        if hierarchy is not None:
-            _count_reuse("exact")
-            return hierarchy
-        # Pattern or parameter mismatch: the cached structure does not
-        # apply; run the full setup below.
-        _count_reuse("fallback", reason)
+            blackbox.trigger("patch-fallback", detail=reason or "")
+        if on_level_built is not None:
+            # Rewind the caller's level tracker, which the abandoned
+            # re-setup advanced: BoomerAMG derives per-level precision from
+            # it, and the cold setup starts again at the fine level.
+            on_level_built(0, a)
     if params.amg_family == "aggregation":
         from repro.amg.aggregation import sa_setup
 
@@ -306,30 +327,10 @@ def _amg_setup_impl(
         if current.nrows <= params.max_coarse_size:
             break
 
-        strength = strength_of_connection(
-            current, params.strength_threshold, params.max_row_sum
-        )
-        if strength.nnz == 0:
-            break  # nothing to coarsen on
-        if params.coarsen_method == "pmis":
-            coarsening = pmis_coarsen(strength, seed=params.seed + level.index)
-        elif params.coarsen_method == "hmis":
-            from repro.amg.coarsen import hmis_coarsen
-
-            coarsening = hmis_coarsen(strength, seed=params.seed + level.index)
-        elif params.coarsen_method == "aggressive":
-            from repro.amg.coarsen import aggressive_coarsen
-
-            coarsening = aggressive_coarsen(
-                strength, seed=params.seed + level.index
-            )
-        else:
-            raise ValueError(
-                f"unknown coarsen_method {params.coarsen_method!r}"
-            )
-        nc = coarsening.n_coarse
-        if nc == 0 or nc >= current.nrows * params.min_coarsen_rate or nc == current.nrows:
+        split = _coarsen_level(current, params, level.index)
+        if split is None:
             break
+        strength, coarsening = split
         level.cf_marker = coarsening.cf_marker
 
         def counting_spgemm(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
@@ -372,6 +373,7 @@ def _amg_setup_impl(
         params=params,
         spgemm_calls=spgemm_calls,
         pattern_keys=[lvl.a.pattern_key() for lvl in levels],
+        fine_digests=row_digests(a, values=True, memoise=False),
     )
     from repro.check import runtime as check_runtime
 
@@ -380,100 +382,3 @@ def _amg_setup_impl(
 
         validate_hierarchy(hierarchy)
     return hierarchy
-
-
-def _numeric_resetup(
-    a: CSRMatrix,
-    reuse: AMGHierarchy,
-    params: SetupParams,
-    spgemm: SpGEMMFn | None,
-    galerkin_planner: Callable | None,
-    on_level_built: Callable[[int, CSRMatrix], None] | None,
-) -> tuple[AMGHierarchy | None, str | None]:
-    """Re-run only the numeric Galerkin passes against cached structure.
-
-    Freezes the cached C/F splittings and interpolation operators (values
-    included — interpolation weights are a function of the level matrix,
-    but HYPRE's reuse-interpolation mode keeps them, and so does the
-    paper's alpha-Setup) and recomputes the smoothing diagonals plus the
-    two Galerkin products per level.  Returns ``(None, reason)`` when the
-    cached structure does not apply, telling the caller to run a full
-    setup: every recomputed coarse matrix's pattern fingerprint is
-    compared to the cached one, so structural drift is detected level by
-    level, never silently propagated.
-    """
-    if params != reuse.params:
-        return None, "params"
-    if (
-        not reuse.pattern_keys
-        or reuse.num_levels != len(reuse.pattern_keys)
-        or a.shape != reuse.levels[0].a.shape
-    ):
-        return None, "shape"
-    if a.pattern_key() != reuse.pattern_keys[0]:
-        return None, "pattern-drift"
-
-    levels: list[AMGLevel] = []
-    spgemm_calls = 0
-    current = a
-    for k in range(reuse.num_levels - 1):
-        cached = reuse.levels[k]
-        if cached.p is None or cached.r is None:
-            return None, "structure"
-        level = AMGLevel(
-            index=k,
-            a=current,
-            p=cached.p,
-            r=cached.r,
-            cf_marker=cached.cf_marker,
-        )
-        level.dinv = 1.0 / l1_jacobi_diagonal(current)
-        levels.append(level)
-
-        def counting_spgemm(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
-            nonlocal spgemm_calls
-            spgemm_calls += 1
-            if spgemm is None:
-                from repro.kernels.baseline import csr_spgemm
-
-                return csr_spgemm(x, y)[0]
-            return spgemm(x, y)
-
-        plan = None
-        if galerkin_planner is not None:
-            plan = galerkin_planner(cached.r, current, cached.p)
-        coarse = galerkin_product(
-            cached.r, current, cached.p, spgemm=counting_spgemm,
-            drop_tol=0.0, plan=plan,
-        )
-        if plan is not None and getattr(plan, "consumed", False):
-            # The fused replay ran both products without touching the
-            # spgemm closure; keep the call accounting consistent.
-            spgemm_calls += 2
-        if coarse.pattern_key() != reuse.pattern_keys[k + 1]:
-            # Numeric cancellation (or a genuinely different operator)
-            # changed the coarse structure: the frozen interpolation no
-            # longer matches what a full setup would build.
-            return None, "pattern-drift"
-        if on_level_built is not None:
-            on_level_built(k + 1, coarse)
-        current = coarse
-
-    last = AMGLevel(index=reuse.num_levels - 1, a=current)
-    last.dinv = 1.0 / l1_jacobi_diagonal(current)
-    levels.append(last)
-    hierarchy = AMGHierarchy(
-        levels=levels,
-        coarse_solver=CoarseSolver(current, method=params.coarse_solver),
-        params=params,
-        spgemm_calls=spgemm_calls,
-        pattern_keys=list(reuse.pattern_keys),
-        reused=True,
-    )
-    from repro.check import runtime as check_runtime
-
-    if check_runtime.is_active():
-        from repro.check.structural import validate_hierarchy
-
-        validate_hierarchy(hierarchy)
-    return hierarchy, None

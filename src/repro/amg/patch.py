@@ -1,32 +1,36 @@
-"""Incremental hierarchy patching: dirty-row diff, replay and splice.
+"""The setup-reuse engine: dirty-row diff, replay and splice.
 
-``patched_resetup`` rebuilds a hierarchy against a *locally* changed fine
-matrix by diffing per-row value digests (:mod:`repro.check.fingerprint`)
-level by level against a cached hierarchy and recomputing only what the
-dirt can reach, splicing the recomputed rows into the cached operators:
+``patched_resetup`` rebuilds a hierarchy against a changed fine matrix by
+diffing per-row value digests (:mod:`repro.check.fingerprint`) level by
+level against a cached hierarchy, reusing clean levels as they are and
+replaying only the coarse rows the dirt can reach, spliced into the cached
+coarse operators.  Two policies share that machinery:
 
-* **cheap stages run cold** — strength-of-connection, PMIS, the smoothing
-  diagonals and the coarse solver are recomputed in full (they are linear
-  passes; redoing them keeps the patched hierarchy *bit-identical to a
-  cold setup*, not merely to a frozen-interpolation re-setup);
-* **expensive stages are patched** — interpolation rows are rebuilt only
-  for the dirty F points and their strong neighbours
-  (:func:`repro.amg.interp.build_interpolation` with ``rows=``), and the
-  Galerkin product replays only the dirty coarse rows, both through a
-  pluggable :class:`CSRPatcher`-style engine so the AmgT backend can
-  substitute block-aligned mBSR replays over its spliced plan cache.
+* **patch** (``patch=True``) — *bit-identical to a cold setup*.  The cheap
+  stages run cold on dirty levels (strength-of-connection, PMIS, the
+  smoothing diagonals and the coarse solver: linear passes), interpolation
+  rows are rebuilt only for the dirty F points and their strong
+  neighbours (:func:`repro.amg.interp.build_interpolation` with
+  ``rows=``), and the Galerkin product replays the dirty coarse rows.
+* **frozen interpolation** (``patch=False``, the exact re-setup of HYPRE's
+  reuse-interpolation mode and the paper's alpha-Setup) — the cached C/F
+  splittings, ``P`` and ``R`` are kept, values included; no strength,
+  PMIS or interpolation work runs.  Dirty coarse rows replay through the
+  same Galerkin engine, and the fine pattern plus every recomputed coarse
+  pattern must match the cached keys (``pattern-drift``).
 
-The function returns ``(hierarchy, None)`` on success or
-``(None, reason)`` when the cached structure cannot be patched — dirty
-fraction above the threshold, a drifted C/F splitting (the splitting must
-match for any cached interpolation row to remain valid), or a level
-structure the cold loop would not reproduce.  Every fallback reason feeds
-the ``setup_reuse_total`` observability counter.
+Both replay through a pluggable :class:`CSRPatcher`-style engine, so the
+AmgT backend substitutes block-aligned mBSR replays over its spliced plan
+cache.  The function returns ``(hierarchy, None)`` on success or
+``(None, reason)`` when the cached structure does not apply; every reason
+feeds the ``setup_reuse_total`` observability counter.
 
 Correctness contract: every operator of a patched hierarchy is
-byte-identical to the one a full cold setup would produce on the new
-matrix.  Under ``REPRO_CHECK=1`` :func:`verify_patched_hierarchy` runs
-that cold setup and compares, level by level.
+byte-identical to the one a cold setup would produce on the new matrix,
+and every operator of a frozen one to the plain two-call Galerkin chain
+over the cached ``R`` and ``P``.  Under ``REPRO_CHECK=1``
+:func:`verify_patched_hierarchy` builds the policy's reference through the
+same SpGEMM callable and compares, level by level.
 """
 
 from __future__ import annotations
@@ -37,26 +41,35 @@ from typing import Callable
 import numpy as np
 
 from repro.amg.coarse import CoarseSolver
-from repro.amg.hierarchy import AMGHierarchy, AMGLevel, SetupParams
+from repro.amg.galerkin import galerkin_product
+from repro.amg.hierarchy import AMGHierarchy, AMGLevel, SetupParams, _coarsen_level
 from repro.amg.interp import build_interpolation
 from repro.amg.smoothers import l1_jacobi_diagonal
-from repro.amg.strength import strength_of_connection
 from repro.check.fingerprint import diff_rows, row_digests
 from repro.formats.csr import CSRMatrix
 from repro.kernels.setup_cache import splice_segments
 
 __all__ = [
+    "DIRTY_FRACTION_LIMIT",
     "LevelDirt",
     "CSRPatcher",
     "replace_rows",
     "patched_resetup",
     "verify_patched_hierarchy",
+    "assert_levels_identical",
 ]
 
 #: mBSR tile height: dirty sets are expanded to this granularity wherever
 #: a block-structured backend consumes them, so scalar-row reasoning stays
 #: sound for block-row plan splices.
 _BLOCK = 4
+
+#: Fallback guard of the patch policy: when the cumulative dirty-row count
+#: across levels exceeds this fraction of the fine-level rows, the patch
+#: falls back to a cold setup (reason ``'dirty-fraction'``) — patch work
+#: scales with the dirty rows, cold work with the fine level.  The frozen
+#: policy has no such guard: it does no cold-stage work to save.
+DIRTY_FRACTION_LIMIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,9 +90,12 @@ def replace_rows(base: CSRMatrix, rows: np.ndarray, sub: CSRMatrix) -> CSRMatrix
 
     Row ``rows[i]`` of the result is row ``i`` of *sub*; every other row
     is copied from *base* verbatim, so the splice is bit-identical to a
-    full rebuild whenever *sub* holds the rebuilt rows.
+    full rebuild whenever *sub* holds the rebuilt rows.  Replacing every
+    row returns *sub* itself.
     """
     rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape[0] == base.nrows:
+        return sub
     geom = splice_segments(base.indptr, rows, np.diff(sub.indptr))
     return CSRMatrix(
         base.shape,
@@ -185,49 +201,48 @@ def _dirty_coarse_rows(
     return np.unique(np.concatenate(parts)).astype(np.int64)
 
 
-def _coarsen(strength: CSRMatrix, params: SetupParams, level_index: int):
-    from repro.amg.coarsen import pmis_coarsen
-
-    seed = params.seed + level_index
-    if params.coarsen_method == "pmis":
-        return pmis_coarsen(strength, seed=seed)
-    if params.coarsen_method == "hmis":
-        from repro.amg.coarsen import hmis_coarsen
-
-        return hmis_coarsen(strength, seed=seed)
-    if params.coarsen_method == "aggressive":
-        from repro.amg.coarsen import aggressive_coarsen
-
-        return aggressive_coarsen(strength, seed=seed)
-    raise ValueError(f"unknown coarsen_method {params.coarsen_method!r}")
-
-
 def patched_resetup(
     a: CSRMatrix,
     reuse: AMGHierarchy,
     params: SetupParams,
     spgemm: Callable | None,
     *,
+    patch: bool,
     patcher=None,
-    threshold: float = 0.5,
     on_level_built: Callable | None = None,
 ) -> tuple[AMGHierarchy | None, str | None]:
-    """Patch *reuse* into the hierarchy a cold setup on *a* would build.
+    """Re-set up *reuse* against *a* under one of the two policies.
 
-    Returns ``(hierarchy, None)`` on success — every operator bit-equal
-    to a cold setup's — or ``(None, reason)`` when the cache cannot be
-    patched and the caller must fall back to a full setup.
+    ``patch=True`` returns the hierarchy a cold setup on *a* would build;
+    ``patch=False`` (frozen interpolation) keeps the cached C/F splittings,
+    ``P`` and ``R`` and returns the Galerkin chain over them.  Either way
+    the result is ``(hierarchy, None)``, or ``(None, reason)`` when the
+    cache does not apply and the caller must fall back to a cold setup.
     """
     if params != reuse.params:
         return None, "params"
     if (
         not reuse.pattern_keys
+        or reuse.fine_digests is None
         or reuse.num_levels != len(reuse.pattern_keys)
         or a.shape != reuse.levels[0].a.shape
     ):
         return None, "shape"
+    if not patch and a.pattern_key() != reuse.pattern_keys[0]:
+        return None, "pattern-drift"
     if patcher is None:
         patcher = CSRPatcher(spgemm)
+    # *a* may be the cached fine matrix itself with its values updated in
+    # place, so its digests are computed afresh and level 0 is diffed
+    # against the digests recorded when *reuse* was built.  Coarse levels
+    # are the engine's own matrices, never updated in place.
+    fine = row_digests(a, values=True, memoise=False)
+
+    def dirty_rows(k: int, current: CSRMatrix) -> np.ndarray:
+        if k == 0:
+            return diff_rows(reuse.fine_digests, fine)
+        return diff_rows(row_digests(reuse.levels[k].a, values=True),
+                         row_digests(current, values=True))
 
     levels: list[AMGLevel] = []
     spgemm_calls = 0
@@ -239,18 +254,16 @@ def patched_resetup(
         cached = reuse.levels[k]
         if cached.p is None or cached.r is None or cached.cf_marker is None:
             return None, "structure"
-        dv = diff_rows(
-            row_digests(cached.a, values=True),
-            row_digests(current, values=True),
-        )
+        dv = dirty_rows(k, current)
         if dv.shape[0] == 0:
             # Bit-identical level matrix: every downstream stage is a
-            # deterministic function of it, so the cached level (and the
-            # cached coarse matrix) are exactly what cold would rebuild.
+            # deterministic function of it, so the cached level — operator
+            # objects, and with them their mBSR twins — and the cached
+            # coarse matrix are exactly what either policy would rebuild.
             dinv = cached.dinv
             if dinv is None:
                 dinv = 1.0 / l1_jacobi_diagonal(current)
-            levels.append(AMGLevel(index=k, a=current, p=cached.p,
+            levels.append(AMGLevel(index=k, a=cached.a, p=cached.p,
                                    r=cached.r, dinv=dinv,
                                    cf_marker=cached.cf_marker))
             stats["levels"].append({"level": k, "dirty": 0, "frac": 0.0,
@@ -263,69 +276,64 @@ def patched_resetup(
             continue
 
         frac = dv.shape[0] / max(current.nrows, 1)
-        # Cost guard: patch work is proportional to the *cumulative* dirty
-        # rows, cold work to the fine-level size — dirt amplifies down the
-        # chain, but the coarse levels it floods are small, so per-level
-        # fractions would spuriously trip on them.
         stats["dirty_rows"] += int(dv.shape[0])
-        if stats["dirty_rows"] > threshold * a.nrows:
-            return None, "dirty-fraction"
-        # Cheap stages run cold.  The patch only holds under the cached
-        # C/F splitting: a drifted splitting invalidates every cached
-        # interpolation row, so it falls back rather than re-splitting.
-        strength = strength_of_connection(
-            current, params.strength_threshold, params.max_row_sum
-        )
-        if strength.nnz == 0:
-            return None, "level-drift"
-        coarsening = _coarsen(strength, params, k)
-        nc = coarsening.n_coarse
-        if (
-            nc == 0
-            or nc >= current.nrows * params.min_coarsen_rate
-            or nc == current.nrows
-        ):
-            # The cold loop would stop coarsening here; the cached depth
-            # no longer matches the new operator.
-            return None, "level-drift"
-        if not np.array_equal(coarsening.cf_marker, cached.cf_marker):
-            return None, "cf-drift"
-
-        dirty_p = _dirty_interp_rows(strength, dv)
-        p_sub, covered = build_interpolation(
-            current,
-            strength,
-            coarsening.cf_marker,
-            method=params.interp_method,
-            trunc_factor=params.trunc_factor,
-            max_elmts=params.max_elmts,
-            rows=dirty_p,
-            rows_spgemm=lambda x, y, fp, _k=k: patcher.interp_rows(
-                _k, x, y, fp
-            ),
-        )
-        if covered.shape[0]:
-            spgemm_calls += 1
-            p_new = replace_rows(cached.p, covered, p_sub)
+        if patch:
+            # Cost guard: patch work is proportional to the *cumulative*
+            # dirty rows, cold work to the fine-level size — dirt amplifies
+            # down the chain, but the coarse levels it floods are small, so
+            # per-level fractions would spuriously trip on them.
+            if stats["dirty_rows"] > DIRTY_FRACTION_LIMIT * a.nrows:
+                return None, "dirty-fraction"
+            # Cheap stages run cold.  The patch only holds under the cached
+            # C/F splitting: a drifted splitting invalidates every cached
+            # interpolation row, so it falls back rather than re-splitting.
+            split = _coarsen_level(current, params, k)
+            if split is None:
+                # The cold loop would stop coarsening here; the cached
+                # depth no longer matches the new operator.
+                return None, "level-drift"
+            strength, coarsening = split
+            if not np.array_equal(coarsening.cf_marker, cached.cf_marker):
+                return None, "cf-drift"
+            p_sub, covered = build_interpolation(
+                current,
+                strength,
+                coarsening.cf_marker,
+                method=params.interp_method,
+                trunc_factor=params.trunc_factor,
+                max_elmts=params.max_elmts,
+                rows=_dirty_interp_rows(strength, dv),
+                rows_spgemm=lambda x, y, fp, _k=k: patcher.interp_rows(
+                    _k, x, y, fp
+                ),
+            )
+            if covered.shape[0]:
+                spgemm_calls += 1
+                p_new = replace_rows(cached.p, covered, p_sub)
+            else:
+                p_new = cached.p
+            r_new = p_new.transpose()
         else:
-            p_new = cached.p
-        r_new = p_new.transpose()
+            covered = np.zeros(0, dtype=np.int64)
+            p_new, r_new = cached.p, cached.r
 
         dc = _dirty_coarse_rows(cached.p, p_new, covered, current, dv)
-        cached_coarse = reuse.levels[k + 1].a
+        coarse = reuse.levels[k + 1].a
         if dc.shape[0]:
             rap_sub, cov_c = patcher.galerkin_rows(
                 k, r_new, current, p_new, dc, LevelDirt(dv=dv, covered=covered)
             )
             spgemm_calls += 2
-            coarse = replace_rows(cached_coarse, cov_c, rap_sub)
-        else:
-            coarse = cached_coarse
+            coarse = replace_rows(coarse, cov_c, rap_sub)
+        if not patch and coarse.pattern_key() != reuse.pattern_keys[k + 1]:
+            # Numeric cancellation (or a genuinely different operator)
+            # changed the coarse structure: the frozen interpolation no
+            # longer matches what a cold setup would build on it.
+            return None, "pattern-drift"
 
-        level = AMGLevel(index=k, a=current, p=p_new, r=r_new,
-                         cf_marker=coarsening.cf_marker)
-        level.dinv = 1.0 / l1_jacobi_diagonal(current)
-        levels.append(level)
+        levels.append(AMGLevel(index=k, a=current, p=p_new, r=r_new,
+                               dinv=1.0 / l1_jacobi_diagonal(current),
+                               cf_marker=cached.cf_marker))
         stats["levels"].append({
             "level": k,
             "dirty": int(dv.shape[0]),
@@ -339,31 +347,23 @@ def patched_resetup(
         current = coarse
 
     cached_last = reuse.levels[nlev - 1]
-    dv_last = diff_rows(
-        row_digests(cached_last.a, values=True),
-        row_digests(current, values=True),
-    )
-    # Mirror the cold loop's termination: some break must fire on the
-    # coarsest level, else a cold setup would coarsen further.
-    if not (nlev >= params.max_levels
-            or current.nrows <= params.max_coarse_size):
-        strength = strength_of_connection(
-            current, params.strength_threshold, params.max_row_sum
-        )
-        if strength.nnz != 0:
-            nc = _coarsen(strength, params, nlev - 1).n_coarse
-            if not (
-                nc == 0
-                or nc >= current.nrows * params.min_coarsen_rate
-                or nc == current.nrows
-            ):
-                return None, "level-drift"
-    last = AMGLevel(index=nlev - 1, a=current)
-    if dv_last.shape[0] == 0 and cached_last.dinv is not None:
-        last.dinv = cached_last.dinv
+    # The patch policy mirrors the cold loop's termination: some break
+    # must fire on the coarsest level, else a cold setup would coarsen
+    # further.
+    if (
+        patch
+        and nlev < params.max_levels
+        and current.nrows > params.max_coarse_size
+        and _coarsen_level(current, params, nlev - 1) is not None
+    ):
+        return None, "level-drift"
+    if (cached_last.dinv is not None
+            and dirty_rows(nlev - 1, current).shape[0] == 0):
+        last = AMGLevel(index=nlev - 1, a=cached_last.a, dinv=cached_last.dinv)
         coarse_solver = reuse.coarse_solver
     else:
-        last.dinv = 1.0 / l1_jacobi_diagonal(current)
+        last = AMGLevel(index=nlev - 1, a=current,
+                        dinv=1.0 / l1_jacobi_diagonal(current))
         coarse_solver = CoarseSolver(current, method=params.coarse_solver)
     levels.append(last)
 
@@ -373,7 +373,9 @@ def patched_resetup(
         params=params,
         spgemm_calls=spgemm_calls,
         pattern_keys=[lvl.a.pattern_key() for lvl in levels],
-        patched=True,
+        fine_digests=fine,
+        reused=not patch,
+        patched=patch,
         patch_stats=stats,
         # A fresh object already re-records tapes, but the explicit bump
         # makes the invalidation visible to anything holding generation.
@@ -382,62 +384,99 @@ def patched_resetup(
     return hierarchy, None
 
 
+def _frozen_reference(
+    a: CSRMatrix,
+    reuse: AMGHierarchy,
+    spgemm: Callable | None,
+    on_level_built: Callable | None,
+) -> list[AMGLevel]:
+    """The levels the frozen policy must reproduce: cached C/F, ``P`` and
+    ``R``, every Galerkin product recomputed in full by the plain two-call
+    chain."""
+    levels: list[AMGLevel] = []
+    current = a
+    for k, cached in enumerate(reuse.levels[:-1]):
+        levels.append(AMGLevel(index=k, a=current, p=cached.p, r=cached.r,
+                               dinv=1.0 / l1_jacobi_diagonal(current),
+                               cf_marker=cached.cf_marker))
+        current = galerkin_product(cached.r, current, cached.p,
+                                   spgemm=spgemm, drop_tol=0.0)
+        if on_level_built is not None:
+            on_level_built(k + 1, current)
+    levels.append(AMGLevel(index=len(levels), a=current,
+                           dinv=1.0 / l1_jacobi_diagonal(current)))
+    return levels
+
+
 def verify_patched_hierarchy(
     hierarchy: AMGHierarchy,
     a: CSRMatrix,
+    reuse: AMGHierarchy,
     params: SetupParams,
     spgemm: Callable | None,
     on_level_built: Callable | None = None,
 ) -> None:
-    """REPRO_CHECK differential oracle: patched setup == cold setup.
+    """REPRO_CHECK differential oracle: each policy against its reference.
 
-    Runs a full cold setup through the *same* SpGEMM callable and compares
-    every operator bytewise.  Raises
-    :class:`~repro.check.violation.ContractViolation` on any drift.
+    A frozen hierarchy (``reused``) is compared with the plain two-call
+    Galerkin chain over *reuse*'s ``R`` and ``P``; any other hierarchy
+    (patched, or a cold fallback) with a full cold setup on *a*.  The
+    reference runs through the *same* SpGEMM callable and is compared with
+    :func:`assert_levels_identical`.
     """
     from repro.amg.hierarchy import _amg_setup_impl
-    from repro.check.violation import ContractViolation
 
     if on_level_built is not None:
-        # Rewind the caller's level tracker: the patched pass drove it to
-        # the coarsest level, and a driver closure (BoomerAMG) derives the
+        # Rewind the caller's level tracker: the re-setup drove it to the
+        # coarsest level, and BoomerAMG's SpGEMM closure derives the
         # per-product precision from it — without the reset the rerun's
         # fine-level products would run at the coarse levels' precision.
         on_level_built(0, a)
-    cold = _amg_setup_impl(
-        a, params, spgemm,
-        on_level_built=on_level_built, reuse=None, galerkin_planner=None,
-    )
-    if cold.num_levels != hierarchy.num_levels:
+    if hierarchy.reused:
+        policy, what = "frozen", "frozen-interpolation Galerkin chain"
+        ref = _frozen_reference(a, reuse, spgemm, on_level_built)
+    else:
+        policy, what = "patched", "cold setup"
+        ref = _amg_setup_impl(a, params, spgemm, on_level_built=on_level_built,
+                              reuse=None).levels
+    assert_levels_identical(hierarchy.levels, ref,
+                            f"setup/{policy}-differential", what)
+
+
+def assert_levels_identical(
+    got: list[AMGLevel], want: list[AMGLevel], contract: str, what: str
+) -> None:
+    """Raise :class:`~repro.check.violation.ContractViolation` (*contract*)
+    unless *got* has as many levels as *want* (the *what*) and every
+    level's ``A``, ``P``, ``R``, smoothing diagonal and C/F marker is
+    bytewise equal to its counterpart's."""
+    from repro.check.violation import ContractViolation
+
+    if len(got) != len(want):
         raise ContractViolation(
-            "amg_setup", "setup/patched-differential",
-            f"level count drift: patched {hierarchy.num_levels} vs cold "
-            f"{cold.num_levels}",
+            "amg_setup", contract,
+            f"level count drift: {len(got)} vs {what} {len(want)}",
         )
-    for lvl, ref in zip(hierarchy.levels, cold.levels):
-        pairs = [("a", lvl.a, ref.a), ("p", lvl.p, ref.p), ("r", lvl.r, ref.r)]
-        for name, got, want in pairs:
-            if got is None and want is None:
+    for lvl, want_lvl in zip(got, want):
+        for name in ("a", "p", "r", "dinv", "cf_marker"):
+            got_op, want_op = getattr(lvl, name), getattr(want_lvl, name)
+            if got_op is None and want_op is None:
                 continue
-            if (
-                got is None
-                or want is None
-                or got.shape != want.shape
-                or not np.array_equal(got.indptr, want.indptr)
-                or not np.array_equal(got.indices, want.indices)
-                or got.data.tobytes() != want.data.tobytes()
-            ):
-                raise ContractViolation(
-                    "amg_setup", "setup/patched-differential",
-                    f"level {lvl.index} operator {name!r} differs from the "
-                    "cold setup",
+            if isinstance(got_op, CSRMatrix) and isinstance(want_op, CSRMatrix):
+                same = (
+                    got_op.shape == want_op.shape
+                    and np.array_equal(got_op.indptr, want_op.indptr)
+                    and np.array_equal(got_op.indices, want_op.indices)
+                    and got_op.data.tobytes() == want_op.data.tobytes()
                 )
-        if (lvl.dinv is None) != (ref.dinv is None) or (
-            lvl.dinv is not None
-            and lvl.dinv.tobytes() != ref.dinv.tobytes()
-        ):
-            raise ContractViolation(
-                "amg_setup", "setup/patched-differential",
-                f"level {lvl.index} smoothing diagonal differs from the "
-                "cold setup",
-            )
+            else:
+                same = (
+                    got_op is not None
+                    and want_op is not None
+                    and got_op.tobytes() == want_op.tobytes()
+                )
+            if not same:
+                raise ContractViolation(
+                    "amg_setup", contract,
+                    f"level {lvl.index} {name!r} differs from the {what}",
+                )

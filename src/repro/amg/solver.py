@@ -129,14 +129,17 @@ class AmgTSolver:
 
         With ``reuse=True`` (after an earlier :meth:`setup`) the previous
         hierarchy's coarsening and interpolation are frozen and only the
-        numeric Galerkin passes replay, provided the sparsity pattern of
-        *a* matches; on any mismatch the full setup runs — see
+        Galerkin rows whose inputs changed replay (an unchanged matrix
+        replays nothing), provided the sparsity pattern of *a* matches; on
+        any mismatch the full setup runs — see
         :meth:`repro.hypre.boomeramg.BoomerAMG.setup`.  With ``patch=True``
-        as well, the incremental patch path is tried first: only the rows
-        whose fingerprints changed are recomputed and spliced into the
-        cached hierarchy, bit-identical to a cold setup.  Cached solve
-        tapes are invalidated either way (the hierarchy's generation
-        moves), so the next taped solve re-records.
+        as well, the engine's patch policy runs instead: the dirty
+        interpolation rows are rebuilt too, so the result is bit-identical
+        to a cold setup.  *a* may be a new matrix or the previous one with
+        its values updated in place: the re-setup diffs it against the
+        value digests recorded when the hierarchy was built.  Cached solve
+        tapes are invalidated either way (the hierarchy's
+        generation moves), so the next taped solve re-records.
         """
         from repro.check import checked_region
         from repro.obs import trace as obs_trace

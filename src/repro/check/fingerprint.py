@@ -94,7 +94,7 @@ def _as_words(arr: np.ndarray) -> np.ndarray:
     return a.astype(np.int64).view(np.uint64)
 
 
-def row_digests(obj, *, values: bool = False) -> np.ndarray:
+def row_digests(obj, *, values: bool = False, memoise: bool = True) -> np.ndarray:
     """One ``uint64`` digest per row (CSR) or per block-row (mBSR).
 
     With ``values=False`` only the sparsity structure of each row is
@@ -104,12 +104,16 @@ def row_digests(obj, *, values: bool = False) -> np.ndarray:
     hash by payload.  Rows at equal index in two matrices of the same
     shape hash equal iff they are identical (modulo 64-bit collisions),
     which is what the incremental patcher diffs.
+
+    CSR digests are memoised on the matrix; ``memoise=False`` neither
+    reads nor fills the memo, for a caller-owned matrix whose arrays may
+    be updated in place between calls.
     """
     from repro.formats.csr import CSRMatrix
     from repro.formats.mbsr import MBSRMatrix
 
     if isinstance(obj, CSRMatrix):
-        memo = obj.__dict__.setdefault("_row_digest_memo", {})
+        memo = obj.__dict__.setdefault("_row_digest_memo", {}) if memoise else {}
         if values not in memo:
             words = _as_words(obj.indices)
             if values:

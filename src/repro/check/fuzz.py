@@ -243,23 +243,30 @@ _evolve_case = st.tuples(
 
 
 def _fuzz_evolve(case) -> None:
-    """Evolving sequences: diff exactness + patched/cold bit-identity.
+    """Evolving sequences: diff exactness + re-setup bit-identity.
 
-    Two contracts per step of the sequence:
+    Three contracts per step of the sequence:
 
     * the per-row fingerprint diff names *exactly* the rows that changed
       (no misses, no spurious rows);
     * whatever ``amg_setup(reuse=..., patch=True)`` returns — patched or
       any fallback — carries the same bits as a cold setup of the new
-      matrix.
+      matrix;
+    * an exact re-setup (``patch=False``, chained on the previous exact
+      hierarchy) carries the bits of the frozen-interpolation Galerkin
+      chain, and its fallbacks those of a cold setup.
     """
-    from repro.amg.hierarchy import amg_setup
+    from repro.amg.hierarchy import SetupParams, amg_setup
+    from repro.amg.patch import assert_levels_identical, verify_patched_hierarchy
     from repro.check.fingerprint import diff_rows, row_digests
     from repro.matrices.generators import evolving_sequence
 
     kind, nx, frac, seed = case
+    where = f"({kind}, nx={nx}, frac={frac}, seed={seed})"
+
     seq = evolving_sequence(kind, nx=nx, steps=2, dirty_frac=frac, seed=seed)
-    prev_mat, prev_h = seq[0], amg_setup(seq[0])
+    prev_mat = seq[0]
+    prev_h = prev_exact = amg_setup(seq[0])
     for a in seq[1:]:
         predicted = diff_rows(row_digests(prev_mat, values=True),
                               row_digests(a, values=True))
@@ -278,36 +285,20 @@ def _fuzz_evolve(case) -> None:
             raise ContractViolation(
                 "fingerprint.diff_rows", "patch/diff-exact",
                 f"digest diff predicted rows {predicted.tolist()} but "
-                f"{actual} changed ({kind}, nx={nx}, frac={frac}, "
-                f"seed={seed})",
+                f"{actual} changed {where}",
             )
-        h = amg_setup(a, reuse=prev_h, patch=True)
         cold = amg_setup(a)
-        if h.num_levels != cold.num_levels:
-            raise ContractViolation(
-                "amg_setup", "patch/cold-identical",
-                f"level count {h.num_levels} != cold {cold.num_levels}",
-            )
-        for k, (lp, lc) in enumerate(zip(h.levels, cold.levels)):
-            for name in ("a", "p", "r"):
-                mp, mc = getattr(lp, name), getattr(lc, name)
-                if (mp is None) != (mc is None):
-                    raise ContractViolation(
-                        "amg_setup", "patch/cold-identical",
-                        f"level {k} operator {name!r} presence differs",
-                    )
-                if mp is None:
-                    continue
-                if not (np.array_equal(mp.indptr, mc.indptr)
-                        and np.array_equal(mp.indices, mc.indices)
-                        and np.array_equal(mp.data, mc.data)):
-                    raise ContractViolation(
-                        "amg_setup", "patch/cold-identical",
-                        f"level {k} operator {name!r} differs from the "
-                        f"cold setup ({kind}, nx={nx}, frac={frac}, "
-                        f"seed={seed}, patched={h.patched})",
-                    )
-        prev_mat, prev_h = a, h
+        h = amg_setup(a, reuse=prev_h, patch=True)
+        assert_levels_identical(h.levels, cold.levels, "patch/cold-identical",
+                                f"cold setup {where} (patch policy)")
+        exact = amg_setup(a, reuse=prev_exact)
+        if exact.reused:
+            verify_patched_hierarchy(exact, a, prev_exact, SetupParams(), None)
+        else:
+            assert_levels_identical(exact.levels, cold.levels,
+                                    "patch/cold-identical",
+                                    f"cold setup {where} (frozen policy)")
+        prev_mat, prev_h, prev_exact = a, h, exact
     _bump()
 
 

@@ -119,16 +119,12 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def galerkin_plan(self, r, a, p, perf, phase, level, on_result=None):
-        """Fused RAP plan, or None when the backend has no setup engine
-        (the baseline runs the plain two-call Galerkin path)."""
-        return None
-
-    def hierarchy_patcher(self, reuse, perf, phase: str = "setup"):
-        """Dirty-row patch engine for incremental re-setups, or None when
-        the backend has no block format — the setup driver then uses the
-        row-local CSR patcher built on the setup's SpGEMM callable (see
-        :class:`repro.amg.patch.CSRPatcher`)."""
+    def hierarchy_patcher(self, reuse, perf, wrapped, phase: str = "setup"):
+        """Dirty-row replay engine of the re-setup (both policies), or
+        None when the backend has no block format — ``amg_setup`` then
+        uses the row-local CSR patcher built on the setup's SpGEMM
+        callable (see :class:`repro.amg.patch.CSRPatcher`).  *wrapped* is
+        the driver's wrapper cache, keyed by ``id(csr)``."""
         return None
 
     # -- shared helpers ---------------------------------------------------
@@ -233,14 +229,14 @@ class AmgTBackend(KernelBackend):
             sp.set(cached=True)
         return mbsr
 
-    def _record_mbsr2csr(self, result: HypreCSRMatrix, perf, phase, level):
-
-        mbsr = result.mbsr
+    def _record_mbsr2csr(self, mbsr, csr, perf, phase, level):
+        """Price one MBSR2CSR expansion (Fig. 6 step 5) of *mbsr* into
+        *csr* — a whole RAP result or its replayed block-rows."""
         itemsize = 8
         rec = KernelRecord(kernel="mbsr2csr", backend=self.name, precision=Precision.FP64)
         rec.counters.add_bytes(
             read=mbsr.blc_num * (16 * itemsize + 8 + 2),
-            written=result.csr.nnz * (itemsize + 8) + (result.csr.nrows + 1) * 8,
+            written=csr.nnz * (itemsize + 8) + (csr.nrows + 1) * 8,
         )
         rec.counters.launches = 2
         rec.phase, rec.level = phase, level
@@ -278,7 +274,7 @@ class AmgTBackend(KernelBackend):
             out.amgt_csr2mbsr()
             out.conversion_stats = None
         if is_rap_result:
-            self._record_mbsr2csr(out, perf, phase, level)
+            self._record_mbsr2csr(out.mbsr, out.csr, perf, phase, level)
         return out
 
     def _reprice_mma(self, rec: KernelRecord, prec: Precision) -> None:
@@ -290,30 +286,9 @@ class AmgTBackend(KernelBackend):
             rec.counters.mma_issues[prec] = 0.0
             rec.counters.add_flops(prec, mma * 2 * 2 * 64.0)
 
-    def hierarchy_patcher(self, reuse, perf, phase: str = "setup"):
+    def hierarchy_patcher(self, reuse, perf, wrapped, phase: str = "setup"):
         """Block-aligned mBSR patch engine over the spliced plan cache."""
-        return AmgTPatcher(self, reuse, perf, phase)
-
-    def galerkin_plan(
-        self,
-        r: HypreCSRMatrix,
-        a: HypreCSRMatrix,
-        p: HypreCSRMatrix,
-        perf: PerformanceLog,
-        phase: str,
-        level: int,
-        on_result=None,
-    ) -> "_BackendGalerkinPlan":
-        """Fused RAP plan for :func:`repro.amg.galerkin.galerkin_product`.
-
-        The returned object replays ``R @ A @ P`` as two numeric-only
-        passes against the pattern-keyed plan cache, skipping both
-        symbolic phases and the intermediate's CSR round-trip.  The
-        perf/pricing treatment matches :meth:`matmul_device` call for
-        call: two ``spgemm`` records plus the RAP's MBSR2CSR record.
-        """
-        return _BackendGalerkinPlan(self, r, a, p, perf, phase, level,
-                                    on_result)
+        return AmgTPatcher(self, reuse, perf, wrapped, phase)
 
     def bind_matvec(self, a, perf, phase, level, width=1):
         a = HypreCSRMatrix.wrap(a)
@@ -336,80 +311,14 @@ class AmgTBackend(KernelBackend):
         return binding
 
 
-class _BackendGalerkinPlan:
-    """One fused ``R @ A @ P`` through the AmgT backend's plan cache.
-
-    Implements the ``matches`` / ``replay`` protocol of
-    :func:`repro.amg.galerkin.galerkin_product`.  ``consumed`` turns True
-    once a replay ran, letting the setup driver keep its SpGEMM call
-    accounting consistent (the replay never touches the spgemm closure).
-    """
-
-    def __init__(self, backend, r, a, p, perf, phase, level, on_result=None):
-        self.backend = backend
-        self.rw, self.aw, self.pw = r, a, p
-        self.perf, self.phase, self.level = perf, phase, level
-        self.on_result = on_result
-        self.consumed = False
-
-    def matches(self, r, a, p) -> bool:
-        return (
-            r.pattern_key() == self.rw.csr.pattern_key()
-            and a.pattern_key() == self.aw.csr.pattern_key()
-            and p.pattern_key() == self.pw.csr.pattern_key()
-        )
-
-    def replay(self, r, a, p):
-        backend = self.backend
-        perf, phase, level = self.perf, self.phase, self.level
-        cache = backend.setup_cache
-        for w in (self.rw, self.aw, self.pw):
-            backend._ensure_mbsr(w, perf, phase, level)
-        prec = backend.schedule.for_level(level)
-        rm = self.rw.mbsr_at_precision(prec)
-        am = self.aw.mbsr_at_precision(prec)
-        pm = self.pw.mbsr_at_precision(prec)
-        plan, fresh = cache.rap_plan(rm, am, pm)
-        sp = _kernel_span("spgemm", phase, level)
-        with sp:
-            rap_mbsr, records = cache.rap_numeric(
-                plan, rm, am, pm, prec, out_dtype=np.float64,
-                storage_itemsize=backend.storage_itemsize,
-                # A plan built by this very call pays its analysis + symbolic
-                # cost here; a cached plan replays numeric-only.
-                charge_plan_build=fresh,
-            )
-        if sp:
-            sp.set(fused="rap", plan_reused=not fresh)
-        for rec in records:
-            backend._reprice_mma(rec, prec)
-            rec.phase, rec.level = phase, level
-            rec.price(backend.cost)
-            perf.append(rec)
-            obs_metrics.observe_kernel(rec)
-        if sp:
-            sp.set(sim_us=sum(rec.sim_time_us for rec in records))
-        csp = _kernel_span("mbsr2csr", phase, level)
-        with csp:
-            csr = cache.mbsr2csr(rap_mbsr).eliminate_zeros(0.0)
-            out = HypreCSRMatrix(csr=csr, setup_cache=cache)
-            out.amgt_csr2mbsr()
-            out.conversion_stats = None
-        backend._record_mbsr2csr(out, perf, phase, level)
-        if self.on_result is not None:
-            self.on_result(out)
-        self.consumed = True
-        return csr
-
-
 class AmgTPatcher:
-    """Block-aligned incremental patch engine for the AmgT backend.
+    """Block-aligned re-setup engine for the AmgT backend (both policies).
 
     Implements the ``interp_rows`` / ``galerkin_rows`` protocol of
     :func:`repro.amg.patch.patched_resetup` in the mBSR domain: products
     replay only the dirty block-rows (each tile bytewise equal to the same
-    tile of the full product, so the spliced operators stay bit-identical
-    to a cold setup), conversion templates and fused RAP plans are spliced
+    tile of the full product, so the spliced operators keep the bits of
+    the full products), conversion templates and fused RAP plans are spliced
     through the pattern-keyed :class:`~repro.kernels.setup_cache.\
 SetupPlanCache`, and every kernel is priced like its cold counterpart.
 
@@ -420,16 +329,15 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
     """
 
     def __init__(self, backend: AmgTBackend, reuse, perf: PerformanceLog,
-                 phase: str = "setup"):
+                 wrapped: dict[int, HypreCSRMatrix], phase: str = "setup"):
         self.backend = backend
         self.reuse = reuse
         self.perf = perf
         self.phase = phase
-        #: Wrappers of the operators this patcher touched, keyed by
-        #: ``id(csr)``; the driver seeds it with the previous setup's
-        #: wrappers (old operands convert template-free) and merges the
-        #: patched entries back after the setup.
-        self.wrapped: dict[int, HypreCSRMatrix] = {}
+        #: The driver's wrapper cache, keyed by ``id(csr)``: it holds the
+        #: previous setup's wrappers (old operands convert template-free)
+        #: and receives every wrapper this patcher converts.
+        self.wrapped = wrapped
 
     # -- helpers ----------------------------------------------------------
     @staticmethod
@@ -494,22 +402,6 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         self.wrapped[id(csr_new)] = w
         return w
 
-    def _record_sub_mbsr2csr(self, mbsr, csr, level: int) -> None:
-        """Price the dirty rows' MBSR2CSR expansion (Fig. 6 step 5,
-        restricted to the replayed block-rows)."""
-        backend = self.backend
-        rec = KernelRecord(kernel="mbsr2csr", backend=backend.name,
-                           precision=Precision.FP64)
-        rec.counters.add_bytes(
-            read=mbsr.blc_num * (16 * 8 + 8 + 2),
-            written=csr.nnz * (8 + 8) + (csr.nrows + 1) * 8,
-        )
-        rec.counters.launches = 2
-        rec.phase, rec.level = self.phase, level
-        rec.price(backend.cost, "amgt_convert")
-        self.perf.append(rec)
-        obs_metrics.observe_kernel(rec)
-
     # -- patcher protocol -------------------------------------------------
     def interp_rows(self, level, a_op, b_op, fpos):
         """Dirty block-rows of the extended+i product ``a_op @ b_op``.
@@ -546,9 +438,14 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         return csr.extract_rows(pos), covered
 
     def galerkin_rows(self, level, r_new, a_new, p_new, rows, dirt):
-        """Dirty coarse block-rows of ``R @ A @ P`` via the spliced fused
-        plan: two restricted numeric passes, no symbolic work on clean
-        rows, no CSR round-trip of the intermediate."""
+        """Dirty coarse block-rows of ``R @ A @ P`` via the (spliced) fused
+        plan: two numeric passes, no CSR round-trip of the intermediate.
+
+        When the dirt covers every coarse block-row the full fused replay
+        runs and its result converts through the pattern-keyed MBSR2CSR
+        template, so a fully dirty level costs no slicing or splicing;
+        otherwise both passes are restricted to the dirty block-rows.
+        """
         from repro.formats.convert import mbsr_to_csr
 
         backend = self.backend
@@ -557,10 +454,6 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         rows = np.asarray(rows, dtype=np.int64)
         blocks_c = np.unique(rows // 4)
 
-        wro, wao, wpo = (self._wrap(m)
-                         for m in (cached.r, cached.a, cached.p))
-        for w in (wro, wao, wpo):
-            backend._ensure_mbsr(w, self.perf, self.phase, level)
         wa = self._patched_wrap(a_new, cached.a,
                                 np.unique(dirt.dv // 4), level)
         wp = self._patched_wrap(p_new, cached.p,
@@ -569,10 +462,13 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
 
         prec = backend.schedule.for_level(level)
         rm, am, pm = (w.mbsr_at_precision(prec) for w in (wr, wa, wp))
-        rmo, amo, pmo = (w.mbsr_at_precision(prec) for w in (wro, wao, wpo))
 
         plan = cache.rap_plan_if_cached(rm, am, pm)
         if plan is None:
+            olds = [self._wrap(m) for m in (cached.r, cached.a, cached.p)]
+            for w in olds:
+                backend._ensure_mbsr(w, self.perf, self.phase, level)
+            rmo, amo, pmo = (w.mbsr_at_precision(prec) for w in olds)
             prev = cache.rap_plan_if_cached(rmo, amo, pmo)
             if prev is not None:
                 plan, _ = cache.patch_rap_plan(
@@ -580,24 +476,32 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
                 )
             else:
                 # No cached plan to splice (cold setup ran elsewhere):
-                # build one — later patches of this pattern replay it.
+                # build one — later re-setups of this pattern replay it.
                 plan, _ = cache.rap_plan(rm, am, pm)
+        full = blocks_c.shape[0] == rm.mb
         sp = _kernel_span("spgemm", self.phase, level)
         with sp:
-            rap_sub, records = cache.rap_numeric_rows(
-                plan, rm, am, pm, blocks_c, prec, out_dtype=np.float64,
-                storage_itemsize=backend.storage_itemsize,
-            )
+            if full:
+                rap, records = cache.rap_numeric(
+                    plan, rm, am, pm, prec, out_dtype=np.float64,
+                    storage_itemsize=backend.storage_itemsize,
+                )
+            else:
+                rap, records = cache.rap_numeric_rows(
+                    plan, rm, am, pm, blocks_c, prec, out_dtype=np.float64,
+                    storage_itemsize=backend.storage_itemsize,
+                )
         self._price(records, level)
         if sp:
             sp.set(fused="rap", patched_rows=int(blocks_c.shape[0]),
                    sim_us=sum(rec.sim_time_us for rec in records))
         csp = _kernel_span("mbsr2csr", self.phase, level)
         with csp:
-            csr = mbsr_to_csr(rap_sub).eliminate_zeros(0.0)
-        self._record_sub_mbsr2csr(rap_sub, csr, level)
+            csr = (cache.mbsr2csr(rap) if full
+                   else mbsr_to_csr(rap)).eliminate_zeros(0.0)
+        backend._record_mbsr2csr(rap, csr, self.perf, self.phase, level)
         covered, pos = self._valid_scalars(blocks_c, r_new.nrows)
-        return csr.extract_rows(pos), covered
+        return (csr if full else csr.extract_rows(pos)), covered
 
 
 def make_backend(name: str, device: DeviceSpec, precision: str = "fp64") -> KernelBackend:

@@ -71,34 +71,31 @@ class BoomerAMG:
         reuse: AMGHierarchy | bool | None = None,
         *,
         patch: bool = False,
-        patch_threshold: float = 0.5,
     ) -> AMGHierarchy:
-        """Build (or numerically rebuild) the hierarchy for *a*.
+        """Build (or re-set up) the hierarchy for *a*.
 
         Parameters
         ----------
         a:
-            The fine-level matrix.
+            The fine-level matrix; with *reuse* it may be the previous
+            setup's matrix with its values updated in place.
         reuse:
             ``True`` reuses this solver's previous hierarchy; an
-            :class:`AMGHierarchy` reuses that one.  When the sparsity
-            patterns match, coarsening and interpolation are frozen and
-            only the numeric Galerkin passes replay (through the AmgT
-            backend's fused RAP plans); on any mismatch the full setup
+            :class:`AMGHierarchy` reuses that one.  The re-setup engine
+            diffs per-row fingerprints level by level, keeps clean levels
+            as they are and replays only the dirty Galerkin rows (the AmgT
+            backend through its fused, pattern-keyed RAP plans).  By
+            default coarsening and interpolation stay frozen; when the
+            fine or a recomputed coarse pattern drifts, the full setup
             runs — see :func:`repro.amg.hierarchy.amg_setup`.
         patch:
-            With *reuse*, try the incremental patch path first: diff
-            per-row fingerprints level by level, replay SpGEMMs on the
-            dirty rows only and splice them into the cached operators —
-            bit-identical to a cold setup, unlike the frozen-coarsening
-            exact path.  The AmgT backend patches in the mBSR domain
-            through its spliced plan cache.  Falls back to a full setup
-            (counted in ``setup_reuse_total``) when the dirt exceeds
-            *patch_threshold* or the coarsening drifts.
-        patch_threshold:
-            Cumulative dirty-row budget of the patch path, as a fraction
-            of the fine-level rows (see :func:`repro.amg.hierarchy.\
-amg_setup`).
+            With *reuse*, run the engine's patch policy instead: dirty
+            interpolation rows are rebuilt too, so the result is
+            bit-identical to a cold setup.  The AmgT backend patches in the
+            mBSR domain through its spliced plan cache.  Falls back to a
+            full setup (counted in ``setup_reuse_total``) when the dirt
+            exceeds :data:`repro.amg.patch.DIRTY_FRACTION_LIMIT` of the
+            fine rows or the coarsening drifts.
         """
         perf = self.perf
         backend = self.backend
@@ -106,19 +103,19 @@ amg_setup`).
         wrapped_cache: dict[int, HypreCSRMatrix] = {}
         if reuse is True:
             reuse = self.hierarchy
-        if reuse is not None and self._wrapped:
-            # Seed the wrappers of the frozen operators so their mBSR
-            # twins (and plans) carry over to the re-setup.
+        patcher = None
+        if reuse is not None:
+            # Seed the wrappers of the cached operators so their mBSR
+            # twins (and plans) carry over to the re-setup — except *a*'s:
+            # the caller may have updated its values in place, which would
+            # leave its twin stale.
             for entry in self._wrapped:
                 for w in entry.values():
-                    wrapped_cache.setdefault(id(w.csr), w)
-        patcher = None
-        if reuse is not None and patch:
-            patcher = backend.hierarchy_patcher(reuse, perf)
-            if patcher is not None:
-                # Old operands convert through the carried-over wrappers.
-                for key, w in wrapped_cache.items():
-                    patcher.wrapped.setdefault(key, w)
+                    if w.csr is not a:
+                        wrapped_cache.setdefault(id(w.csr), w)
+            # The patcher converts through, and adds to, the same wrappers,
+            # so a cold fallback reuses its conversions.
+            patcher = backend.hierarchy_patcher(reuse, perf, wrapped_cache)
 
         def wrap(mat: CSRMatrix) -> HypreCSRMatrix:
             w = wrapped_cache.get(id(mat))
@@ -142,15 +139,6 @@ amg_setup`).
             # interpolation assembly, truncation) before moving on.
             state["level"] = level_index
 
-        def galerkin_planner(r: CSRMatrix, cur: CSRMatrix, p: CSRMatrix):
-            def register(out: HypreCSRMatrix) -> None:
-                wrapped_cache[id(out.csr)] = out
-
-            return backend.galerkin_plan(
-                wrap(r), wrap(cur), wrap(p), perf, "setup", state["level"],
-                on_result=register,
-            )
-
         # The phase span is opened here (not just inside amg_setup) so the
         # driver's non-kernel charges below land inside it; amg_setup's own
         # phase_span then no-ops.
@@ -158,9 +146,7 @@ amg_setup`).
             hierarchy = amg_setup(a, self.params, spgemm=spgemm,
                                   on_level_built=on_level_built,
                                   reuse=reuse,
-                                  galerkin_planner=galerkin_planner,
-                                  patch=patch, patcher=patcher,
-                                  patch_threshold=patch_threshold)
+                                  patch=patch, patcher=patcher)
             # Non-kernel setup work per level.
             per_level = {}
             if hierarchy.patched:
@@ -181,8 +167,9 @@ amg_setup`).
                         launches=3,
                     )
                 elif hierarchy.reused:
-                    # Frozen coarsening/interpolation: only the pattern checks
-                    # and the smoothing-diagonal recompute stream the level.
+                    # Frozen coarsening/interpolation: only the fingerprint
+                    # checks and the smoothing-diagonal recompute stream the
+                    # level.
                     backend.record_other(
                         perf, "setup", lvl.index, "resetup",
                         bytes_moved=16.0 * max(lvl.a.nnz, 1),
@@ -196,11 +183,6 @@ amg_setup`).
                         flops=4.0 * lvl.a.nnz,
                         launches=6,
                     )
-        if patcher is not None:
-            # Patched operators keep their spliced mBSR twins for the
-            # solve phase.
-            for key, w in patcher.wrapped.items():
-                wrapped_cache.setdefault(key, w)
         self.hierarchy = hierarchy
 
         # Wrap the level operators once; solve-phase SpMVs reuse the

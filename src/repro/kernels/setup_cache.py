@@ -18,10 +18,18 @@ fingerprints (:func:`repro.check.fingerprint.pattern_fingerprint`):
   both symbolic phases of ``R@A`` and ``(RA)@P`` are chained once,
   including the intermediate's structure (derivable from bitmaps alone);
   a replay runs only the two numeric passes and never materialises the
-  intermediate in CSR.
+  intermediate in CSR.  :meth:`rap_numeric_rows` restricts both passes to
+  dirty block-rows — the re-setup engine's (:mod:`repro.amg.patch`)
+  Galerkin replay.
 * :meth:`csr2mbsr` / :meth:`mbsr2csr` — conversion templates: the tile
   layout (``AmgT_CSR2mBSR`` pass 1) and the bitmap expansion are computed
   once per pattern, replays only move values.
+* ``patch_*`` — splices of cached plans and templates for operands whose
+  pattern drifted in a few block-rows.
+
+Plan charging has one rule: a plan's analysis + symbolic cost lands on
+the first kernel record that runs it (:meth:`SpGEMMPlan.charge`), whether
+a cold product, a fused RAP assembly or a dirty-row splice built it.
 
 Every replay is bit-identical to the cold path: the fill/gather templates
 reproduce the exact scatter order of :mod:`repro.formats.convert`, and the
@@ -154,12 +162,6 @@ class RAPPlan:
     ra_pattern_key: str
     #: Pattern keys of (R, A, P) the plan was built for.
     keys: tuple[str, str, str]
-    #: Whether each stage's SpGEMM plan was newly built (ran its symbolic
-    #: phase) when this RAP plan was assembled — False when the stage hit
-    #: a plan left by an earlier cold product.  Decides what a
-    #: ``charge_plan_build`` replay still owes.
-    built_ra_fresh: bool = True
-    built_rap_fresh: bool = True
 
     def matches(self, r: MBSRMatrix, a: MBSRMatrix, p: MBSRMatrix) -> bool:
         """True when the operands carry the plan's sparsity patterns."""
@@ -342,25 +344,18 @@ class SetupPlanCache:
             )
 
     # -- SpGEMM plans ---------------------------------------------------
-    def spgemm_plan(
-        self, mat_a: MBSRMatrix, mat_b: MBSRMatrix
-    ) -> tuple[SpGEMMPlan, bool]:
-        """Plan for ``A @ B`` keyed by the operands' patterns.
-
-        Returns ``(plan, fresh)``: *fresh* is True when the plan was just
-        built (the caller charges the analysis + symbolic cost exactly
-        once); False means a same-pattern product ran before and the plan
-        replays straight into the numeric phase.
-        """
+    def spgemm_plan(self, mat_a: MBSRMatrix, mat_b: MBSRMatrix) -> SpGEMMPlan:
+        """Plan for ``A @ B`` keyed by the operands' patterns (built on a
+        miss; its build is charged by the first record that runs it)."""
         key = (mat_a.cache.pattern_key, mat_b.cache.pattern_key)
         plan = self._get(self._spgemm, key)
         if plan is not None:
             self.stats.count("spgemm", hit=True)
-            return plan, False
+            return plan
         plan = mbsr_spgemm_symbolic_plan(mat_a, mat_b)
         self._put(self._spgemm, key, plan)
         self.stats.count("spgemm", hit=False)
-        return plan, True
+        return plan
 
     # -- fused RAP plans ------------------------------------------------
     def rap_plan(
@@ -383,7 +378,7 @@ class SetupPlanCache:
             self.stats.count("rap", hit=True)
             return plan, False
 
-        plan_ra, fresh_ra = self.spgemm_plan(r, a)
+        plan_ra = self.spgemm_plan(r, a)
         sym = plan_ra.symbolic
         _, pos = sym.locate_pairs(a)
         # The intermediate's bitmap is the OR of the pair bitmap products —
@@ -400,7 +395,7 @@ class SetupPlanCache:
             _trusted=True,
         )
         template.cache.seed_pop_per_tile(ra_pop)
-        plan_rap, fresh_rap = self.spgemm_plan(template, p)
+        plan_rap = self.spgemm_plan(template, p)
 
         plan = RAPPlan(
             plan_ra=plan_ra,
@@ -412,8 +407,6 @@ class SetupPlanCache:
             ra_pop_per_tile=template.cache.pop_per_tile,
             ra_pattern_key=template.cache.pattern_key,
             keys=key,
-            built_ra_fresh=fresh_ra,
-            built_rap_fresh=fresh_rap,
         )
         self._put(self._rap, key, plan)
         self.stats.count("rap", hit=False)
@@ -446,16 +439,12 @@ class SetupPlanCache:
         *,
         tc_threshold: int | None = None,
         storage_itemsize: int | None = None,
-        charge_plan_build: bool = False,
     ) -> tuple[MBSRMatrix, list[KernelRecord]]:
         """Replay *plan* numerically: two numeric passes, no symbolic work.
 
-        Returns the RAP product in mBSR and the two ``spgemm`` records
-        (numeric-phase cost only, mirroring ``mbsr_spgemm``'s plan-reuse
-        accounting) for the perf layer to price.  With
-        ``charge_plan_build=True`` each record additionally carries its
-        stage's analysis + symbolic cost — the honest accounting when the
-        plan was built by this very call chain (a cold fused product).
+        Returns the RAP product in mBSR and the two ``spgemm`` records for
+        the perf layer to price: numeric-phase cost, plus a stage plan's
+        build cost the first time that plan runs (:meth:`SpGEMMPlan.charge`).
         """
         if not plan.matches(r, a, p):
             raise ValueError(
@@ -465,7 +454,6 @@ class SetupPlanCache:
         ra, rec_ra = self._replay_stage(
             plan.plan_ra, r, a, precision, out_dtype, threshold,
             storage_itemsize, stage="ra",
-            charge_symbolic=charge_plan_build and plan.built_ra_fresh,
         )
         # Adopt the precomputed intermediate structure so the second pass
         # skips popcounts and pattern hashing too.
@@ -474,55 +462,54 @@ class SetupPlanCache:
         rap, rec_rap = self._replay_stage(
             plan.plan_rap, ra, p, precision, out_dtype, threshold,
             storage_itemsize, stage="rap",
-            charge_symbolic=charge_plan_build and plan.built_rap_fresh,
         )
         return rap, [rec_ra, rec_rap]
 
     def _replay_stage(
         self, plan, mat_a, mat_b, precision, out_dtype, threshold,
-        storage_itemsize, stage, charge_symbolic=False,
+        storage_itemsize, stage, rows=None, symbolic=None,
     ):
-        """One numeric pass over a captured symbolic result."""
+        """One numeric pass of a fused Galerkin stage over *plan*'s captured
+        symbolic result, or over its restriction *symbolic* to the sorted
+        block-rows *rows* (then the result is the compacted
+        ``4 * len(rows)``-row slice)."""
         record = KernelRecord(kernel="spgemm", backend="amgt", precision=precision)
+        charged = plan.charge(record.counters)
+        if symbolic is None:
+            symbolic = plan.symbolic
         numeric = numeric_spgemm(
-            mat_a, mat_b, plan.symbolic, precision,
+            mat_a, mat_b, symbolic, precision,
             tc_threshold=threshold, storage_itemsize=storage_itemsize,
         )
-        if charge_symbolic:
-            record.counters.merge(plan.symbolic.counters)
-            # Analysis pass, as charged by a cold mbsr_spgemm call.
-            record.counters.launches += 1
-            record.counters.add_bytes(
-                # lint: disable=R3 -- index traffic only (see mbsr_spgemm)
-                read=mat_a.blc_num * 16 + mat_a.mb * 8 + mat_b.mb * 8
-            )
         record.counters.merge(numeric.counters)
         record.detail = {
             "bins": {
-                b: int(rows.shape[0])
-                for b, rows in enumerate(plan.analysis.rows_by_bin)
+                b: int(bin_rows.shape[0])
+                for b, bin_rows in enumerate(plan.analysis.rows_by_bin)
             },
             "intermediate_tiles": plan.analysis.total_intermediate,
             "tc_pairs": numeric.tc_pairs,
             "cuda_pairs": numeric.cuda_pairs,
-            "blc_num_c": plan.symbolic.blc_num_c,
-            "symbolic_reused": not charge_symbolic,
+            "blc_num_c": symbolic.blc_num_c,
+            "symbolic_reused": not charged,
             "fused_rap": stage,
         }
+        if rows is not None:
+            record.detail["patched_rows"] = int(rows.shape[0])
         val = numeric.blc_val_c
         if out_dtype is not None:
             val = val.astype(out_dtype)
         mask = bitmap_to_mask(numeric.blc_map_c)
         val = np.where(mask, val, val.dtype.type(0))
         out = MBSRMatrix(
-            (mat_a.nrows, mat_b.ncols),
-            plan.symbolic.blc_ptr_c,
-            plan.symbolic.blc_idx_c,
+            (mat_a.nrows if rows is None else 4 * rows.shape[0], mat_b.ncols),
+            symbolic.blc_ptr_c,
+            symbolic.blc_idx_c,
             val,
             numeric.blc_map_c,
             _trusted=True,
         )
-        if check_runtime.is_active():
+        if rows is None and check_runtime.is_active():
             from repro.check import oracle
 
             oracle.verify_spgemm(mat_a, mat_b, out, precision, out_dtype)
@@ -830,8 +817,6 @@ class SetupPlanCache:
             ra_pop_per_tile=ra_pop,
             ra_pattern_key=template.cache.pattern_key,
             keys=key,
-            built_ra_fresh=False,
-            built_rap_fresh=False,
         )
         self._put(self._rap, key, plan)
         self.stats.count("rap_splice", hit=True)
@@ -866,10 +851,9 @@ class SetupPlanCache:
         rows = np.asarray(rows, dtype=np.int64)
         threshold = TC_NNZ_THRESHOLD if tc_threshold is None else tc_threshold
         sym1 = _restrict_symbolic(plan.plan_ra.symbolic, rows, a)
-        ra_sub, rec_ra = self._numeric_only(
-            r, a, sym1, precision, None, threshold, storage_itemsize,
-            stage="ra", nrows=4 * rows.shape[0], ncols=a.ncols,
-            patched_rows=rows.shape[0],
+        ra_sub, rec_ra = self._replay_stage(
+            plan.plan_ra, r, a, precision, None, threshold,
+            storage_itemsize, stage="ra", rows=rows, symbolic=sym1,
         )
         # Adopt the plan's intermediate structure on the row subset.
         tile_sel = _segment_slice(plan.ra_blc_ptr, rows)
@@ -877,10 +861,9 @@ class SetupPlanCache:
         sym2 = _restrict_symbolic(
             plan.plan_rap.symbolic, rows, p, compact_a_ptr=plan.ra_blc_ptr
         )
-        rap_sub, rec_rap = self._numeric_only(
-            ra_sub, p, sym2, precision, out_dtype, threshold,
-            storage_itemsize, stage="rap", nrows=4 * rows.shape[0],
-            ncols=p.ncols, patched_rows=rows.shape[0],
+        rap_sub, rec_rap = self._replay_stage(
+            plan.plan_rap, ra_sub, p, precision, out_dtype, threshold,
+            storage_itemsize, stage="rap", rows=rows, symbolic=sym2,
         )
         if check_runtime.is_active():
             from repro.check.violation import ContractViolation
@@ -906,41 +889,6 @@ class SetupPlanCache:
                     f"replay on {rows.shape[0]} block-rows",
                 )
         return rap_sub, [rec_ra, rec_rap]
-
-    def _numeric_only(
-        self, mat_a, mat_b, symbolic, precision, out_dtype, threshold,
-        storage_itemsize, stage, nrows, ncols, patched_rows,
-    ):
-        """One restricted numeric pass over a row-sliced symbolic result."""
-        record = KernelRecord(kernel="spgemm", backend="amgt",
-                              precision=precision)
-        numeric = numeric_spgemm(
-            mat_a, mat_b, symbolic, precision,
-            tc_threshold=threshold, storage_itemsize=storage_itemsize,
-        )
-        record.counters.merge(numeric.counters)
-        record.detail = {
-            "tc_pairs": numeric.tc_pairs,
-            "cuda_pairs": numeric.cuda_pairs,
-            "blc_num_c": symbolic.blc_num_c,
-            "symbolic_reused": True,
-            "fused_rap": stage,
-            "patched_rows": int(patched_rows),
-        }
-        val = numeric.blc_val_c
-        if out_dtype is not None:
-            val = val.astype(out_dtype)
-        mask = bitmap_to_mask(numeric.blc_map_c)
-        val = np.where(mask, val, val.dtype.type(0))
-        out = MBSRMatrix(
-            (nrows, ncols),
-            symbolic.blc_ptr_c,
-            symbolic.blc_idx_c,
-            val,
-            numeric.blc_map_c,
-            _trusted=True,
-        )
-        return out, record
 
     def patch_csr2mbsr(
         self,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.check import runtime as check_runtime
-from repro.formats.mbsr import MBSRMatrix
+from repro.formats.mbsr import MBSRMatrix, block_rows
 from repro.obs import trace as obs_trace
 from repro.obs import names as obs_names
 from repro.gpu.counters import Precision
@@ -53,6 +53,32 @@ class SpGEMMPlan:
     #: plans built before the setup engine, validated only when present).
     pattern_key_a: str | None = None
     pattern_key_b: str | None = None
+    #: True once a kernel record carried this plan's analysis + symbolic
+    #: cost (see :meth:`charge`).
+    paid: bool = False
+
+    def charge(self, counters) -> bool:
+        """Charge the plan's build to *counters* unless already paid.
+
+        The one plan-charging rule of the setup engine: whoever built the
+        plan — a cold :func:`mbsr_spgemm`, a fused RAP assembly or a
+        dirty-row splice — its analysis + symbolic cost lands on the first
+        record that runs it, exactly once.  Returns True when it charged.
+        """
+        if self.paid:
+            return False
+        self.paid = True
+        counters.merge(self.symbolic.counters)
+        # Analysis pass: one launch over A's index arrays + B's row counts.
+        counters.launches += 1
+        counters.add_bytes(
+            # lint: disable=R3 -- 16 B/tile of index traffic (blc_idx +
+            # per-tile popcount, both int64), not the 16-slot tile: the
+            # analysis pass never touches values
+            read=self.blc_num_a * 16 + block_rows(self.shape_a[0]) * 8
+            + block_rows(self.shape_b[0]) * 8
+        )
+        return True
 
 
 def mbsr_spgemm_symbolic_plan(
@@ -213,8 +239,9 @@ def mbsr_spgemm(
         A :class:`repro.kernels.setup_cache.SetupPlanCache`.  When given
         (and ``reuse_plan`` is not), the plan is looked up by the operands'
         pattern fingerprints: a hit skips the analysis + symbolic phases
-        exactly like ``reuse_plan``; a miss builds the plan, charges the
-        full cost, and stores it for the next same-pattern product.
+        exactly like ``reuse_plan``; a miss builds the plan and stores it
+        for the next same-pattern product.  Either way a plan whose build
+        was never charged (:meth:`SpGEMMPlan.charge`) is charged here.
 
     Returns
     -------
@@ -226,15 +253,6 @@ def mbsr_spgemm(
         )
     record = KernelRecord(kernel="spgemm", backend="amgt", precision=precision)
 
-    if reuse_plan is None and plan_cache is not None:
-        reuse_plan, fresh = plan_cache.spgemm_plan(mat_a, mat_b)
-        if fresh:
-            # Freshly built for these operands: run it as the cold path so
-            # the analysis + symbolic phases are charged exactly once.
-            analysis = reuse_plan.analysis
-            symbolic = reuse_plan.symbolic
-            fresh_symbolic = True
-            reuse_plan = None
     if reuse_plan is not None:
         if (reuse_plan.shape_a != mat_a.shape or reuse_plan.shape_b != mat_b.shape
                 or reuse_plan.blc_num_a != mat_a.blc_num
@@ -248,13 +266,18 @@ def mbsr_spgemm(
             raise ValueError(
                 "reuse_plan was built for operands with a different pattern"
             )
-        analysis = reuse_plan.analysis
-        symbolic = reuse_plan.symbolic
+        plan = reuse_plan
         fresh_symbolic = False
-    elif plan_cache is None:
-        analysis = analyse_and_bin(mat_a, mat_b)
-        symbolic = symbolic_spgemm(mat_a, mat_b, analysis)
-        fresh_symbolic = True
+    else:
+        if plan_cache is not None:
+            plan = plan_cache.spgemm_plan(mat_a, mat_b)
+        else:
+            analysis = analyse_and_bin(mat_a, mat_b)
+            plan = SpGEMMPlan(analysis, symbolic_spgemm(mat_a, mat_b, analysis),
+                              mat_a.shape, mat_b.shape,
+                              mat_a.blc_num, mat_b.blc_num)
+        fresh_symbolic = plan.charge(record.counters)
+    analysis, symbolic = plan.analysis, plan.symbolic
     from repro.formats.bitmap import TC_NNZ_THRESHOLD
 
     threshold = TC_NNZ_THRESHOLD if tc_threshold is None else tc_threshold
@@ -262,16 +285,6 @@ def mbsr_spgemm(
                              tc_threshold=threshold,
                              storage_itemsize=storage_itemsize)
 
-    if fresh_symbolic:
-        record.counters.merge(symbolic.counters)
-        # Analysis pass: one launch over A's index arrays + B's row counts.
-        record.counters.launches += 1
-        record.counters.add_bytes(
-            # lint: disable=R3 -- 16 B/tile of index traffic (blc_idx +
-            # per-tile popcount, both int64), not the 16-slot tile: the
-            # analysis pass never touches values
-            read=mat_a.blc_num * 16 + mat_a.mb * 8 + mat_b.mb * 8
-        )
     record.counters.merge(numeric.counters)
     record.detail = {
         "bins": {b: int(rows.shape[0]) for b, rows in enumerate(analysis.rows_by_bin)},

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.amg.cycle import SolveParams
 from repro.amg.hierarchy import SetupParams, amg_setup
 from repro.amg.patch import LevelDirt, patched_resetup, replace_rows
 from repro.amg.solver import AmgTSolver
@@ -225,11 +226,14 @@ class TestFallbacks:
         _assert_identical(hp, amg_setup(b))
 
     def test_dirty_fraction_threshold(self):
+        # A power-of-two rescale dirties every row but keeps strength and
+        # the C/F split exact, so the dirt budget is the gate that fires.
         a = poisson2d(14)
         h0 = amg_setup(a)
-        b = _perturb(a, seed=11, n_edits=60)
+        b = CSRMatrix(a.shape, a.indptr.copy(), a.indices.copy(),
+                      a.data * 2.0, _canonical=True)
         hp, counts = self._counts_after(
-            lambda: amg_setup(b, reuse=h0, patch=True, patch_threshold=0.01))
+            lambda: amg_setup(b, reuse=h0, patch=True))
         assert counts == {("fallback", "dirty-fraction"): 1.0}
         _assert_identical(hp, amg_setup(b))
 
@@ -248,6 +252,24 @@ class TestFallbacks:
         assert reason in ("cf-drift", "level-drift", "dirty-fraction")
         _assert_identical(hp, amg_setup(b))
 
+    def test_coarse_level_fallback_is_cold_identical_in_mixed_precision(self):
+        """A patch that gives up below the fine level must leave the
+        solver's level tracker at the fine level: the mixed schedule
+        derives each product's precision from it, so the cold fallback
+        (and every patch built on it) would otherwise differ from cold."""
+        seq = evolving_sequence("timestep", nx=48, steps=4, dirty_frac=0.02,
+                                seed=1)
+        solver = BoomerAMG(make_backend("amgt", A100, precision="mixed"))
+        h = solver.setup(seq[0])
+        outcomes = []
+        for a in seq[1:]:
+            h = solver.setup(a, reuse=h, patch=True)
+            outcomes.append(h.patched)
+            cold = BoomerAMG(
+                make_backend("amgt", A100, precision="mixed")).setup(a)
+            _assert_identical(h, cold)
+        assert outcomes == [True, True, True, False]
+
     def test_non_classical_reuse_counts_amg_family(self):
         a = poisson2d(12)
         params = SetupParams(amg_family="aggregation")
@@ -263,6 +285,130 @@ class TestFallbacks:
             lambda: amg_setup(_perturb(a, seed=12), reuse=h0, patch=True))
         assert hp.patched
         assert counts == {("patched", None): 1.0}
+
+
+# ---------------------------------------------------------------------------
+# Frozen-interpolation policy: the exact re-setup is the engine's other policy
+# ---------------------------------------------------------------------------
+
+
+#: Reuse outcome per step of ``evolving_sequence(kind, nx=32, steps=4,
+#: dirty_frac=0.02, seed=1)`` under the exact re-setup: the Newton chain
+#: grows its pattern on its first two steps, refinement on its first.
+_EXACT_OUTCOMES = {
+    "newton": ["fallback", "fallback", "exact", "exact"],
+    "timestep": ["exact"] * 4,
+    "refine": ["fallback", "exact", "exact", "exact"],
+}
+
+
+class TestFrozenPolicy:
+    @pytest.mark.parametrize("kind", sorted(_EXACT_OUTCOMES))
+    @pytest.mark.parametrize("backend,precision", [
+        ("amgt", "fp64"), ("amgt", "mixed"), ("hypre", "fp64"),
+    ])
+    def test_exact_chain_matches_frozen_reference(self, kind, backend,
+                                                  precision):
+        """Under checked mode every exact re-setup is compared bytewise
+        with the plain two-call Galerkin chain over the cached R and P;
+        every fallback must equal a cold setup."""
+        from repro.check import checked_region
+
+        seq = evolving_sequence(kind, nx=32, steps=4, dirty_frac=0.02, seed=1)
+        solver = BoomerAMG(make_backend(backend, A100, precision=precision))
+        solver.setup(seq[0])
+        outcomes = []
+        for a in seq[1:]:
+            with checked_region():
+                h = solver.setup(a, reuse=True)
+            outcomes.append("exact" if h.reused else "fallback")
+            if not h.reused:
+                _assert_identical(h, BoomerAMG(make_backend(
+                    backend, A100, precision=precision)).setup(a))
+        assert outcomes == _EXACT_OUTCOMES[kind]
+
+    def test_dropped_coarse_row_is_caught(self, monkeypatch):
+        """A dirty coarse-row set missing one row leaves a stale row in the
+        spliced operator; the frozen policy's oracle must reject it."""
+        from repro.amg import patch as patch_mod
+        from repro.check import checked_region
+        from repro.check.violation import ContractViolation
+
+        a = poisson2d(16)
+        h0 = amg_setup(a)
+        # A power-of-two rescale changes every coarse row exactly.
+        b = CSRMatrix(a.shape, a.indptr.copy(), a.indices.copy(),
+                      a.data * 2.0, _canonical=True)
+        dirty_rows = patch_mod._dirty_coarse_rows
+        monkeypatch.setattr(patch_mod, "_dirty_coarse_rows",
+                            lambda *args: dirty_rows(*args)[1:])
+        with checked_region(), pytest.raises(ContractViolation,
+                                             match="frozen-differential"):
+            amg_setup(b, reuse=h0)
+
+
+class TestInPlaceUpdate:
+    """The caller may update the values of the matrix it set up with in
+    place and pass the same object again: both policies must see the new
+    values, exactly as if they had arrived in a new matrix."""
+
+    @pytest.mark.parametrize("rebind", [True, False],
+                             ids=["rebind-data", "write-data"])
+    @pytest.mark.parametrize("patch", [False, True], ids=["exact", "patch"])
+    @pytest.mark.parametrize("backend,precision", [
+        ("hypre", "fp64"), ("amgt", "fp64"), ("amgt", "mixed"),
+    ])
+    def test_same_object_matches_new_matrix(self, backend, precision, patch,
+                                            rebind):
+        from repro.check import checked_region
+
+        def solver():
+            return BoomerAMG(make_backend(backend, A100, precision=precision))
+
+        a = poisson2d(20)
+        b = _perturb(a, seed=5, n_edits=10)
+        in_place, fresh = solver(), solver()
+        in_place.setup(a)
+        fresh.setup(a.copy())
+        if rebind:
+            a.data = b.data.copy()
+        else:
+            a.data[:] = b.data
+        with checked_region():
+            h = in_place.setup(a, reuse=True, patch=patch)
+        want = fresh.setup(b, reuse=True, patch=patch)
+        assert (h.reused, h.patched) == (want.reused, want.patched) == (
+            not patch, patch)
+        _assert_identical(h, want)
+        rhs, params = np.ones(a.nrows), SolveParams(max_iterations=3)
+        np.testing.assert_array_equal(in_place.solve(rhs, params=params)[0],
+                                      fresh.solve(rhs, params=params)[0])
+
+    @pytest.mark.parametrize("patch", [False, True], ids=["exact", "patch"])
+    @pytest.mark.parametrize("backend", ["hypre", "amgt"])
+    def test_doubled_in_place_matches_cold_setup(self, backend, patch):
+        """A power-of-two rescale keeps strength, C/F and interpolation
+        exact, so the frozen reference is the cold setup of the result;
+        the patch policy sees every row dirty and falls back to it."""
+        a = poisson2d(20)
+        solver = BoomerAMG(make_backend(backend, A100))
+        solver.setup(a)
+        a.data = a.data * 2.0
+        h = solver.setup(a, reuse=True, patch=patch)
+        assert (h.reused, h.patched) == (not patch, False)
+        _assert_identical(h, BoomerAMG(make_backend(backend, A100)).setup(
+            a.copy()))
+
+    def test_single_level_hierarchy_sees_in_place_update(self):
+        a = poisson2d(2)  # at the coarse-size limit: one level
+        h0 = amg_setup(a, SetupParams(max_coarse_size=4))
+        assert h0.num_levels == 1
+        a.data = a.data * 2.0
+        h = amg_setup(a, SetupParams(max_coarse_size=4), reuse=h0)
+        _assert_identical(h, amg_setup(a.copy(), SetupParams(max_coarse_size=4)))
+        rhs = np.arange(1.0, a.nrows + 1)
+        np.testing.assert_allclose(a.to_dense() @ h.coarse_solver.solve(rhs),
+                                   rhs)
 
 
 # ---------------------------------------------------------------------------
