@@ -134,6 +134,9 @@ class CSRPatcher:
         rap = self.spgemm(ra, p_new)
         return rap.eliminate_zeros(0.0), rows
 
+    def convert_level(self, level, r_new, a_new, p_new, rows, dirt):
+        """Scalar CSR backends keep no second format: nothing to convert."""
+
 
 def _segment_take(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Flat entry positions of the given CSR rows."""
@@ -319,12 +322,18 @@ def patched_resetup(
 
         dc = _dirty_coarse_rows(cached.p, p_new, covered, current, dv)
         coarse = reuse.levels[k + 1].a
+        dirt = LevelDirt(dv=dv, covered=covered)
         if dc.shape[0]:
             rap_sub, cov_c = patcher.galerkin_rows(
-                k, r_new, current, p_new, dc, LevelDirt(dv=dv, covered=covered)
+                k, r_new, current, p_new, dc, dirt
             )
             spgemm_calls += 2
             coarse = replace_rows(coarse, cov_c, rap_sub)
+        else:
+            # No coarse row sees the dirt (the dirty rows' P rows are
+            # empty), yet the level's own operators changed: convert them
+            # here, in setup, as the Galerkin replay would have.
+            patcher.convert_level(k, r_new, current, p_new, dc, dirt)
         if not patch and coarse.pattern_key() != reuse.pattern_keys[k + 1]:
             # Numeric cancellation (or a genuinely different operator)
             # changed the coarse structure: the frozen interpolation no

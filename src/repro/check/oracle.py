@@ -31,6 +31,7 @@ __all__ = [
     "verify_spgemm",
     "verify_csr_spgemm",
     "verify_conversion",
+    "verify_twin",
     "verify_galerkin",
     "verify_smoother",
     "verify_distributed_spmv",
@@ -358,6 +359,23 @@ def verify_conversion(csr, mbsr, kernel="csr2mbsr"):
         _fail(kernel, "conversion/lossless-roundtrip",
               f"mBSR stores {rows.shape[0]} bits, CSR has {csr.nnz} entries "
               "(or positions/values differ)", csr=csr, mbsr=mbsr)
+
+
+def verify_twin(csr, twin, kernel="mbsr2csr"):
+    """A product's derived mBSR twin must be the conversion of its pruned
+    CSR: lossless (:func:`verify_conversion`) and bytewise
+    ``csr_to_mbsr(csr)``, the conversion it stands in for."""
+    from repro.formats.convert import csr_to_mbsr
+
+    verify_conversion(csr, twin, kernel=kernel)
+    ref = csr_to_mbsr(csr)
+    for name in ("blc_ptr", "blc_idx", "blc_map", "blc_val"):
+        got, want = getattr(twin, name), getattr(ref, name)
+        if not (got.dtype == want.dtype and got.shape == want.shape
+                and got.tobytes() == want.tobytes()):
+            _fail(kernel, "conversion/twin-bytewise",
+                  f"derived twin's {name} differs from csr_to_mbsr of its CSR",
+                  csr=csr, mbsr=twin)
 
 
 # ----------------------------------------------------------------------

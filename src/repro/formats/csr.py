@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.ordering import lexsort_pairs
 from repro.util.prefix_sum import counts_to_ptr
 from repro.util.segops import segment_sum
 
@@ -96,7 +97,7 @@ class CSRMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= shape[1]:
                 raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
+        order = lexsort_pairs(rows, cols, shape[0], shape[1])
         rows, cols, vals = rows[order], cols[order], vals[order]
         if sum_duplicates and rows.size:
             new = np.ones(rows.shape[0], dtype=bool)
@@ -146,7 +147,7 @@ class CSRMatrix:
     def _canonicalise(self) -> None:
         """Sort columns within each row and sum duplicate entries."""
         row_ids = self.row_ids()
-        order = np.lexsort((self.indices, row_ids))
+        order = lexsort_pairs(row_ids, self.indices, self.nrows, self.ncols)
         cols = self.indices[order]
         vals = self.data[order]
         rows = row_ids[order]

@@ -31,6 +31,7 @@ from repro.formats.bitmap import (
     bitmap_to_mask,
     bitmap_transpose,
 )
+from repro.util.ordering import lexsort_pairs
 from repro.util.prefix_sum import counts_to_ptr
 
 __all__ = ["MBSRMatrix", "block_rows"]
@@ -240,7 +241,7 @@ class MBSRMatrix:
         """Blockwise transpose (used for R = P^T without leaving mBSR)."""
         rows = self.block_row_ids()
         cols = self.blc_idx
-        order = np.lexsort((rows, cols))
+        order = lexsort_pairs(cols, rows, self.nb, self.mb)
         new_rows = cols[order]
         new_cols = rows[order]
         new_vals = self.blc_val[order].transpose(0, 2, 1).copy()

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.bitmap import BLOCK_SIZE
+from repro.formats.convert import mbsr_to_pruned_csr, prune_zeros
 from repro.gpu.cost import CostModel
 from repro.gpu.counters import Precision
 from repro.gpu.specs import DeviceSpec
@@ -263,16 +264,17 @@ class AmgTBackend(KernelBackend):
         rec.price(self.cost)
         perf.append(rec)
         _finish_record(sp, rec)
-        # The product is born in mBSR; the CSR twin is derived for the CSR
-        # components.  Only RAP results pay a recorded MBSR2CSR (Fig. 6
-        # step 5); other products stay on the device in mBSR.
+        # The product is born in mBSR and leaves it once: one expansion
+        # yields the pruned CSR for the CSR components, and the mBSR twin
+        # is the product minus its cancelled entries.  Only RAP results
+        # pay a recorded MBSR2CSR (Fig. 6 step 5); other products stay on
+        # the device in mBSR.
+        cache = self.setup_cache
         csp = _kernel_span("mbsr2csr", phase, level)
         with csp:
-            csr = self.setup_cache.mbsr2csr(cm).eliminate_zeros(0.0)
-            out = HypreCSRMatrix(csr=csr, setup_cache=self.setup_cache)
-            # Cache an exactly-consistent mBSR twin (structure of csr).
-            out.amgt_csr2mbsr()
-            out.conversion_stats = None
+            csr, gather = prune_zeros(*cache.expansion(cm))
+            out = HypreCSRMatrix(csr=csr, mbsr=cache.product_twin(cm, csr, gather),
+                                 setup_cache=cache)
         if is_rap_result:
             self._record_mbsr2csr(out.mbsr, out.csr, perf, phase, level)
         return out
@@ -403,6 +405,25 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         return w
 
     # -- patcher protocol -------------------------------------------------
+    def convert_level(self, level, r_new, a_new, p_new, rows, dirt):
+        """Convert the level's re-set-up ``R``, ``A`` and ``P`` to mBSR
+        through spliced fill templates, charged to *level* in this phase.
+
+        The conversion templates' dirty block-rows are the coarse *rows*
+        for ``R``, the value-dirty rows for ``A`` and the rebuilt ``P``
+        rows for ``P``; operands that did not change keep their cached
+        twins.  Returns the ``(R, A, P)`` wrappers.
+        """
+        cached = self.reuse.levels[level]
+        wa = self._patched_wrap(a_new, cached.a,
+                                np.unique(dirt.dv // 4), level)
+        wp = self._patched_wrap(p_new, cached.p,
+                                np.unique(dirt.covered // 4), level)
+        wr = self._patched_wrap(r_new, cached.r,
+                                np.unique(np.asarray(rows, dtype=np.int64) // 4),
+                                level)
+        return wr, wa, wp
+
     def interp_rows(self, level, a_op, b_op, fpos):
         """Dirty block-rows of the extended+i product ``a_op @ b_op``.
 
@@ -412,7 +433,6 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         block-row's tiles bytewise equal to the full mBSR product's, hence
         every row bit-identical to the cold interpolation's.
         """
-        from repro.formats.convert import mbsr_to_csr
         from repro.kernels.spgemm import mbsr_spgemm_rows
 
         backend = self.backend
@@ -433,7 +453,7 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         self._price([rec], level)
         if sp:
             sp.set(patched_rows=int(blocks.shape[0]), sim_us=rec.sim_time_us)
-        csr = mbsr_to_csr(sub).eliminate_zeros(0.0)
+        csr, _ = mbsr_to_pruned_csr(sub)
         covered, pos = self._valid_scalars(blocks, a_op.nrows)
         return csr.extract_rows(pos), covered
 
@@ -446,19 +466,12 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         template, so a fully dirty level costs no slicing or splicing;
         otherwise both passes are restricted to the dirty block-rows.
         """
-        from repro.formats.convert import mbsr_to_csr
-
         backend = self.backend
         cache = backend.setup_cache
         cached = self.reuse.levels[level]
         rows = np.asarray(rows, dtype=np.int64)
         blocks_c = np.unique(rows // 4)
-
-        wa = self._patched_wrap(a_new, cached.a,
-                                np.unique(dirt.dv // 4), level)
-        wp = self._patched_wrap(p_new, cached.p,
-                                np.unique(dirt.covered // 4), level)
-        wr = self._patched_wrap(r_new, cached.r, blocks_c, level)
+        wr, wa, wp = self.convert_level(level, r_new, a_new, p_new, rows, dirt)
 
         prec = backend.schedule.for_level(level)
         rm, am, pm = (w.mbsr_at_precision(prec) for w in (wr, wa, wp))
@@ -497,8 +510,8 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
                    sim_us=sum(rec.sim_time_us for rec in records))
         csp = _kernel_span("mbsr2csr", self.phase, level)
         with csp:
-            csr = (cache.mbsr2csr(rap) if full
-                   else mbsr_to_csr(rap)).eliminate_zeros(0.0)
+            csr, _ = (prune_zeros(*cache.expansion(rap)) if full
+                      else mbsr_to_pruned_csr(rap))
         backend._record_mbsr2csr(rap, csr, self.perf, self.phase, level)
         covered, pos = self._valid_scalars(blocks_c, r_new.nrows)
         return (csr if full else csr.extract_rows(pos)), covered

@@ -21,9 +21,11 @@ fingerprints (:func:`repro.check.fingerprint.pattern_fingerprint`):
   intermediate in CSR.  :meth:`rap_numeric_rows` restricts both passes to
   dirty block-rows — the re-setup engine's (:mod:`repro.amg.patch`)
   Galerkin replay.
-* :meth:`csr2mbsr` / :meth:`mbsr2csr` — conversion templates: the tile
+* :meth:`csr2mbsr` / :meth:`expansion` — conversion templates: the tile
   layout (``AmgT_CSR2mBSR`` pass 1) and the bitmap expansion are computed
-  once per pattern, replays only move values.
+  once per pattern, replays only move values.  A product's mBSR twin is
+  derived from the product (:meth:`product_twin`) and stores the fill
+  template the conversion of its pruned CSR would.
 * ``patch_*`` — splices of cached plans and templates for operands whose
   pattern drifted in a few block-rows.
 
@@ -56,7 +58,13 @@ from repro.formats.bitmap import (
     bitmap_popcount,
     bitmap_to_mask,
 )
-from repro.formats.convert import ConversionStats, _tile_layout, csr_to_mbsr
+from repro.formats.convert import (
+    ConversionStats,
+    _csr_to_mbsr,
+    csr_in_order,
+    expand_bits,
+    prune_twin,
+)
 from repro.formats.csr import CSRMatrix
 from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import KernelCounters, Precision
@@ -555,68 +563,90 @@ class SetupPlanCache:
             return out, stats
 
         self.stats.count("csr2mbsr", hit=False)
-        out, stats = csr_to_mbsr(csr, return_stats=True)
-        order, slot, tile_of_entry, _, _ = _tile_layout(csr)
+        out, stats, order, slots = _csr_to_mbsr(csr)
+        self._put_fill(csr, out, order, slots)
+        return out, stats
+
+    def _put_fill(self, csr: CSRMatrix, out: MBSRMatrix, order, slots) -> None:
+        """Store the fill template of the conversion *csr* -> *out*."""
         mb = out.blc_ptr.shape[0] - 1
         bounds = np.minimum(np.arange(mb + 1, dtype=np.int64) * 4, csr.nrows)
-        tmpl = _FillTemplate(
+        self._put(self._fill, csr.pattern_key(), _FillTemplate(
             shape=csr.shape,
             blc_ptr=out.blc_ptr,
             blc_idx=out.blc_idx,
             blc_map=out.blc_map,
             pop_per_tile=out.cache.pop_per_tile,
             order=order,
-            slots=tile_of_entry * TILE_SLOTS + slot[order],
+            slots=slots,
             mbsr_pattern_key=out.cache.pattern_key,
             row_starts=csr.indptr[bounds],
-        )
-        self._put(self._fill, key, tmpl)
-        return out, stats
+        ))
 
     def mbsr2csr(self, mbsr: MBSRMatrix) -> CSRMatrix:
-        """``MBSR2CSR`` with the bitmap expansion memoised per pattern.
+        """``MBSR2CSR`` with the bitmap expansion memoised per pattern —
+        bit-identical to :func:`repro.formats.convert.mbsr_to_csr`."""
+        return self.expansion(mbsr)[0]
 
-        The template key includes the bitmap (it decides which slots
-        expand), so a hit gathers values straight into the captured CSR
-        index arrays — bit-identical to
-        :func:`repro.formats.convert.mbsr_to_csr`.
+    def expansion(self, mbsr: MBSRMatrix) -> tuple[CSRMatrix, np.ndarray]:
+        """``MBSR2CSR`` plus the flat ``blc_val`` position of every entry.
+
+        A miss runs the sort-free expansion
+        (:func:`repro.formats.convert.expand_bits`); a hit gathers values
+        straight into the captured CSR index arrays.  The template key
+        includes the bitmap (it decides which slots expand).  Products
+        prune the result with :func:`repro.formats.convert.prune_zeros`,
+        which keeps the captured pattern (and its key) whenever no entry
+        cancelled.
         """
         key = mbsr.cache.pattern_key
         tmpl = self._get(self._gather, key)
+        values = mbsr.blc_val.reshape(-1)
         if tmpl is not None:
             self.stats.count("mbsr2csr", hit=True)
-            data = mbsr.blc_val.reshape(-1)[tmpl.gather]
-            out = CSRMatrix(
-                tmpl.shape, tmpl.indptr, tmpl.indices, data, _canonical=True
-            )
+            out = CSRMatrix(tmpl.shape, tmpl.indptr, tmpl.indices,
+                            values[tmpl.gather], _canonical=True)
             out._pattern_key = tmpl.csr_pattern_key
-            return out
+            return out, tmpl.gather
 
         self.stats.count("mbsr2csr", hit=False)
-        mask = bitmap_to_mask(mbsr.blc_map)
-        tile_ids, rr, cc = np.nonzero(mask)
-        brow = mbsr.block_row_ids()[tile_ids]
-        bcol = mbsr.blc_idx[tile_ids]
-        rows = brow * 4 + rr
-        cols = bcol * 4 + cc
-        flat_src = tile_ids * TILE_SLOTS + rr * 4 + cc
-        keep = (rows < mbsr.nrows) & (cols < mbsr.ncols)
-        rows, cols, flat_src = rows[keep], cols[keep], flat_src[keep]
-        # Same canonical ordering CSRMatrix.from_coo applies.
-        order = np.lexsort((cols, rows))
-        rows, cols, flat_src = rows[order], cols[order], flat_src[order]
-        indptr = counts_to_ptr(np.bincount(rows, minlength=mbsr.nrows))
-        out = CSRMatrix(mbsr.shape, indptr, cols,
-                        mbsr.blc_val.reshape(-1)[flat_src], _canonical=True)
-        tmpl = _GatherTemplate(
+        rows, cols, gather = expand_bits(mbsr)
+        out = csr_in_order(mbsr.shape, rows, cols, values[gather])
+        self._put(self._gather, key, _GatherTemplate(
             shape=mbsr.shape,
             indptr=out.indptr,
             indices=out.indices,
-            gather=flat_src,
+            gather=gather,
             csr_pattern_key=out.pattern_key(),
-        )
-        self._put(self._gather, key, tmpl)
-        return out
+        ))
+        return out, gather
+
+    def product_twin(
+        self, mbsr: MBSRMatrix, csr: CSRMatrix, gather: np.ndarray
+    ) -> MBSRMatrix:
+        """The mBSR twin of a product's pruned CSR (``csr, gather =
+        prune_zeros(*expansion(mbsr))``), derived from the product itself.
+
+        Bytewise ``csr_to_mbsr(csr)``
+        (:func:`repro.formats.convert.prune_twin`), looked up and counted
+        like :meth:`csr2mbsr`: a miss stores the fill template that
+        conversion would store, so re-setups replay and splice it.
+        """
+        key = csr.pattern_key()
+        tmpl = self._get(self._fill, key)
+        twin, order, slots = prune_twin(mbsr, gather)
+        if tmpl is not None:
+            self.stats.count("csr2mbsr", hit=True)
+            twin.cache.seed_pop_per_tile(tmpl.pop_per_tile)
+            twin.cache.seed_pattern_key(tmpl.mbsr_pattern_key)
+        else:
+            self.stats.count("csr2mbsr", hit=False)
+            self._put_fill(csr, twin, order, slots)
+        if check_runtime.is_active():
+            from repro.check import oracle
+
+            oracle.verify_twin(csr, twin)
+        return twin
 
     # -- incremental patches (dirty-block-row splices) -------------------
     #
@@ -935,8 +965,7 @@ class SetupPlanCache:
             )
             scalar_rows = scalar_rows[scalar_rows < nrows]
             sub_csr = csr_new.extract_rows(scalar_rows)
-            sub_mbsr = csr_to_mbsr(sub_csr)
-            order_s, slot_s, tile_of_entry_s, _, _ = _tile_layout(sub_csr)
+            sub_mbsr, _, order_s, slots_s = _csr_to_mbsr(sub_csr)
             # Map sub entry/tile ids to global positions.
             sub_counts = np.diff(sub_csr.indptr)
             sub2glob = (
@@ -966,7 +995,7 @@ class SetupPlanCache:
             tile_shift = geom_t.new_ptr[:-1] - tmpl_old.blc_ptr[:-1]
             slots = geom_e.splice(
                 tmpl_old.slots,
-                tile2glob[tile_of_entry_s] * TILE_SLOTS + slot_s[order_s],
+                tile2glob[slots_s >> 4] * TILE_SLOTS + (slots_s & (TILE_SLOTS - 1)),
                 TILE_SLOTS * tile_shift[geom_e.rows_kept],
             )
             blc_idx = geom_t.splice(tmpl_old.blc_idx, sub_mbsr.blc_idx)

@@ -22,6 +22,8 @@ import hashlib
 
 import numpy as np
 
+from repro.util.ordering import lexsort_pairs
+
 __all__ = [
     "HashTable",
     "content_digest",
@@ -119,8 +121,8 @@ def _segment_ids(segment_ptr: np.ndarray) -> np.ndarray:
 def distinct_count_per_segment(keys: np.ndarray, segment_ptr: np.ndarray) -> np.ndarray:
     """Vectorised step 1: number of distinct keys inside each segment.
 
-    ``keys`` is the concatenation of per-segment key streams delimited by
-    ``segment_ptr`` (length ``nseg + 1``).  Equivalent to inserting every key
+    ``keys`` is the concatenation of per-segment key streams (non-negative,
+    like the table's) delimited by ``segment_ptr`` (length ``nseg + 1``).  Equivalent to inserting every key
     of a segment into that segment's :class:`HashTable` and reading its size.
     """
     keys = np.asarray(keys, dtype=np.int64)
@@ -129,7 +131,7 @@ def distinct_count_per_segment(keys: np.ndarray, segment_ptr: np.ndarray) -> np.
     if keys.shape[0] == 0:
         return np.zeros(nseg, dtype=np.int64)
     seg = _segment_ids(segment_ptr)
-    order = np.lexsort((keys, seg))
+    order = lexsort_pairs(seg, keys, nseg, int(keys.max()) + 1)
     skeys = keys[order]
     sseg = seg[order]
     new = np.ones(skeys.shape[0], dtype=bool)
@@ -152,7 +154,7 @@ def distinct_sorted_per_segment(
     if keys.shape[0] == 0:
         return keys[:0], np.zeros(nseg + 1, dtype=np.int64)
     seg = _segment_ids(segment_ptr)
-    order = np.lexsort((keys, seg))
+    order = lexsort_pairs(seg, keys, nseg, int(keys.max()) + 1)
     skeys = keys[order]
     sseg = seg[order]
     new = np.ones(skeys.shape[0], dtype=bool)

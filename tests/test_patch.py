@@ -347,6 +347,52 @@ class TestFrozenPolicy:
             amg_setup(b, reuse=h0)
 
 
+class TestSetupPhaseConversions:
+    """Every operator a re-setup changes converts to mBSR during setup,
+    charged to its level, never at the first solve bind."""
+
+    @pytest.mark.parametrize("patch", [False, True], ids=["exact", "patch"])
+    @pytest.mark.parametrize("precision", ["fp64", "mixed"])
+    def test_no_solve_phase_conversion_after_resetup(self, precision, patch):
+        from repro.formats.convert import csr_to_mbsr
+        from repro.hypre.csr_matrix import HypreCSRMatrix
+
+        # The refine chain has a dirty level whose coarse rows all stay
+        # clean (its dirty rows have empty P rows): no Galerkin replay
+        # touches that level, yet its operator changed.
+        seq = evolving_sequence("refine", nx=64, steps=3, dirty_frac=0.02,
+                                seed=1)
+        solver = BoomerAMG(AmgTBackend(A100, precision=precision))
+        solver.setup(seq[0])
+        rhs, params = np.ones(seq[0].nrows), SolveParams(max_iterations=2)
+        unreplayed = 0
+        for a in seq[1:]:
+            start = len(solver.perf.records)
+            h = solver.setup(a, reuse=True, patch=patch)
+            x, _ = solver.solve(rhs, params=params)
+            assert not [r.level for r in solver.perf.records[start:]
+                        if r.kernel == "csr2mbsr" and r.phase == "solve"]
+            unreplayed += sum(1 for lvl in h.patch_stats.get("levels", [])
+                              if lvl["dirty"] and not lvl["coarse_rows"])
+            # Same bits: every twin is the cold conversion of its operator,
+            # and the solve equals one over cold conversions at bind.
+            for entry in solver._wrapped:
+                for w in entry.values():
+                    if w.mbsr is not None:
+                        cold = csr_to_mbsr(w.csr)
+                        for name in ("blc_ptr", "blc_idx", "blc_map", "blc_val"):
+                            np.testing.assert_array_equal(
+                                getattr(w.mbsr, name), getattr(cold, name))
+            ref = BoomerAMG(AmgTBackend(A100, precision=precision))
+            ref.hierarchy = h
+            ref._wrapped = [{op: HypreCSRMatrix(csr=w.csr)
+                             for op, w in entry.items()}
+                            for entry in solver._wrapped]
+            np.testing.assert_array_equal(x, ref.solve(rhs, params=params)[0])
+        if not patch:
+            assert unreplayed
+
+
 class TestInPlaceUpdate:
     """The caller may update the values of the matrix it set up with in
     place and pass the same object again: both policies must see the new
