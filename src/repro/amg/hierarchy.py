@@ -73,6 +73,11 @@ class AMGLevel:
     #: Reciprocal of the L1-Jacobi smoothing diagonal.
     dinv: np.ndarray | None = None
     cf_marker: np.ndarray | None = None
+    #: Strength matrix the C/F splitting was computed from (None on the
+    #: coarsest level, and under the frozen re-setup policy, whose
+    #: splittings may predate the level matrix).  The patch policy
+    #: re-derives only its dirty rows.
+    strength: CSRMatrix | None = None
     #: Lazily-computed per-level data (e.g. Chebyshev eigenvalue bounds).
     extras: dict = field(default_factory=dict)
 
@@ -233,14 +238,20 @@ def _count_reuse(outcome: str, reason: str | None = None) -> None:
     blackbox.record("setup_reuse", **labels)
 
 
-def _coarsen_level(current: CSRMatrix, params: SetupParams, index: int):
+def _coarsen_level(
+    current: CSRMatrix,
+    params: SetupParams,
+    index: int,
+    strength: CSRMatrix | None = None,
+):
     """Strength and C/F splitting of level *index*, or ``None`` where the
     cold loop stops coarsening (no strong couplings, no coarse points, or
     too few points dropped).  The patch policy reruns it to mirror the
-    cold loop exactly."""
-    strength = strength_of_connection(
-        current, params.strength_threshold, params.max_row_sum
-    )
+    cold loop exactly, passing the *strength* matrix it already built."""
+    if strength is None:
+        strength = strength_of_connection(
+            current, params.strength_threshold, params.max_row_sum
+        )
     if strength.nnz == 0:
         return None  # nothing to coarsen on
     coarsen = {
@@ -332,6 +343,7 @@ def _amg_setup_impl(
             break
         strength, coarsening = split
         level.cf_marker = coarsening.cf_marker
+        level.strength = strength
 
         def counting_spgemm(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
             nonlocal spgemm_calls

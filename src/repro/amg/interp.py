@@ -131,7 +131,12 @@ def build_interpolation(
     cols = a.indices
     s_dense_keys = strength.row_ids() * n + strength.indices
     keys = rows * n + cols
-    strong_mask = np.isin(keys, s_dense_keys)
+    # S is canonical, so its keys are sorted: membership is one search.
+    strong_mask = np.zeros(keys.shape[0], dtype=bool)
+    if s_dense_keys.shape[0]:
+        at = np.searchsorted(s_dense_keys, keys)
+        np.minimum(at, s_dense_keys.shape[0] - 1, out=at)
+        strong_mask = s_dense_keys[at] == keys
     keep = strong_mask | (rows == cols)
     a_s = CSRMatrix.from_coo(rows[keep], cols[keep], a.data[keep], a.shape,
                              sum_duplicates=False)

@@ -6,11 +6,12 @@ level against a cached hierarchy, reusing clean levels as they are and
 replaying only the coarse rows the dirt can reach, spliced into the cached
 coarse operators.  Two policies share that machinery:
 
-* **patch** (``patch=True``) — *bit-identical to a cold setup*.  The cheap
-  stages run cold on dirty levels (strength-of-connection, PMIS, the
-  smoothing diagonals and the coarse solver: linear passes), interpolation
-  rows are rebuilt only for the dirty F points and their strong
-  neighbours (:func:`repro.amg.interp.build_interpolation` with
+* **patch** (``patch=True``) — *bit-identical to a cold setup*.  The
+  strength rows of the dirty rows are re-derived and spliced into the
+  level's cached strength matrix, PMIS reruns only when they changed, the
+  smoothing diagonals and the coarse solver run cold (linear passes),
+  interpolation rows are rebuilt only for the dirty F points and their
+  strong neighbours (:func:`repro.amg.interp.build_interpolation` with
   ``rows=``), and the Galerkin product replays the dirty coarse rows.
 * **frozen interpolation** (``patch=False``, the exact re-setup of HYPRE's
   reuse-interpolation mode and the paper's alpha-Setup) — the cached C/F
@@ -45,7 +46,8 @@ from repro.amg.galerkin import galerkin_product
 from repro.amg.hierarchy import AMGHierarchy, AMGLevel, SetupParams, _coarsen_level
 from repro.amg.interp import build_interpolation
 from repro.amg.smoothers import l1_jacobi_diagonal
-from repro.check.fingerprint import diff_rows, row_digests
+from repro.amg.strength import strength_of_connection
+from repro.check.fingerprint import diff_rows, row_digests, splice_row_digests
 from repro.formats.csr import CSRMatrix
 from repro.kernels.setup_cache import splice_segments
 
@@ -91,19 +93,23 @@ def replace_rows(base: CSRMatrix, rows: np.ndarray, sub: CSRMatrix) -> CSRMatrix
     Row ``rows[i]`` of the result is row ``i`` of *sub*; every other row
     is copied from *base* verbatim, so the splice is bit-identical to a
     full rebuild whenever *sub* holds the rebuilt rows.  Replacing every
-    row returns *sub* itself.
+    row returns *sub* itself.  The row digests *base* has memoised carry
+    over with the replaced rows rehashed, so the result's pattern key
+    costs no full pass.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[0] == base.nrows:
         return sub
     geom = splice_segments(base.indptr, rows, np.diff(sub.indptr))
-    return CSRMatrix(
+    out = CSRMatrix(
         base.shape,
         geom.new_ptr,
         geom.splice(base.indices, sub.indices),
         geom.splice(base.data, sub.data),
         _canonical=True,
     )
+    splice_row_digests(out, base, rows, sub)
+    return out
 
 
 class CSRPatcher:
@@ -170,28 +176,38 @@ def _dirty_interp_rows(strength: CSRMatrix, dv: np.ndarray) -> np.ndarray:
     return np.union1d(dv, neigh)
 
 
+def _drifted_columns(
+    p_old: CSRMatrix, p_new: CSRMatrix, covered: np.ndarray
+) -> np.ndarray:
+    """P columns the rebuilt rows *covered* touch before or after: the
+    only rows of ``R = P^T`` whose pattern or values can change."""
+    return np.unique(np.concatenate([
+        p_old.indices[_segment_take(p_old.indptr, covered)],
+        p_new.indices[_segment_take(p_new.indptr, covered)],
+    ]))
+
+
 def _dirty_coarse_rows(
-    p_old: CSRMatrix,
     p_new: CSRMatrix,
+    drift: np.ndarray,
     covered: np.ndarray,
     a_new: CSRMatrix,
     dv: np.ndarray,
 ) -> np.ndarray:
     """Coarse rows the dirt can reach through ``R A P``.
 
-    Coarse row c reads P column c (rows R), the A rows its interpolatory
-    points touch, and the P rows those A rows reach.  Block expansion of
-    the scalar sets keeps the result sound for the mBSR plan splices,
-    whose clean block-rows must not reference any operand block-row whose
-    tile list or bitmaps changed.
+    Coarse row c reads P column c (rows R; *drift* lists the drifted
+    ones), the A rows its interpolatory points touch, and the P rows those
+    A rows reach.  Block expansion of the scalar sets keeps the result
+    sound for the mBSR plan splices, whose clean block-rows must not
+    reference any operand block-row whose tile list or bitmaps changed.
     """
     n = a_new.nrows
     dv_blk = _expand_blocks(dv, n)
     cov_blk = _expand_blocks(covered, n)
     parts = [
         # P-column drift: rows of R whose pattern or values changed.
-        p_old.indices[_segment_take(p_old.indptr, covered)],
-        p_new.indices[_segment_take(p_new.indptr, covered)],
+        drift,
         # A-row drift: coarse rows interpolating from a dirty fine row.
         p_new.indices[_segment_take(p_new.indptr, dv_blk)],
     ]
@@ -268,7 +284,8 @@ def patched_resetup(
                 dinv = 1.0 / l1_jacobi_diagonal(current)
             levels.append(AMGLevel(index=k, a=cached.a, p=cached.p,
                                    r=cached.r, dinv=dinv,
-                                   cf_marker=cached.cf_marker))
+                                   cf_marker=cached.cf_marker,
+                                   strength=cached.strength if patch else None))
             stats["levels"].append({"level": k, "dirty": 0, "frac": 0.0,
                                     "interp_rows": 0, "coarse_rows": 0})
             stats["clean_levels"] += 1
@@ -287,21 +304,38 @@ def patched_resetup(
             # per-level fractions would spuriously trip on them.
             if stats["dirty_rows"] > DIRTY_FRACTION_LIMIT * a.nrows:
                 return None, "dirty-fraction"
-            # Cheap stages run cold.  The patch only holds under the cached
-            # C/F splitting: a drifted splitting invalidates every cached
-            # interpolation row, so it falls back rather than re-splitting.
-            split = _coarsen_level(current, params, k)
-            if split is None:
-                # The cold loop would stop coarsening here; the cached
-                # depth no longer matches the new operator.
-                return None, "level-drift"
-            strength, coarsening = split
-            if not np.array_equal(coarsening.cf_marker, cached.cf_marker):
-                return None, "cf-drift"
+            # The patch only holds under the cached C/F splitting: a
+            # drifted splitting invalidates every cached interpolation row,
+            # so it falls back rather than re-splitting.  Strength is
+            # row-local, so only the dirty rows are re-derived; the
+            # splitting is a function of the strength matrix alone and
+            # reruns only when those rows changed.  A level without a
+            # cached strength matrix (frozen policy) runs both cold.
+            theta, max_row_sum = params.strength_threshold, params.max_row_sum
+            if cached.strength is None:
+                strength, same = strength_of_connection(
+                    current, theta, max_row_sum), False
+            else:
+                s_rows = strength_of_connection(
+                    current, theta, max_row_sum, rows=dv)
+                s_old = cached.strength.extract_rows(dv)
+                same = (np.array_equal(s_rows.indptr, s_old.indptr)
+                        and np.array_equal(s_rows.indices, s_old.indices)
+                        and s_rows.data.tobytes() == s_old.data.tobytes())
+                strength = (cached.strength if same
+                            else replace_rows(cached.strength, dv, s_rows))
+            if not same:
+                split = _coarsen_level(current, params, k, strength)
+                if split is None:
+                    # The cold loop would stop coarsening here; the cached
+                    # depth no longer matches the new operator.
+                    return None, "level-drift"
+                if not np.array_equal(split[1].cf_marker, cached.cf_marker):
+                    return None, "cf-drift"
             p_sub, covered = build_interpolation(
                 current,
                 strength,
-                coarsening.cf_marker,
+                cached.cf_marker,
                 method=params.interp_method,
                 trunc_factor=params.trunc_factor,
                 max_elmts=params.max_elmts,
@@ -315,12 +349,14 @@ def patched_resetup(
                 p_new = replace_rows(cached.p, covered, p_sub)
             else:
                 p_new = cached.p
+            drift = _drifted_columns(cached.p, p_new, covered)
             r_new = p_new.transpose()
+            splice_row_digests(r_new, cached.r, drift)
         else:
-            covered = np.zeros(0, dtype=np.int64)
+            covered = drift = np.zeros(0, dtype=np.int64)
             p_new, r_new = cached.p, cached.r
 
-        dc = _dirty_coarse_rows(cached.p, p_new, covered, current, dv)
+        dc = _dirty_coarse_rows(p_new, drift, covered, current, dv)
         coarse = reuse.levels[k + 1].a
         dirt = LevelDirt(dv=dv, covered=covered)
         if dc.shape[0]:
@@ -342,7 +378,8 @@ def patched_resetup(
 
         levels.append(AMGLevel(index=k, a=current, p=p_new, r=r_new,
                                dinv=1.0 / l1_jacobi_diagonal(current),
-                               cf_marker=cached.cf_marker))
+                               cf_marker=cached.cf_marker,
+                               strength=strength if patch else None))
         stats["levels"].append({
             "level": k,
             "dirty": int(dv.shape[0]),
@@ -467,7 +504,7 @@ def assert_levels_identical(
             f"level count drift: {len(got)} vs {what} {len(want)}",
         )
     for lvl, want_lvl in zip(got, want):
-        for name in ("a", "p", "r", "dinv", "cf_marker"):
+        for name in ("a", "p", "r", "dinv", "cf_marker", "strength"):
             got_op, want_op = getattr(lvl, name), getattr(want_lvl, name)
             if got_op is None and want_op is None:
                 continue

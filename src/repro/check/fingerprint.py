@@ -31,6 +31,7 @@ __all__ = [
     "pattern_fingerprint",
     "row_digests",
     "csr_block_row_digests",
+    "splice_row_digests",
     "diff_rows",
 ]
 
@@ -137,6 +138,29 @@ def row_digests(obj, *, values: bool = False, memoise: bool = True) -> np.ndarra
     raise TypeError(
         f"row_digests expects a CSR or mBSR matrix, got {type(obj).__name__}"
     )
+
+
+def splice_row_digests(out, base, rows: np.ndarray, sub=None) -> None:
+    """Seed *out*'s CSR digest memo from *base*'s without a full pass.
+
+    *out* must hold *base*'s rows everywhere except the sorted *rows*,
+    which hold the rows of *sub* (default ``out.extract_rows(rows)``).  A
+    row's digest depends on that row alone, so every digest *base* has
+    memoised carries over with the given rows rehashed — exactly what a
+    fresh :func:`row_digests` of *out* would compute, and with it
+    *out*'s pattern key.
+    """
+    memo = base.__dict__.get("_row_digest_memo")
+    if not memo or out.shape != base.shape:
+        return
+    if sub is None:
+        sub = out.extract_rows(rows)
+    seeded = out.__dict__.setdefault("_row_digest_memo", {})
+    for values, digests in memo.items():
+        spliced = digests.copy()
+        spliced[rows] = row_digests(sub, values=values, memoise=False)
+        spliced.setflags(write=False)
+        seeded.setdefault(values, spliced)
 
 
 def csr_block_row_digests(csr, *, values: bool = False) -> np.ndarray:

@@ -8,7 +8,7 @@ bytes read/written) so the cost model can price it; Fig. 10 compares the
 CSR->mBSR cost against cuSPARSE's CSR->BSR, which differs only by the
 bitmap array.
 
-An SpGEMM product leaves mBSR through one sort-free expansion
+An SpGEMM product leaves mBSR through one expansion
 (:func:`expand_bits`): its pruned CSR (:func:`mbsr_to_pruned_csr`) and
 its mBSR twin (:func:`prune_twin`, the product minus its cancelled
 entries) come from that pass, bytewise what ``mbsr_to_csr`` +
@@ -157,58 +157,23 @@ def csr_to_bsr(csr: CSRMatrix, *, return_stats: bool = False):
     return out, stats
 
 
-#: Slot bits of every 4-bit bitmap row ("nibble"): row ``n`` lists which
-#: of a tile row's four columns are set.
-_NIBBLE_BITS = (
-    (np.arange(16)[:, None] >> np.arange(BLOCK_SIZE)[None, :]) & 1
-).astype(bool)
-
-
 def expand_bits(mbsr: MBSRMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one ``MBSR2CSR`` pass: every set bit inside the bounds, CSR order.
 
     Returns ``(rows, cols, gather)``, ``gather`` being each entry's flat
-    position in ``blc_val``.  Tile row-slices (one 4-bit bitmap row each)
-    are visited in block-row order — block-row, then tile row, then tile —
-    and a slice's bits in column order, which *is* CSR order whenever the
-    tiles of every block-row are sorted and distinct (every matrix the
-    kernels and conversions build).  No sort runs; other inputs fall back
-    to the canonical (row, column) ordering.
+    position in ``blc_val``.  The bits are ordered by (row, column) with
+    the fused-key stable argsort, so tiles need not be sorted or distinct.
     """
-    blc_num = mbsr.blc_num
     brow = mbsr.block_row_ids()
-    bcol = mbsr.blc_idx
-    key = brow * mbsr.nb + bcol
-    presorted = bool(np.all(key[1:] > key[:-1]))
-    if presorted:
-        # Row-slice t*4 + r sits at 4*ptr[b] + r*count[b] + (t - ptr[b]).
-        ptr = mbsr.blc_ptr
-        step = np.diff(ptr)[brow]
-        base = 3 * ptr[brow] + np.arange(blc_num, dtype=_INDEX_DTYPE)
-        slice_pos = base[:, None] + step[:, None] * np.arange(BLOCK_SIZE)
-        slice_at = np.empty(BLOCK_SIZE * blc_num, dtype=_INDEX_DTYPE)
-        slice_at[slice_pos.reshape(-1)] = np.arange(
-            BLOCK_SIZE * blc_num, dtype=_INDEX_DTYPE
-        )
-        nibbles = (
-            mbsr.blc_map[:, None]
-            >> (BLOCK_SIZE * np.arange(BLOCK_SIZE, dtype=np.uint16))
-        ) & 0xF
-        pos, cc = np.nonzero(_NIBBLE_BITS[nibbles.reshape(-1)[slice_at]])
-        slices = slice_at[pos]
-        tile, rr = slices >> 2, slices & (BLOCK_SIZE - 1)
-    else:
-        tile, rr, cc = np.nonzero(bitmap_to_mask(mbsr.blc_map))
+    tile, rr, cc = np.nonzero(bitmap_to_mask(mbsr.blc_map))
     gather = (tile * BLOCK_SIZE + rr) * BLOCK_SIZE + cc
     rows = brow[tile] * BLOCK_SIZE + rr
-    cols = bcol[tile] * BLOCK_SIZE + cc
+    cols = mbsr.blc_idx[tile] * BLOCK_SIZE + cc
     if mbsr.nrows % BLOCK_SIZE or mbsr.ncols % BLOCK_SIZE:
         keep = (rows < mbsr.nrows) & (cols < mbsr.ncols)
         rows, cols, gather = rows[keep], cols[keep], gather[keep]
-    if not presorted:
-        order = lexsort_pairs(rows, cols, mbsr.nrows, mbsr.ncols)
-        rows, cols, gather = rows[order], cols[order], gather[order]
-    return rows, cols, gather
+    order = lexsort_pairs(rows, cols, mbsr.nrows, mbsr.ncols)
+    return rows[order], cols[order], gather[order]
 
 
 def csr_in_order(shape, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> CSRMatrix:

@@ -76,8 +76,11 @@ def effective_value_bytes(raw_bytes: float, itemsize: int) -> float:
     return raw_bytes / SUBWORD_BANDWIDTH_EFFICIENCY.get(int(itemsize), 1.0)
 
 
+_PRECISIONS = tuple(Precision)
+
+
 def _zero_prec_dict() -> dict[Precision, float]:
-    return {p: 0.0 for p in Precision}
+    return dict.fromkeys(_PRECISIONS, 0.0)
 
 
 @dataclass
@@ -107,7 +110,7 @@ class KernelCounters:
 
     def merge(self, other: "KernelCounters") -> "KernelCounters":
         """Accumulate *other* into self (imbalance: work-weighted max)."""
-        for p in Precision:
+        for p in _PRECISIONS:
             self.mma_issues[p] += other.mma_issues[p]
             self.scalar_flops[p] += other.scalar_flops[p]
         self.bytes_read += other.bytes_read

@@ -583,15 +583,10 @@ class SetupPlanCache:
             row_starts=csr.indptr[bounds],
         ))
 
-    def mbsr2csr(self, mbsr: MBSRMatrix) -> CSRMatrix:
-        """``MBSR2CSR`` with the bitmap expansion memoised per pattern —
-        bit-identical to :func:`repro.formats.convert.mbsr_to_csr`."""
-        return self.expansion(mbsr)[0]
-
     def expansion(self, mbsr: MBSRMatrix) -> tuple[CSRMatrix, np.ndarray]:
         """``MBSR2CSR`` plus the flat ``blc_val`` position of every entry.
 
-        A miss runs the sort-free expansion
+        A miss runs the expansion
         (:func:`repro.formats.convert.expand_bits`); a hit gathers values
         straight into the captured CSR index arrays.  The template key
         includes the bitmap (it decides which slots expand).  Products

@@ -1,4 +1,4 @@
-"""Equivalence tests of the sort-free setup data flow.
+"""Equivalence tests of the setup data flow's orderings and expansion.
 
 The setup phase orders entries with one fused-key stable argsort
 (:func:`repro.util.ordering.lexsort_pairs`) instead of ``np.lexsort``, and
@@ -268,7 +268,7 @@ class TestExpansion:
 
     @settings(max_examples=60, deadline=None)
     @given(m=mbsr_matrices(sorted_tiles=False))
-    def test_unsorted_tiles_fall_back_to_canonical_order(self, m):
+    def test_unsorted_tiles_expand_in_canonical_order(self, m):
         _assert_csr_same(mbsr_to_csr(m), _mbsr_to_csr_ref(m)[0])
 
     @settings(max_examples=150, deadline=None)

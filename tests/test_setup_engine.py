@@ -279,8 +279,8 @@ class TestConversionTemplates:
         mbsr = csr_to_mbsr(random_csr(38, 44, 0.12, seed=seed))
         cache = SetupPlanCache()
         ref = mbsr_to_csr(mbsr)
-        first = cache.mbsr2csr(mbsr)
-        hit = cache.mbsr2csr(mbsr)
+        first = cache.expansion(mbsr)[0]
+        hit = cache.expansion(mbsr)[0]
         assert cache.stats.hits.get("mbsr2csr") == 1
         for got in (first, hit):
             np.testing.assert_array_equal(got.indptr, ref.indptr)
@@ -306,8 +306,8 @@ class TestConversionTemplates:
         other = MBSRMatrix(base.shape, base.blc_ptr, base.blc_idx, val,
                            blc_map, _trusted=True)
         cache = SetupPlanCache()
-        cache.mbsr2csr(base)
-        out = cache.mbsr2csr(other)
+        cache.expansion(base)
+        out = cache.expansion(other)[0]
         assert cache.stats.misses.get("mbsr2csr") == 2
         assert out.nnz == base.cache.pop_per_tile.sum() - 1
 
