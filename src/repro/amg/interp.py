@@ -132,11 +132,12 @@ def build_interpolation(
     s_dense_keys = strength.row_ids() * n + strength.indices
     keys = rows * n + cols
     # S is canonical, so its keys are sorted: membership is one search.
-    strong_mask = np.zeros(keys.shape[0], dtype=bool)
     if s_dense_keys.shape[0]:
-        at = np.searchsorted(s_dense_keys, keys)
-        np.minimum(at, s_dense_keys.shape[0] - 1, out=at)
+        at = np.minimum(np.searchsorted(s_dense_keys, keys),
+                        s_dense_keys.shape[0] - 1)
         strong_mask = s_dense_keys[at] == keys
+    else:
+        strong_mask = np.zeros(keys.shape[0], dtype=bool)
     keep = strong_mask | (rows == cols)
     a_s = CSRMatrix.from_coo(rows[keep], cols[keep], a.data[keep], a.shape,
                              sum_duplicates=False)

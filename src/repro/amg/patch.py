@@ -313,8 +313,8 @@ def patched_resetup(
             # cached strength matrix (frozen policy) runs both cold.
             theta, max_row_sum = params.strength_threshold, params.max_row_sum
             if cached.strength is None:
-                strength, same = strength_of_connection(
-                    current, theta, max_row_sum), False
+                strength = strength_of_connection(current, theta, max_row_sum)
+                same = False
             else:
                 s_rows = strength_of_connection(
                     current, theta, max_row_sum, rows=dv)

@@ -23,7 +23,12 @@ from repro.amg.cycle import SolveParams
 from repro.amg.hierarchy import SetupParams, amg_setup
 from repro.amg.patch import LevelDirt, patched_resetup, replace_rows
 from repro.amg.solver import AmgTSolver
-from repro.check.fingerprint import csr_block_row_digests, diff_rows, row_digests
+from repro.check.fingerprint import (
+    csr_block_row_digests,
+    diff_rows,
+    row_digests,
+    splice_row_digests,
+)
 from repro.formats.csr import CSRMatrix
 from repro.gpu import A100
 from repro.hypre.backends import AmgTBackend, make_backend
@@ -112,6 +117,38 @@ class TestReplaceRows:
         np.testing.assert_array_equal(swapped.indices, b.indices)
         np.testing.assert_array_equal(swapped.data, b.data)
 
+    def test_splice_inherits_base_digests(self):
+        """A splice's memoised row digests (and so its pattern key) are
+        the ones a fresh hash of the result computes."""
+        a = random_csr(23, 17, density=0.3, seed=3)
+        a.pattern_key()
+        row_digests(a, values=True)
+        sub = random_csr(4, 17, density=0.5, seed=4)
+        out = replace_rows(a, np.array([0, 7, 8, 22]), sub)
+        memo = out.__dict__["_row_digest_memo"]
+        assert set(memo) == {False, True}
+        fresh = CSRMatrix(out.shape, out.indptr, out.indices, out.data,
+                          _canonical=True)
+        for values in (False, True):
+            np.testing.assert_array_equal(
+                memo[values], row_digests(fresh, values=values))
+        assert out.pattern_key() == fresh.pattern_key()
+
+    def test_transpose_splice_rehashes_only_given_rows(self):
+        p_old = random_csr(20, 8, density=0.3, seed=11)
+        p_old.transpose().pattern_key()
+        covered = np.array([3, 4, 12])
+        p_new = replace_rows(p_old, covered, random_csr(3, 8, 0.5, seed=12))
+        r_old, r_new = p_old.transpose(), p_new.transpose()
+        r_old.pattern_key()
+        drift = np.unique(np.concatenate([
+            p.extract_rows(covered).indices for p in (p_old, p_new)]))
+        splice_row_digests(r_new, r_old, drift)
+        fresh = CSRMatrix(r_new.shape, r_new.indptr, r_new.indices,
+                          r_new.data, _canonical=True)
+        np.testing.assert_array_equal(
+            r_new.__dict__["_row_digest_memo"][False], row_digests(fresh))
+
 
 # ---------------------------------------------------------------------------
 # Fingerprint diff: the dirty-row oracle
@@ -191,6 +228,81 @@ class TestPatchedSetupCSR:
         with checked_region():
             hp = amg_setup(_perturb(a, seed=9), reuse=h0, patch=True)
         assert hp.patched
+
+
+def _split_levels(monkeypatch):
+    """Record the level index of every C/F splitting the re-setup runs."""
+    import repro.amg.patch as patch_mod
+
+    seen = []
+    real = patch_mod._coarsen_level
+
+    def counting(current, params, index, strength=None):
+        seen.append(index)
+        return real(current, params, index, strength)
+
+    monkeypatch.setattr(patch_mod, "_coarsen_level", counting)
+    return seen
+
+
+def _assert_same_strength(h1, h2):
+    for l1, l2 in zip(h1.levels, h2.levels):
+        assert (l1.strength is None) == (l2.strength is None)
+        if l1.strength is not None:
+            np.testing.assert_array_equal(l1.strength.indptr, l2.strength.indptr)
+            np.testing.assert_array_equal(l1.strength.indices, l2.strength.indices)
+            assert l1.strength.data.tobytes() == l2.strength.data.tobytes()
+
+
+class TestStrengthReuse:
+    """The patch policy re-derives the dirty strength rows and reruns the
+    C/F splitting only when they changed; every level's strength matrix
+    stays the one a cold setup builds."""
+
+    def test_unchanged_strength_rows_keep_the_splitting(self, monkeypatch):
+        a = poisson2d(20)
+        h0 = amg_setup(a)
+        # Scaling whole rows keeps every strength test's outcome.
+        b = _perturb(a, seed=7, n_edits=12)
+        seen = _split_levels(monkeypatch)
+        hp = amg_setup(b, reuse=h0, patch=True)
+        assert hp.patched and hp.patch_stats["patched_levels"] > 0
+        # Only the coarsest-level termination check splits.
+        assert all(k == hp.num_levels - 1 for k in seen)
+        cold = amg_setup(b)
+        _assert_identical(hp, cold)
+        _assert_same_strength(hp, cold)
+
+    def test_changed_strength_rows_rerun_the_splitting(self, monkeypatch):
+        a = poisson2d(20)
+        h0 = amg_setup(a)
+        # Weaken row 0's first coupling below theta: its strength row
+        # loses that neighbour, and PMIS still picks the cached split.
+        data = a.data.copy()
+        data[int(np.flatnonzero(a.indices[:a.indptr[1]] != 0)[0])] *= 0.1
+        b = CSRMatrix(a.shape, a.indptr, a.indices, data, _canonical=True)
+        seen = _split_levels(monkeypatch)
+        hp = amg_setup(b, reuse=h0, patch=True)
+        assert hp.patched
+        assert 0 in seen
+        cold = amg_setup(b)
+        _assert_identical(hp, cold)
+        _assert_same_strength(hp, cold)
+
+    def test_frozen_hierarchy_keeps_no_strength(self, monkeypatch):
+        a = poisson2d(20)
+        h0 = amg_setup(a)
+        frozen = amg_setup(_perturb(a, seed=3, n_edits=8), reuse=h0)
+        assert frozen.reused
+        assert all(lvl.strength is None for lvl in frozen.levels)
+        # Patching it therefore runs strength and PMIS in full.
+        b = _perturb(a, seed=4, n_edits=8)
+        seen = _split_levels(monkeypatch)
+        hp = amg_setup(b, reuse=frozen, patch=True)
+        assert hp.patched and 0 in seen
+        cold = amg_setup(b)
+        _assert_identical(hp, cold)
+        _assert_same_strength(hp, cold)
 
 
 # ---------------------------------------------------------------------------

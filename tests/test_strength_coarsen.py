@@ -10,7 +10,33 @@ from repro.amg.strength import strength_of_connection
 from repro.formats.csr import CSRMatrix
 from repro.matrices import anisotropic_diffusion_2d, poisson2d
 
-from conftest import random_spd_csr
+from conftest import random_csr, random_spd_csr
+
+
+class TestStrengthRows:
+    """``rows=`` builds only the given rows, bytewise those of the full S:
+    the re-setup engine splices them into a level's cached strength."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 40),
+        theta=st.sampled_from([0.0, 0.25, 0.9]),
+        max_row_sum=st.sampled_from([0.8, 1.0]),
+        spd=st.booleans(),
+    )
+    def test_rows_match_full_matrix(self, seed, n, theta, max_row_sum, spd):
+        # Mixed signs, zero diagonals and sign-fallback rows (random_csr),
+        # as well as M-matrix-like rows (random_spd_csr).
+        a = random_spd_csr(n, 0.2, seed) if spd else random_csr(n, n, 0.3, seed)
+        full = strength_of_connection(a, theta, max_row_sum)
+        rows = np.flatnonzero(np.random.default_rng(seed).random(n) < 0.4)
+        got = strength_of_connection(a, theta, max_row_sum, rows=rows)
+        want = full.extract_rows(rows)
+        assert got.shape == (rows.shape[0], n)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestStrength:
