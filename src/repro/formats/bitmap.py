@@ -135,15 +135,20 @@ def bitmap_scalar_mul_flops(map_a: np.ndarray, map_b: np.ndarray) -> np.ndarray:
     ``sum_k popcount(col_k(A)) * popcount(row_k(B))`` — each product is one
     FMA, i.e. 2 flops.  Returns the number of multiply-adds (not flops).
     """
-    a = np.asarray(map_a, dtype=np.uint32)
-    b = np.asarray(map_b, dtype=np.uint32)
+    a = np.asarray(map_a).astype(np.uint16, copy=False)
+    b = np.asarray(map_b).astype(np.uint16, copy=False)
     a, b = np.broadcast_arrays(a, b)
-    total = np.zeros(a.shape, dtype=np.int64)
+    # At most 4 * 4 per column, 64 in all: uint8 accumulates exactly.
+    total = np.zeros(a.shape, dtype=np.uint8)
     for k in range(BLOCK_SIZE):
-        col_k = np.zeros(a.shape, dtype=np.int64)
-        for i in range(BLOCK_SIZE):
-            col_k += (a >> np.uint32(BLOCK_SIZE * i + k)) & np.uint32(1)
-        row_k = (b >> np.uint32(BLOCK_SIZE * k)) & np.uint32(0xF)
-        row_pop = _POPCNT8[row_k.astype(np.uint16) & 0xFF].astype(np.int64)
-        total += col_k * row_pop
-    return total
+        # Column k of A is bits k, k+4, k+8, k+12; multiplying by 0x1111
+        # sums them into the top nibble (the lower nibbles hold partial
+        # sums <= 3, so nothing carries into it; what spills past bit 15
+        # wraps away by design).
+        with np.errstate(over="ignore"):
+            col_k = (
+                ((a >> np.uint16(k)) & np.uint16(0x1111)) * np.uint16(0x1111)
+            ) >> np.uint16(12)
+        row_k = (b >> np.uint16(BLOCK_SIZE * k)) & np.uint16(0xF)
+        total += col_k.astype(np.uint8) * _POPCNT8[row_k]
+    return total.astype(np.int64)
