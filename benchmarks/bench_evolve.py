@@ -18,7 +18,10 @@ backend and times, per step and per dirty fraction:
 Correctness is asserted in-run: every hierarchy the patch path returns
 must be bit-identical to a cold setup of the same matrix (level
 operators, interpolation, restriction, smoothing diagonals, C/F
-markers) — fallbacks included, since a fallback IS a cold build.  Each
+markers) — fallbacks included, since a fallback IS a cold build.  All
+three paths are timed the same way: each timed call's output is kept
+and checked after the clock stops (patched and cold outputs against the
+first cold setup, exact re-setups against the first exact one).  Each
 record carries its honest ``outcome``: coarse-level C/F drift or a
 flooded diff (the 20% moving window) legitimately falls back.  The run
 asserts at the end that at least two families kept every <= 5% step on
@@ -46,6 +49,7 @@ import numpy as np
 
 import common
 
+from repro.amg.cycle import SolveParams
 from repro.gpu.specs import A100
 from repro.hypre.backends import AmgTBackend
 from repro.hypre.boomeramg import BoomerAMG
@@ -57,8 +61,6 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_evolve.json")
 
 NX = int(os.environ.get("REPRO_EVOLVE_NX", "64"))
 STEPS = int(os.environ.get("REPRO_EVOLVE_STEPS", "3"))
-
-_median_time = common.median_time
 
 
 def _fracs_from_env() -> list[float]:
@@ -95,6 +97,15 @@ def _cold_setup(csr):
     return amg, amg.setup(csr)
 
 
+def _timed(fn, repeats: int):
+    """``(median, spread_rel, outputs)`` of *repeats* calls to *fn*; the
+    outputs are kept for checking once the clock has stopped."""
+    outputs: list = []
+    med, spread = common.median_time_stats(lambda: outputs.append(fn()),
+                                           repeats)
+    return med, spread, outputs
+
+
 def bench_family(kind: str, frac: float, repeats: int) -> list[dict]:
     """Time every step of one evolving sequence at one dirty fraction."""
     seq = evolving_sequence(kind, nx=NX, steps=STEPS, dirty_frac=frac, seed=1)
@@ -112,21 +123,19 @@ def bench_family(kind: str, frac: float, repeats: int) -> list[dict]:
         _assert_bit_identical(h_cold, h)
         patched = bool(h.patched)
 
-        def patched_setup(a=a, h_cold=h_cold, prev=prev):
-            out = solver.setup(a, reuse=prev, patch=True)
-            _assert_bit_identical(h_cold, out)
-            return out
-
-        patched_s, spread = common.median_time_stats(patched_setup, repeats)
-        cold_s = _median_time(lambda a=a: _cold_setup(a), repeats)
+        patched_s, spread, patched_outs = _timed(
+            lambda a=a, prev=prev: solver.setup(a, reuse=prev, patch=True),
+            repeats)
+        cold_s, _, cold_outs = _timed(lambda a=a: _cold_setup(a)[1], repeats)
         h_exact = exact_solver.setup(a, reuse=exact_prev)
-
-        def exact_setup(a=a, h_exact=h_exact, exact_prev=exact_prev):
-            out = exact_solver.setup(a, reuse=exact_prev)
+        resetup_s, _, exact_outs = _timed(
+            lambda a=a, exact_prev=exact_prev: exact_solver.setup(
+                a, reuse=exact_prev),
+            repeats)
+        for out in patched_outs + cold_outs:
+            _assert_bit_identical(h_cold, out)
+        for out in exact_outs:
             _assert_bit_identical(h_exact, out)
-            return out
-
-        resetup_s = _median_time(exact_setup, repeats)
 
         stats = h.patch_stats if patched else None
         records.append({
@@ -148,13 +157,19 @@ def bench_family(kind: str, frac: float, repeats: int) -> list[dict]:
 
 
 def _metrics_pass(kind: str, frac: float):
-    """Untimed instrumented chain: surfaces ``setup_reuse_total``."""
+    """Untimed instrumented chain: surfaces ``setup_reuse_total``.  One
+    V-cycle on the last hierarchy follows (setup charges no work to the
+    coarsest level, the cycle's coarse solve does), so the attribution
+    has a row at every level; the workload returns the log it charged."""
     def workload():
         seq = evolving_sequence(kind, nx=NX, steps=STEPS, dirty_frac=frac, seed=1)
         solver = _solver()
         prev = solver.setup(seq[0])
         for a in seq[1:]:
             prev = solver.setup(a, reuse=prev, patch=True)
+        solver.solve(np.ones(seq[-1].nrows),
+                     params=SolveParams(max_iterations=1))
+        return [solver.perf]
     return workload
 
 
@@ -166,6 +181,7 @@ def run(families=None, fracs=None, repeats=None, out_path=OUT_PATH) -> dict:
 
     results: list[dict] = []
     metrics: dict = {}
+    logs: dict = {}
     for kind in families:
         print(f"== {kind} (nx={NX}, steps={STEPS}) ==")
         for frac in fracs:
@@ -177,7 +193,8 @@ def run(families=None, fracs=None, repeats=None, out_path=OUT_PATH) -> dict:
                     f"cold {rec['cold_median_s']*1e3:8.2f} ms  "
                     f"({rec['speedup']:.2f}x, vs resetup {rec['resetup_speedup']:.2f}x)"
                 )
-        metrics[kind] = common.collect_metrics(_metrics_pass(kind, min(fracs)))
+        metrics[kind], logs[kind] = common.collect_metrics(
+            _metrics_pass(kind, min(fracs)))
 
     ops = [f"patch@{f:g}" for f in fracs]
     summary = common.summarize_speedups(results, ops)
@@ -214,6 +231,7 @@ def run(families=None, fracs=None, repeats=None, out_path=OUT_PATH) -> dict:
         results,
         summary,
         metrics,
+        logs,
         op_width=12,
     )
 

@@ -19,9 +19,11 @@ Both paths compute bit-identical values (asserted per run), so the measured
 ratio isolates the engine change.  Results land in ``BENCH_hotpath.json``
 at the repo root: one record per (matrix, op) with median seconds for each
 path and the speedup, per-op median-of-speedups in ``summary``, and one
-``repro.obs`` metrics snapshot per matrix (from untimed instrumented
-passes, registry reset between matrices) in ``metrics`` (the timed
-sections always run with observability off).
+``repro.obs`` metrics snapshot per matrix (from an untimed instrumented
+setup + V-cycle through ``BoomerAMG`` on the AmgT backend, registry
+reset between matrices) in ``metrics``, with the per-level roofline
+``attribution`` of the records that pass charged (the timed sections
+always run with observability off).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_hotpath.py``; environment
 knobs: ``REPRO_HOTPATH_MATRICES`` (comma-separated names, default
@@ -41,6 +43,9 @@ from repro.amg.hierarchy import SetupParams, amg_setup
 from repro.formats.bitmap import BLOCK_SIZE, bitmap_popcount
 from repro.formats.convert import csr_to_mbsr
 from repro.gpu.counters import Precision
+from repro.gpu.specs import get_device
+from repro.hypre.backends import AmgTBackend
+from repro.hypre.boomeramg import BoomerAMG
 from repro.kernels.spgemm import mbsr_spgemm_symbolic_plan
 from repro.kernels.spgemm_numeric import locate_output_tiles, numeric_spgemm
 from repro.kernels.spmv import build_spmv_plan, mbsr_spmv
@@ -263,30 +268,17 @@ def bench_v_cycle_taped(hierarchy, rng, repeats):
     return new_s, _median_time(interpreted, repeats), spread
 
 
-def _instrumented_pass(mbsr, hierarchy, rng):
-    """A representative slice of the workload, re-run (untimed) with
-    observability on so the payload's metrics snapshot documents the
-    dispatch paths, cache behaviour and tape record/replay counters the
-    benchmark exercised."""
-    from repro.kernels.spmv import bind_spmv
-    from repro.tape import record_cycle
-
-    x = rng.normal(size=mbsr.ncols)
-    for _ in range(3):
-        mbsr_spmv(mbsr, x, Precision.FP64)
-    lvl = hierarchy.levels[0]
-    a = csr_to_mbsr(lvl.a)
-    p = csr_to_mbsr(lvl.p)
-    plan = mbsr_spgemm_symbolic_plan(a, p)
-    numeric_spgemm(a, p, plan.symbolic, Precision.FP64)
-    wrapped, _ = _wrap_levels(hierarchy)
-    tape = record_cycle(
-        hierarchy,
-        SolveParams(),
-        bindings=lambda level, op, width: bind_spmv(
-            wrapped[level][op], Precision.FP64, width=width),
-    )
-    tape.cycle(rng.normal(size=hierarchy.levels[0].n))
+def _instrumented_pass(csr, rng):
+    """The benchmark's setup and V-cycle, re-run (untimed) with
+    observability on through the AmgT backend, so the payload's metrics
+    snapshot documents the dispatch paths, cache behaviour and tape
+    record/replay counters the benchmark exercised, and its attribution
+    has priced rows at every level (a one-iteration solve: the cycle plus
+    its residuals and coarse solve).  Returns the log it charged."""
+    amg = BoomerAMG(AmgTBackend(get_device(common.ATTRIBUTION_DEVICE)))
+    amg.setup(csr)
+    amg.solve(rng.normal(size=csr.nrows), params=SolveParams(max_iterations=1))
+    return [amg.perf]
 
 
 def run(matrices=None, repeats=None, out_path=OUT_PATH):
@@ -296,7 +288,7 @@ def run(matrices=None, repeats=None, out_path=OUT_PATH):
     repeats = repeats or common.repeats_from_env("REPRO_HOTPATH_REPEATS")
     rng = np.random.default_rng(0)
     results = []
-    metrics = {}
+    metrics, logs = {}, {}
     for name in matrices:
         # Isolate this matrix's run: counters must not accumulate across
         # configurations, or a later snapshot would claim earlier work.
@@ -323,10 +315,8 @@ def run(matrices=None, repeats=None, out_path=OUT_PATH):
                 f"{name:>12} {op:<13} new {new_s:.5f}s  "
                 f"naive {naive_s:.5f}s  speedup {rec['speedup']:.2f}x"
             )
-        metrics[name] = common.collect_metrics(
-            lambda mbsr=mbsr, hierarchy=hierarchy: _instrumented_pass(
-                mbsr, hierarchy, rng
-            )
+        metrics[name], logs[name] = common.collect_metrics(
+            lambda csr=csr: _instrumented_pass(csr, rng)
         )
     summary = common.summarize_speedups(
         results, ("spmv_warm", "spgemm_rap", "v_cycle", "v_cycle_taped")
@@ -343,6 +333,7 @@ def run(matrices=None, repeats=None, out_path=OUT_PATH):
         results,
         summary,
         metrics,
+        logs,
         op_width=13,
     )
 

@@ -137,15 +137,17 @@ def bench_matrix(name: str, widths: list[int], repeats: int, rng) -> list[dict]:
     return records
 
 
-def _instrumented_pass(name: str, widths: list[int], rng) -> None:
+def _instrumented_pass(name: str, widths: list[int], rng) -> list:
     """Record + replay a small slice with observability on so the
-    metrics snapshot documents the SpMM dispatch paths exercised."""
+    metrics snapshot documents the SpMM dispatch paths exercised.
+    Returns the log it charged."""
     csr = load_suite_matrix(name)
     solver = AmgTSolver(backend="amgt", precision="fp64").setup(csr)
     n = solver.hierarchy.levels[0].n
     width = max(w for w in widths if w > 1) if any(w > 1 for w in widths) \
         else 2
     solver.solve_multi(rng.normal(size=(n, width)), max_iterations=2)
+    return [solver.performance]
 
 
 def run(matrices=None, widths=None, repeats=None, out_path=OUT_PATH):
@@ -156,11 +158,11 @@ def run(matrices=None, widths=None, repeats=None, out_path=OUT_PATH):
     repeats = repeats or common.repeats_from_env("REPRO_MULTIRHS_REPEATS")
     rng = np.random.default_rng(0)
     results = []
-    metrics = {}
+    metrics, logs = {}, {}
     for name in matrices:
         common.reset_metrics()
         results.extend(bench_matrix(name, widths, repeats, rng))
-        metrics[name] = common.collect_metrics(
+        metrics[name], logs[name] = common.collect_metrics(
             lambda name=name: _instrumented_pass(name, widths, rng)
         )
     summary = common.summarize_speedups(
@@ -173,6 +175,7 @@ def run(matrices=None, widths=None, repeats=None, out_path=OUT_PATH):
         results,
         summary,
         metrics,
+        logs,
     )
 
 

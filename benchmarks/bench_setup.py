@@ -42,6 +42,7 @@ import numpy as np
 
 import common
 
+from repro.amg.cycle import SolveParams
 from repro.formats.convert import csr_to_mbsr
 from repro.gpu.specs import A100
 from repro.hypre.backends import AmgTBackend
@@ -159,10 +160,14 @@ def _instrumented_pass(csr):
     """One cold setup plus one all-dirty numeric re-setup, re-run
     (untimed) with observability on so the payload's metrics snapshot
     documents the plan-cache and conversion-template behaviour being
-    benchmarked."""
+    benchmarked, then one V-cycle: setup charges no work to the coarsest
+    level, the cycle's coarse solve does, so the attribution has a row at
+    every level.  Returns the log it charged."""
     amg = BoomerAMG(AmgTBackend(A100, precision="fp64"))
     amg.setup(csr)
     amg.setup(_scaled(csr, 2.0), reuse=True)
+    amg.solve(np.ones(csr.nrows), params=SolveParams(max_iterations=1))
+    return [amg.perf]
 
 
 def run(matrices=None, repeats=None, out_path=OUT_PATH):
@@ -171,7 +176,7 @@ def run(matrices=None, repeats=None, out_path=OUT_PATH):
     )
     repeats = repeats or common.repeats_from_env("REPRO_SETUP_REPEATS")
     results = []
-    metrics = {}
+    metrics, logs = {}, {}
     for name in matrices:
         # Isolate this matrix's run: counters must not accumulate across
         # configurations, or a later snapshot would claim earlier work.
@@ -195,7 +200,7 @@ def run(matrices=None, repeats=None, out_path=OUT_PATH):
                 f"{name:>12} {op:<18} replay {new_s:.5f}s  "
                 f"cold {cold_s:.5f}s  speedup {rec['speedup']:.2f}x"
             )
-        metrics[name] = common.collect_metrics(
+        metrics[name], logs[name] = common.collect_metrics(
             lambda csr=csr: _instrumented_pass(csr)
         )
     summary = common.summarize_speedups(
@@ -212,6 +217,7 @@ def run(matrices=None, repeats=None, out_path=OUT_PATH):
         results,
         summary,
         metrics,
+        logs,
         op_width=18,
     )
 

@@ -14,7 +14,10 @@ between configurations (see :func:`reset_metrics`), so a snapshot never
 mixes counters from two matrices.  The timed sections always run with
 observability off — tracing costs would perturb the medians — so the
 snapshots document what the benchmark exercised (cache hits, dispatch
-paths, kernel counters) without touching the numbers.
+paths, kernel counters) without touching the numbers.  The same pass
+returns the performance logs it charged; the payload's ``attribution``
+is :func:`repro.obs.profile.attribute_log` over their records, so every
+row carries its AMG level and exact per-precision counters.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ import json
 import os
 import statistics
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from repro.perf.timeline import PerformanceLog
 
 __all__ = [
     "matrices_from_env",
@@ -33,11 +39,11 @@ __all__ = [
     "summarize_speedups",
     "reset_metrics",
     "collect_metrics",
+    "attribution",
     "write_payload",
 ]
 
-#: Device the payload's roofline attribution is priced on (the payloads
-#: record *work*; any device can re-price them via repro.obs.profile).
+#: Device whose roofline the payload's attribution is measured against.
 ATTRIBUTION_DEVICE = "H100"
 
 
@@ -99,31 +105,36 @@ def reset_metrics() -> None:
     obs.reset()
 
 
-def collect_metrics(workload: Callable[[], object]) -> dict:
+def collect_metrics(
+    workload: Callable[[], list[PerformanceLog]],
+) -> tuple[dict, PerformanceLog]:
     """Run *workload* once with observability on; return the registry
-    snapshot it produced.  Obs state is reset before and after, so the
+    snapshot it produced and one :class:`~repro.perf.timeline.PerformanceLog`
+    holding, in order, the records of every log the workload returns (the
+    logs it charged).  Obs state is reset before and after, so the
     snapshot covers exactly this pass — nothing carried over from any
     earlier configuration, nothing leaked into the next."""
     import repro.obs as obs
+    from repro.perf.timeline import PerformanceLog
 
     reset_metrics()
     with obs.trace_region():
-        workload()
+        logs = workload()
     snapshot = obs.REGISTRY.snapshot()
     reset_metrics()
-    return snapshot
+    return snapshot, PerformanceLog([r for log in logs for r in log.records])
 
 
-def _attribution(metrics: dict) -> dict:
-    """Roofline attribution per benchmarked matrix, derived from its
-    metrics snapshot (see :mod:`repro.obs.profile`)."""
+def attribution(logs: dict) -> dict:
+    """Roofline attribution per benchmarked matrix, folded from the
+    records its instrumented pass charged (see :mod:`repro.obs.profile`)."""
     from repro.obs import profile
 
-    out = {}
-    for name, snapshot in metrics.items():
-        records = profile.attribute_snapshot(snapshot, ATTRIBUTION_DEVICE)
-        out[name] = profile.roofline_payload(records, ATTRIBUTION_DEVICE)
-    return out
+    return {
+        name: profile.roofline_payload(
+            profile.attribute_log(log, ATTRIBUTION_DEVICE), ATTRIBUTION_DEVICE)
+        for name, log in logs.items()
+    }
 
 
 def write_payload(
@@ -133,15 +144,17 @@ def write_payload(
     results: list[dict],
     summary: dict,
     metrics: dict,
+    logs: dict,
     op_width: int = 10,
 ) -> dict:
     """Assemble the payload, write it as JSON, print the summary lines.
 
     Every payload is stamped with run provenance (``meta``: git SHA +
     dirty flag, timestamp, host, interpreter/numpy versions) and carries
-    a roofline ``attribution`` section derived from the metrics
-    snapshots.  When ``REPRO_LEDGER`` names a path, the run is also
-    appended to that JSONL perf ledger.
+    a roofline ``attribution`` section per matrix, folded from the
+    records of its instrumented pass (*logs*, as
+    :func:`collect_metrics` returns them).  When ``REPRO_LEDGER`` names a
+    path, the run is also appended to that JSONL perf ledger.
     """
     from repro.obs import ledger
 
@@ -152,7 +165,7 @@ def write_payload(
         "summary": summary,
         "metrics": metrics,
         "meta": ledger.run_metadata(),
-        "attribution": _attribution(metrics),
+        "attribution": attribution(logs),
     }
     with open(out_path, "w") as f:
         json.dump(payload, f, indent=2)

@@ -288,15 +288,13 @@ class AmgTSolver:
             raise ValueError(
                 f"unknown Krylov method {method!r}; use one of {sorted(solvers)}"
             )
-        from repro.obs.metrics import charge
-
         driver = self._driver
         binding = driver.backend.bind_matvec(driver._wrapped[0]["A"],
                                              driver.perf, "solve", 0)
         run, records, perf = binding.run, (binding.record,), driver.perf
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            charge(perf, records)
+            perf.extend(records)
             return run(v)
 
         preconditioner = self.as_preconditioner()

@@ -38,10 +38,9 @@ from repro.gpu.counters import Precision
 from repro.gpu.specs import DeviceSpec
 from repro.hypre.csr_matrix import HypreCSRMatrix
 from repro.kernels.baseline import bind_csr_spmv, csr_spgemm
-from repro.kernels.record import KernelRecord
+from repro.kernels.record import KernelRecord, span_attrs
 from repro.kernels.spgemm import mbsr_spgemm
 from repro.amg.precision import PrecisionSchedule
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.perf.timeline import PerformanceLog
 
@@ -57,23 +56,8 @@ __all__ = [
 def _kernel_span(name: str, phase: str, level: int):
     """Open a ``kind='kernel'`` span around real kernel work (gated)."""
     if obs_trace.is_active():
-        return obs_trace.TRACER.open(
-            name, "kernel", {"phase": phase, "level": level}
-        )
+        return obs_trace.TRACER.open(name, "kernel", span_attrs(phase, level))
     return obs_trace.NULL_SPAN
-
-
-def _finish_record(sp, rec: KernelRecord) -> None:
-    """Stamp the priced record's facts onto its span and fold it into the
-    metrics registry.  ``sp`` may already be closed — attrs stay mutable."""
-    if sp:
-        sp.set(
-            sim_us=rec.sim_time_us,
-            backend=rec.backend,
-            precision=rec.precision.name.lower(),
-            path=rec.detail.get("path"),
-        )
-    obs_metrics.observe_kernel(rec)
 
 
 class KernelBackend:
@@ -129,6 +113,26 @@ class KernelBackend:
         return None
 
     # -- shared helpers ---------------------------------------------------
+    def _stamp(self, rec: KernelRecord, phase: str, level: int,
+               kernel_class: str | None = None) -> None:
+        """Stamp *rec* with its phase and level and price it on this
+        backend's cost model (*kernel_class* overrides the record's)."""
+        rec.phase, rec.level = phase, level
+        rec.price(self.cost, kernel_class)
+
+    def charge(self, perf: PerformanceLog, phase: str, level: int,
+               records, sp=obs_trace.NULL_SPAN,
+               kernel_class: str | None = None) -> None:
+        """The backends' one charge point: stamp and price *records*,
+        append them to *perf* (which folds them into the metrics registry
+        while a trace is active) and stamp the kernel span *sp* with their
+        facts.  *sp* may already be closed — its attrs stay mutable."""
+        for rec in records:
+            self._stamp(rec, phase, level, kernel_class)
+        perf.extend(records)
+        if sp:
+            sp.set(**span_attrs(phase, level, records))
+
     def record_other(
         self,
         perf: PerformanceLog,
@@ -145,10 +149,7 @@ class KernelBackend:
         rec.counters.add_bytes(read=bytes_moved * 0.6, written=bytes_moved * 0.4)
         rec.counters.add_flops(Precision.FP64, flops)
         rec.counters.launches = launches
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost, "generic")
-        perf.append(rec)
-        obs_metrics.observe_kernel(rec)
+        self.charge(perf, phase, level, (rec,), kernel_class="generic")
         return rec
 
 
@@ -166,19 +167,14 @@ class HypreBackend(KernelBackend):
         sp = _kernel_span("spgemm", phase, level)
         with sp:
             c, rec = csr_spgemm(a.csr, b.csr, Precision.FP64, backend=self.vendor)
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
-        perf.append(rec)
-        _finish_record(sp, rec)
+        self.charge(perf, phase, level, (rec,), sp)
         return HypreCSRMatrix(csr=c)
 
     def bind_matvec(self, a, perf, phase, level, width=1):
         a = HypreCSRMatrix.wrap(a)
         binding = bind_csr_spmv(a.csr, Precision.FP64, backend=self.vendor,
                                 width=width)
-        rec = binding.record
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
+        self._stamp(binding.record, phase, level)
         return binding
 
 
@@ -209,7 +205,29 @@ class AmgTBackend(KernelBackend):
 
         self.setup_cache = SetupPlanCache()
 
+    def _stamp(self, rec: KernelRecord, phase: str, level: int,
+               kernel_class: str | None = None) -> None:
+        """As the base, but on MI210 the fragment shapes do not fit the
+        matrix cores, so an SpGEMM's warp-level pairs execute on scalar
+        cores instead: its MMA issues are repriced as scalar tile products
+        (2*4*4*4 flops each) first."""
+        if not self.allow_tensor_cores and rec.detail.get("tc_pairs"):
+            prec = self.schedule.for_level(level)
+            mma = rec.counters.mma_issues[prec]
+            rec.counters.mma_issues[prec] = 0.0
+            rec.counters.add_flops(prec, mma * 2 * 2 * 64.0)
+        super()._stamp(rec, phase, level, kernel_class)
+
     # -- conversions ------------------------------------------------------
+    def _charge_conversion(self, perf, phase, level, sp, kernel: str,
+                           read: float, written: float) -> None:
+        """Charge one format conversion: two launches (analysis + fill, as
+        in cuSPARSE csr2bsr) of FP64 traffic."""
+        rec = KernelRecord(kernel=kernel, backend=self.name, precision=Precision.FP64)
+        rec.counters.add_bytes(read=read, written=written)
+        rec.counters.launches = 2
+        self.charge(perf, phase, level, (rec,), sp, "amgt_convert")
+
     def _ensure_mbsr(self, mat: HypreCSRMatrix, perf, phase, level):
         """AmgT_CSR2mBSR with one-time cost recording (unified format)."""
         if mat.setup_cache is None:
@@ -218,32 +236,21 @@ class AmgTBackend(KernelBackend):
         with sp:
             mbsr, stats = mat.amgt_csr2mbsr()
         if stats is not None:
-            rec = KernelRecord(kernel="csr2mbsr", backend=self.name,
-                               precision=Precision.FP64)
-            rec.counters.add_bytes(read=stats.bytes_read, written=stats.bytes_written)
-            rec.counters.launches = 2  # analysis + fill, as in cuSPARSE csr2bsr
-            rec.phase, rec.level = phase, level
-            rec.price(self.cost, "amgt_convert")
-            perf.append(rec)
-            _finish_record(sp, rec)
+            self._charge_conversion(perf, phase, level, sp, "csr2mbsr",
+                                    stats.bytes_read, stats.bytes_written)
         elif sp:
             sp.set(cached=True)
         return mbsr
 
-    def _record_mbsr2csr(self, mbsr, csr, perf, phase, level):
-        """Price one MBSR2CSR expansion (Fig. 6 step 5) of *mbsr* into
+    def _charge_mbsr2csr(self, perf, phase, level, sp, mbsr, csr) -> None:
+        """Charge one MBSR2CSR expansion (Fig. 6 step 5) of *mbsr* into
         *csr* — a whole RAP result or its replayed block-rows."""
         itemsize = 8
-        rec = KernelRecord(kernel="mbsr2csr", backend=self.name, precision=Precision.FP64)
-        rec.counters.add_bytes(
+        self._charge_conversion(
+            perf, phase, level, sp, "mbsr2csr",
             read=mbsr.blc_num * (16 * itemsize + 8 + 2),
             written=csr.nnz * (itemsize + 8) + (csr.nrows + 1) * 8,
         )
-        rec.counters.launches = 2
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost, "amgt_convert")
-        perf.append(rec)
-        obs_metrics.observe_kernel(rec)
 
     # -- kernels ----------------------------------------------------------
     def matmul_device(self, a, b, perf, phase, level, *, is_rap_result=False):
@@ -259,11 +266,7 @@ class AmgTBackend(KernelBackend):
             cm, rec = mbsr_spgemm(am, bm, prec, out_dtype=np.float64,
                                   storage_itemsize=self.storage_itemsize,
                                   plan_cache=self.setup_cache)
-        self._reprice_mma(rec, prec)
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
-        perf.append(rec)
-        _finish_record(sp, rec)
+        self.charge(perf, phase, level, (rec,), sp)
         # The product is born in mBSR and leaves it once: one expansion
         # yields the pruned CSR for the CSR components, and the mBSR twin
         # is the product minus its cancelled entries.  Only RAP results
@@ -276,17 +279,8 @@ class AmgTBackend(KernelBackend):
             out = HypreCSRMatrix(csr=csr, mbsr=cache.product_twin(cm, csr, gather),
                                  setup_cache=cache)
         if is_rap_result:
-            self._record_mbsr2csr(out.mbsr, out.csr, perf, phase, level)
+            self._charge_mbsr2csr(perf, phase, level, csp, out.mbsr, out.csr)
         return out
-
-    def _reprice_mma(self, rec: KernelRecord, prec: Precision) -> None:
-        """MI210: the fragment shapes do not fit the matrix cores, so the
-        warp-level pairs execute on scalar cores instead; reprice the MMA
-        issues as scalar tile products (2*4*4*4 flops each)."""
-        if not self.allow_tensor_cores and rec.detail.get("tc_pairs"):
-            mma = rec.counters.mma_issues[prec]
-            rec.counters.mma_issues[prec] = 0.0
-            rec.counters.add_flops(prec, mma * 2 * 2 * 64.0)
 
     def hierarchy_patcher(self, reuse, perf, wrapped, phase: str = "setup"):
         """Block-aligned mBSR patch engine over the spliced plan cache."""
@@ -307,9 +301,7 @@ class AmgTBackend(KernelBackend):
             allow_tensor_cores=self.allow_tensor_cores,
             storage_itemsize=self.storage_itemsize,
         )
-        rec = binding.record
-        rec.phase, rec.level = phase, level
-        rec.price(self.cost)
+        self._stamp(binding.record, phase, level)
         return binding
 
 
@@ -351,16 +343,6 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
         pos = np.flatnonzero(scal < nrows)
         return scal[pos], pos
 
-    def _price(self, records, level: int) -> None:
-        backend = self.backend
-        prec = backend.schedule.for_level(level)
-        for rec in records:
-            backend._reprice_mma(rec, prec)
-            rec.phase, rec.level = self.phase, level
-            rec.price(backend.cost)
-            self.perf.append(rec)
-            obs_metrics.observe_kernel(rec)
-
     def _wrap(self, csr) -> HypreCSRMatrix:
         """Wrapper for an operand of the *cached* hierarchy (mBSR twins
         usually carried over from the setup that built it)."""
@@ -392,15 +374,9 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
                 )
             w.mbsr = mbsr
             w.conversion_stats = stats
-            rec = KernelRecord(kernel="csr2mbsr", backend=backend.name,
-                               precision=Precision.FP64)
-            rec.counters.add_bytes(read=stats.bytes_read,
-                                   written=stats.bytes_written)
-            rec.counters.launches = 2
-            rec.phase, rec.level = self.phase, level
-            rec.price(backend.cost, "amgt_convert")
-            self.perf.append(rec)
-            _finish_record(sp, rec)
+            backend._charge_conversion(self.perf, self.phase, level, sp,
+                                       "csr2mbsr", stats.bytes_read,
+                                       stats.bytes_written)
         self.wrapped[id(csr_new)] = w
         return w
 
@@ -450,9 +426,9 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
                 am, bm, blocks, prec, out_dtype=np.float64,
                 storage_itemsize=backend.storage_itemsize,
             )
-        self._price([rec], level)
+        backend.charge(self.perf, self.phase, level, (rec,), sp)
         if sp:
-            sp.set(patched_rows=int(blocks.shape[0]), sim_us=rec.sim_time_us)
+            sp.set(patched_rows=int(blocks.shape[0]))
         csr, _ = mbsr_to_pruned_csr(sub)
         covered, pos = self._valid_scalars(blocks, a_op.nrows)
         return csr.extract_rows(pos), covered
@@ -504,15 +480,14 @@ SetupPlanCache`, and every kernel is priced like its cold counterpart.
                     plan, rm, am, pm, blocks_c, prec, out_dtype=np.float64,
                     storage_itemsize=backend.storage_itemsize,
                 )
-        self._price(records, level)
+        backend.charge(self.perf, self.phase, level, records, sp)
         if sp:
-            sp.set(fused="rap", patched_rows=int(blocks_c.shape[0]),
-                   sim_us=sum(rec.sim_time_us for rec in records))
+            sp.set(fused="rap", patched_rows=int(blocks_c.shape[0]))
         csp = _kernel_span("mbsr2csr", self.phase, level)
         with csp:
             csr, _ = (prune_zeros(*cache.expansion(rap)) if full
                       else mbsr_to_pruned_csr(rap))
-        backend._record_mbsr2csr(rap, csr, self.perf, self.phase, level)
+        backend._charge_mbsr2csr(self.perf, self.phase, level, csp, rap, csr)
         covered, pos = self._valid_scalars(blocks_c, r_new.nrows)
         return (csr if full else csr.extract_rows(pos)), covered
 

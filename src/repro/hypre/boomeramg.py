@@ -284,7 +284,7 @@ class BoomerAMG:
                                 attrs={"batch": batch}):
                 tape = record_cycle(self.hierarchy, params,
                                     bindings=bindings, batch=batch)
-            obs_metrics.charge(perf, tape.estimate_records)
+            perf.extend(tape.estimate_records)
             self._tapes[key] = tape
             obs_metrics.inc(obs_names.TAPE_RECORDS)
         return tape
@@ -333,11 +333,12 @@ class BoomerAMG:
         t = self.get_tape(SolveParams(), batch=1 if r.ndim == 1 else r.shape[1])
         with obs_trace.phase_span("solve"):
             z = t.cycle(rows)
-            obs_metrics.charge(self.perf, t.records)
+            self.perf.extend(t.records)
         return z if r.ndim == 1 else np.ascontiguousarray(z.T)
 
     def _charge_replay(self, tape, iterations: int) -> None:
-        """Charge a replayed solve's kernels to the perf log and registry.
+        """Charge a replayed solve's kernels to the perf log (and through
+        it, while tracing, the registry).
 
         The tape's record templates are priced at bind time and the SpMV
         cost never depends on the operand, so a solve's record sequence
@@ -347,7 +348,7 @@ class BoomerAMG:
         if tape.residual_record is None:
             return
         res = (tape.residual_record,)
-        obs_metrics.charge(self.perf, res + (tape.records + res) * iterations)
+        self.perf.extend(res + (tape.records + res) * iterations)
 
     def _charge_solve_other(self, stats: SolveStats, width: int = 1) -> None:
         """Vector updates + coarse solves, proportional to the SpMV count.

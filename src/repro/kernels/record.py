@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.gpu.counters import KernelCounters, Precision
 
-__all__ = ["KernelRecord"]
+__all__ = ["KernelRecord", "span_attrs"]
 
 
 @dataclass
@@ -38,3 +39,21 @@ class KernelRecord:
         self.kernel_class = cls
         self.sim_time_us = cost_model.kernel_time_us(self.counters, cls)
         return self.sim_time_us
+
+
+def span_attrs(phase: str, level: int,
+               records: Sequence[KernelRecord] = ()) -> dict:
+    """Attributes of a kernel span: its phase and level, plus the facts of
+    the priced records it ran — their summed simulated µs and the backend,
+    precision and dispatch path of the last — so the measured and
+    simulated views of a run stay joined."""
+    attrs: dict = {"phase": phase, "level": level}
+    if records:
+        last = records[-1]
+        attrs.update(
+            sim_us=sum(r.sim_time_us for r in records),
+            backend=last.backend,
+            precision=last.precision.name.lower(),
+            path=last.detail.get("path"),
+        )
+    return attrs

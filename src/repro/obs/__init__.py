@@ -72,8 +72,6 @@ from repro.obs.metrics import (
 from repro.obs.profile import (
     AttributionRecord,
     attribute_log,
-    attribute_registry,
-    attribute_snapshot,
     format_roofline,
     roofline_payload,
 )
@@ -140,8 +138,6 @@ __all__ = [
     # profile
     "AttributionRecord",
     "attribute_log",
-    "attribute_registry",
-    "attribute_snapshot",
     "format_roofline",
     "roofline_payload",
     # blackbox

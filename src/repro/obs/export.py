@@ -23,6 +23,7 @@ import re
 
 from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry
 from repro.obs.trace import TRACER, Span, Tracer
+from repro.perf.timeline import KERNEL_CLASSES, kernel_class
 
 __all__ = [
     "chrome_trace",
@@ -164,21 +165,6 @@ def parse_prometheus(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]],
 # Fig. 1/2-style phase breakdown: measured next to simulated
 # ----------------------------------------------------------------------
 
-#: The kernel taxonomy of ``PerformanceLog.phase_totals``, mirrored so the
-#: measured and simulated columns classify identically.
-_CONVERSION_KERNELS = ("csr2mbsr", "mbsr2csr", "csr2bsr")
-
-
-def _classify(kernel: str) -> str:
-    if kernel == "spgemm":
-        return "spgemm"
-    if kernel == "spmv":
-        return "spmv"
-    if kernel in _CONVERSION_KERNELS:
-        return "conversion"
-    return "other"
-
-
 def _top_kernels(sp: Span) -> list[Span]:
     """Maximal kernel spans under *sp* (not nested inside another one)."""
     found: list[Span] = []
@@ -196,7 +182,7 @@ def _fold_kernel(k: Span, phase: dict[str, float]) -> None:
     sweeps bill as spmv, the smoother overhead as other)."""
     inner = _top_kernels(k)
     inner_ns = sum(i.wall_ns for i in inner)
-    phase[_classify(k.name)] += max(k.wall_ns - inner_ns, 0) / 1000.0
+    phase[kernel_class(k.name)] += max(k.wall_ns - inner_ns, 0) / 1000.0
     for i in inner:
         _fold_kernel(i, phase)
 
@@ -204,8 +190,9 @@ def _fold_kernel(k: Span, phase: dict[str, float]) -> None:
 def measured_phase_totals(tracer: Tracer | None = None) -> dict[str, dict[str, float]]:
     """Wall-time split per phase from the span tree, in microseconds.
 
-    For every ``kind='phase'`` span, kernel descendants are bucketed with
-    the ``PerformanceLog`` taxonomy on exclusive wall time; ``other``
+    For every ``kind='phase'`` span, kernel descendants are bucketed by
+    :func:`~repro.perf.timeline.kernel_class` on exclusive wall time
+    (the simulated split's taxonomy); ``other``
     additionally absorbs the phase time outside any kernel span (pure-
     Python driver work — the part the simulated log cannot see).  The four
     buckets sum to ``total`` up to clock granularity.
@@ -217,9 +204,7 @@ def measured_phase_totals(tracer: Tracer | None = None) -> dict[str, dict[str, f
             if sp.kind != "phase":
                 continue
             phase = totals.setdefault(
-                sp.name,
-                {"spgemm": 0.0, "spmv": 0.0, "conversion": 0.0,
-                 "other": 0.0, "total": 0.0},
+                sp.name, dict.fromkeys(KERNEL_CLASSES + ("total",), 0.0)
             )
             phase["total"] += sp.wall_ns / 1000.0
             top = _top_kernels(sp)
@@ -236,49 +221,37 @@ def _pct(part: float, total: float) -> float:
 
 def phase_report_data(perf, tracer: Tracer | None = None) -> dict:
     """The :func:`phase_report` table as data: per phase, the measured and
-    simulated µs per bucket with their shares.  ``repro obs report
-    --format=json`` and the ledger consume this instead of parsing text."""
+    simulated µs per :data:`~repro.perf.timeline.KERNEL_CLASSES` bucket
+    with their shares.  ``repro obs report --format=json`` and the ledger
+    consume this instead of parsing text."""
     measured = measured_phase_totals(tracer)
+    empty = dict.fromkeys(KERNEL_CLASSES + ("total",), 0.0)
     out: dict = {}
     for phase in ("setup", "solve"):
         sim = perf.phase_totals(phase)
-        sim_parts = {
-            "spgemm": sim.spgemm_us,
-            "spmv": sim.spmv_us,
-            "conversion": sim.conversion_us,
-            "other": sim.other_us,
-        }
-        meas = measured.get(
-            phase,
-            {"spgemm": 0.0, "spmv": 0.0, "conversion": 0.0, "other": 0.0,
-             "total": 0.0},
-        )
+        sim_parts = sim.parts
+        meas = measured.get(phase, empty)
         out[phase] = {
-            "measured_us": {
-                **{b: meas[b] for b in ("spgemm", "spmv", "conversion", "other")},
-                "total": meas["total"],
-            },
+            "measured_us": {**{b: meas[b] for b in KERNEL_CLASSES},
+                            "total": meas["total"]},
             "measured_pct": {
-                b: _pct(meas[b], meas["total"])
-                for b in ("spgemm", "spmv", "conversion", "other")
+                b: _pct(meas[b], meas["total"]) for b in KERNEL_CLASSES
             },
             "simulated_us": {**sim_parts, "total": sim.total_us},
             "simulated_pct": {
-                b: _pct(sim_parts[b], sim.total_us) for b in sim_parts
+                b: _pct(sim_parts[b], sim.total_us) for b in KERNEL_CLASSES
             },
         }
     return out
 
 
 def phase_report(perf, tracer: Tracer | None = None) -> str:
-    """Side-by-side measured/simulated breakdown (the ``obs report`` body).
+    """Side-by-side measured/simulated breakdown (the ``obs report`` body):
+    :func:`phase_report_data` rendered as text.
 
     *perf* is a :class:`~repro.perf.timeline.PerformanceLog`; the measured
     column comes from :func:`measured_phase_totals`.
     """
-    from repro.perf.report import PhaseBreakdown
-
-    measured = measured_phase_totals(tracer)
     lines: list[str] = []
     header = (
         f"{'phase':<8}{'bucket':<12}{'measured µs':>14}{'meas %':>9}"
@@ -286,42 +259,27 @@ def phase_report(perf, tracer: Tracer | None = None) -> str:
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for phase in ("setup", "solve"):
-        sim = perf.phase_totals(phase)
-        sim_parts = {
-            "spgemm": sim.spgemm_us,
-            "spmv": sim.spmv_us,
-            "conversion": sim.conversion_us,
-            "other": sim.other_us,
-        }
-        meas = measured.get(
-            phase,
-            {"spgemm": 0.0, "spmv": 0.0, "conversion": 0.0, "other": 0.0,
-             "total": 0.0},
-        )
-        for bucket in ("spgemm", "spmv", "conversion", "other"):
+    for phase, data in phase_report_data(perf, tracer).items():
+        meas, meas_pct = data["measured_us"], data["measured_pct"]
+        sim, sim_pct = data["simulated_us"], data["simulated_pct"]
+        for bucket in KERNEL_CLASSES:
             lines.append(
                 f"{phase:<8}{bucket:<12}"
-                f"{meas[bucket]:>14.1f}{_pct(meas[bucket], meas['total']):>8.1f}%"
-                f"{sim_parts[bucket]:>14.1f}{_pct(sim_parts[bucket], sim.total_us):>8.1f}%"
+                f"{meas[bucket]:>14.1f}{meas_pct[bucket]:>8.1f}%"
+                f"{sim[bucket]:>14.1f}{sim_pct[bucket]:>8.1f}%"
             )
         lines.append(
             f"{phase:<8}{'total':<12}{meas['total']:>14.1f}{'':>9}"
-            f"{sim.total_us:>14.1f}{'':>9}"
+            f"{sim['total']:>14.1f}{'':>9}"
         )
         # The Fig. 1/2 headline: dominant kernel vs rest of phase.
         dominant = "spgemm" if phase == "setup" else "spmv"
-        bd = PhaseBreakdown(
-            phase=phase,
-            kernel=dominant,
-            kernel_us=sim_parts[dominant],
-            total_us=sim.total_us,
-        )
-        meas_dom = _pct(meas[dominant], meas["total"])
+        meas_dom, sim_dom = meas_pct[dominant], sim_pct[dominant]
         lines.append(
             f"{'':8}{dominant} share: measured {meas_dom:.1f}% / "
             f"rest {100.0 - meas_dom if meas['total'] else 0.0:.1f}%   "
-            f"simulated {bd.kernel_pct:.1f}% / rest {bd.rest_pct:.1f}%"
+            f"simulated {sim_dom:.1f}% / "
+            f"rest {100.0 - sim_dom if sim['total'] else 0.0:.1f}%"
         )
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

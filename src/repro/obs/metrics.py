@@ -5,9 +5,10 @@ registry answers "what did the engines do": cache hits/misses/evictions
 for the :class:`~repro.kernels.cache.OperatorCache` and
 :class:`~repro.kernels.setup_cache.SetupPlanCache`, tensor-core vs
 CUDA-core dispatch counts and per-tile popcount histograms from the mBSR
-kernels, bytes moved and MMA issues folded in from
-:class:`~repro.gpu.counters.KernelCounters`, and per-level smoother sweep
-counts.
+kernels, per-kernel calls, simulated µs, bytes moved and MMA issues folded
+in from each priced :class:`~repro.kernels.record.KernelRecord` as a
+:class:`~repro.perf.timeline.PerformanceLog` appends it, and per-level
+smoother sweep counts.
 
 The registry shares the ``REPRO_TRACE`` gate with the tracer: the
 module-level helpers (:func:`inc`, :func:`observe`, ...) are no-ops while
@@ -38,7 +39,6 @@ __all__ = [
     "observe",
     "observe_counts",
     "observe_kernel",
-    "charge",
 ]
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -245,8 +245,9 @@ def observe_kernel(record) -> None:
     mBSR SpMV/SpMM records also the TC-vs-CUDA dispatch path and the
     operator's tile-popcount histogram.
 
-    Called from every ``perf.append`` site in the backends and from
-    :func:`charge`; gated here so the call sites stay one line.
+    Its one caller is :meth:`repro.perf.timeline.PerformanceLog.extend`:
+    a record reaches the registry exactly when it lands in a performance
+    log, so the two streams count the same calls.
     """
     if not is_active():
         return
@@ -255,8 +256,7 @@ def observe_kernel(record) -> None:
         "phase": record.phase,
         "backend": record.backend,
         "precision": record.precision.name.lower(),
-        # Cost-model class at pricing time: lets the roofline attributor
-        # (repro.obs.profile) re-price counter totals on any device.
+        # Cost-model class at pricing time, as repro.obs.profile keys it.
         "kernel_class": record.kernel_class
         or f"{record.backend}_{record.kernel}",
     }
@@ -285,16 +285,3 @@ def observe_kernel(record) -> None:
         REGISTRY.histogram(
             names.SPMV_TILE_POPCOUNT, buckets=POP_BUCKETS, kernel=record.kernel,
         ).observe_counts(pop_hist)
-
-
-def charge(log, records) -> None:
-    """Append priced kernel records to a performance log and fold the same
-    records into the registry.
-
-    The one path by which replayed kernels reach both streams, so the
-    perf log and ``repro_kernel_*`` can never disagree on what ran.
-    """
-    log.records.extend(records)
-    if is_active():
-        for record in records:
-            observe_kernel(record)

@@ -1,25 +1,20 @@
 """Roofline attribution: where the machine model says time and bytes go.
 
 The kernels record what they did (:class:`~repro.gpu.counters.KernelCounters`
-bytes / scalar flops / MMA issues) and the cost model prices it
-(:mod:`repro.gpu.cost`).  This module folds the two streams into
-per-kernel *attribution records* — arithmetic intensity, memory- vs
-compute-bound classification against the device roofline, achieved
-fraction of peak, and the tensor-core vs scalar-core flop split — from
-either of the two places the streams land:
+bytes / scalar flops / MMA issues per precision) and the cost model prices
+it (:mod:`repro.gpu.cost`).  :func:`attribute_log` folds the priced
+:class:`~repro.kernels.record.KernelRecord`\\ s of a
+:class:`~repro.perf.timeline.PerformanceLog` into per-(kernel, phase,
+backend, precision, class, *level*) *attribution records* — arithmetic
+intensity, memory- vs compute-bound classification against the device
+roofline, achieved fraction of peak, and the tensor-core vs scalar-core
+flop split.  It is the one attribution and per-level table: ``repro obs
+roofline`` prints it and every bench payload embeds it.
 
-* :func:`attribute_log` — a :class:`~repro.perf.timeline.PerformanceLog`
-  of priced :class:`~repro.kernels.record.KernelRecord`\\ s, grouped per
-  (kernel, phase, backend, precision, class, *level*): the fine-grained
-  view ``repro obs roofline`` prints.
-* :func:`attribute_snapshot` — the ``repro_kernel_*`` counter totals of a
-  metrics snapshot (labels carry everything but the level): the view the
-  bench payloads embed, reconstructible from any archived payload.
-
-Attribution is exact by construction: every byte / flop / MMA issue in a
-record came out of the same counters the registry folded in, and
-:func:`totals` sums them with :func:`math.fsum` so the roll-up equals the
-registry totals bit for bit (asserted in tests).
+Attribution is exact by construction: every byte / flop / MMA issue of a
+cell is the merged per-precision counters of its records, and
+:func:`totals` sums the cells with :func:`math.fsum`, so the roll-up
+equals the sum over the records (asserted in tests).
 """
 
 from __future__ import annotations
@@ -28,25 +23,16 @@ import math
 from dataclasses import dataclass
 
 from repro.gpu.cost import CostModel
-from repro.gpu.counters import KernelCounters, MMA_FLOPS, Precision
+from repro.gpu.counters import KernelCounters, MMA_FLOPS
 from repro.gpu.specs import DeviceSpec, get_device
-
-from repro.obs import names
 
 __all__ = [
     "AttributionRecord",
     "attribute_log",
-    "attribute_snapshot",
-    "attribute_registry",
     "totals",
     "roofline_payload",
     "format_roofline",
 ]
-
-#: Snapshot-sourced records carry no level (the registry labels do not
-#: include it); they attribute at this sentinel, matching the unpriced
-#: ``KernelRecord.level`` default.
-UNATTRIBUTED_LEVEL = -1
 
 
 @dataclass(frozen=True)
@@ -165,17 +151,10 @@ def _build(key, agg, device: DeviceSpec) -> AttributionRecord:
     )
 
 
-def _finish(groups: dict, device) -> list[AttributionRecord]:
-    dev = _resolve_device(device)
-    records = [_build(key, agg, dev) for key, agg in groups.items()]
-    records.sort(key=lambda r: (-r.sim_us, r.kernel, r.phase, r.level))
-    return records
-
-
 def attribute_log(perf, device="H100") -> list[AttributionRecord]:
-    """Attribution from a :class:`~repro.perf.timeline.PerformanceLog`:
-    per-level records grouped on every label the registry keeps plus the
-    AMG level."""
+    """Attribution of a :class:`~repro.perf.timeline.PerformanceLog`: one
+    record per cell of every label the registry keeps plus the AMG level,
+    heaviest first."""
     groups: dict = {}
     for rec in perf.records:
         key = (
@@ -194,77 +173,17 @@ def attribute_log(perf, device="H100") -> list[AttributionRecord]:
         agg["calls"] += 1
         agg["sim_us"] += rec.sim_time_us
         agg["counters"].merge(rec.counters)
-    return _finish(groups, device)
-
-
-#: metric name -> aggregate slot filled from a snapshot sample.
-_SNAPSHOT_FIELDS = {
-    names.KERNEL_CALLS: "calls",
-    names.KERNEL_SIM_US: "sim_us",
-    names.KERNEL_BYTES_READ: "bytes_read",
-    names.KERNEL_BYTES_WRITTEN: "bytes_written",
-    names.KERNEL_MMA_ISSUES: "mma_issues",
-    names.KERNEL_SCALAR_FLOPS: "scalar_flops",
-}
-
-
-def attribute_snapshot(snapshot: dict, device="H100") -> list[AttributionRecord]:
-    """Attribution from a :meth:`MetricsRegistry.snapshot` dict (the shape
-    bench payloads embed under ``metrics``): one record per
-    ``repro_kernel_*`` label set, level :data:`UNATTRIBUTED_LEVEL`."""
-    groups: dict = {}
-    for metric_name, field in _SNAPSHOT_FIELDS.items():
-        entry = snapshot.get(metric_name)
-        if not entry:
-            continue
-        for sample in entry["samples"]:
-            labels = sample["labels"]
-            precision = labels.get("precision", "fp64")
-            key = (
-                labels.get("kernel", "?"),
-                labels.get("phase", ""),
-                labels.get("backend", "?"),
-                precision,
-                labels.get("kernel_class", ""),
-                UNATTRIBUTED_LEVEL,
-            )
-            agg = groups.get(key)
-            if agg is None:
-                agg = groups[key] = {
-                    "calls": 0.0, "sim_us": 0.0, "counters": KernelCounters(),
-                }
-            value = float(sample["value"])
-            if field in ("calls", "sim_us"):
-                agg[field] += value
-            else:
-                counters = agg["counters"]
-                prec = Precision[precision.upper()]
-                if field == "bytes_read":
-                    counters.add_bytes(read=value)
-                elif field == "bytes_written":
-                    counters.add_bytes(written=value)
-                elif field == "mma_issues":
-                    counters.add_mma(prec, value)
-                elif field == "scalar_flops":
-                    counters.add_flops(prec, value)
-    return _finish(groups, device)
-
-
-def attribute_registry(registry=None, device="H100") -> list[AttributionRecord]:
-    """Attribution straight off the live registry (``repro obs roofline``
-    without a payload argument)."""
-    from repro.obs.metrics import REGISTRY
-
-    reg = registry if registry is not None else REGISTRY
-    return attribute_snapshot(reg.snapshot(), device)
+    dev = _resolve_device(device)
+    records = [_build(key, agg, dev) for key, agg in groups.items()]
+    records.sort(key=lambda r: (-r.sim_us, r.kernel, r.phase, r.level))
+    return records
 
 
 def totals(records: list[AttributionRecord]) -> dict:
     """Exact roll-up (``math.fsum``) across attribution records.
 
-    These totals must equal the registry's ``repro_kernel_*`` counter
-    totals whenever *records* came from the same run — the reconciliation
-    the tests assert.
+    These totals equal the ``math.fsum`` over the kernel records the
+    attribution was folded from — the reconciliation the tests assert.
     """
     out = {
         field: math.fsum(getattr(r, field) for r in records)

@@ -8,7 +8,7 @@ numbers of the abstract).
 
 from repro.perf.timeline import PerformanceLog, PhaseTotals
 from repro.perf.report import geomean, speedup_table, PhaseBreakdown
-from repro.perf.export import to_csv, to_json, level_table
+from repro.perf.export import to_csv, to_json
 
 __all__ = [
     "PerformanceLog",
@@ -18,5 +18,4 @@ __all__ = [
     "PhaseBreakdown",
     "to_csv",
     "to_json",
-    "level_table",
 ]

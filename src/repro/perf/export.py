@@ -1,10 +1,10 @@
-"""Export the performance log to CSV / JSON and per-level aggregates.
+"""Export the performance log to CSV / JSON.
 
 The benchmark harnesses print paper-shaped tables; downstream analysis
 (plotting Fig. 8-style dot sequences, regression tracking) wants the raw
 per-call records instead.  ``to_csv`` / ``to_json`` dump one row per
-simulated kernel call, and :func:`level_table` aggregates time per
-(level, kernel) — the data behind the banded structure of Fig. 8.
+simulated kernel call; the per-level aggregate behind the banded
+structure of Fig. 8 is :func:`repro.obs.profile.attribute_log`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from repro.perf.timeline import PerformanceLog
 
-__all__ = ["to_csv", "to_json", "level_table"]
+__all__ = ["to_csv", "to_json"]
 
 _FIELDS = [
     "index",
@@ -71,20 +71,3 @@ def to_json(log: PerformanceLog, path: str | Path | None = None):
         with open(path, "w") as fh:
             json.dump(data, fh, indent=1)
     return data
-
-
-def level_table(log: PerformanceLog, phase: str | None = None) -> dict:
-    """Aggregate simulated time and call counts per (level, kernel).
-
-    Returns ``{(level, kernel): {"calls": n, "time_us": t}}`` — the
-    per-level bands of Fig. 8 in numeric form.
-    """
-    out: dict[tuple[int, str], dict] = {}
-    for rec in log.records:
-        if phase is not None and rec.phase != phase:
-            continue
-        key = (rec.level, rec.kernel)
-        entry = out.setdefault(key, {"calls": 0, "time_us": 0.0})
-        entry["calls"] += 1
-        entry["time_us"] += rec.sim_time_us
-    return out

@@ -1,23 +1,49 @@
-"""Per-kernel-call performance log.
+"""Per-kernel-call performance log — the one priced event stream.
 
 Every simulated kernel call (SpGEMM, SpMV, format conversion, and the
 "other" AMG work) appends one :class:`repro.kernels.record.KernelRecord`
-tagged with its phase ('setup' / 'solve') and grid level.  From this log
-the reproduction derives:
+tagged with its phase ('setup' / 'solve') and grid level.  The log is
+the only place a priced record enters any accounting stream: while a
+trace is active, :meth:`PerformanceLog.extend` folds each record into
+the ``repro_kernel_*`` counters of the metrics registry as it lands.
+From the records the reproduction derives:
 
 * Fig. 1 / Fig. 2 — phase time breakdowns (SpGEMM vs rest of setup, SpMV
-  vs rest of solve);
+  vs rest of solve), bucketed by :func:`kernel_class`;
 * Fig. 7 — total setup/solve times per solver configuration;
-* Fig. 8 — the per-call time sequences of both kernels.
+* Fig. 8 — the per-call time sequences of both kernels, and the
+  per-level roofline attribution of :func:`repro.obs.profile.attribute_log`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.kernels.record import KernelRecord
+from repro.obs.metrics import observe_kernel
+from repro.obs.trace import is_active
 
-__all__ = ["PerformanceLog", "PhaseTotals"]
+__all__ = ["KERNEL_CLASSES", "PerformanceLog", "PhaseTotals", "kernel_class"]
+
+#: The Fig. 1/2 buckets, in report order.
+KERNEL_CLASSES = ("spgemm", "spmv", "conversion", "other")
+
+_CLASS_OF = {
+    "spgemm": "spgemm",
+    "spmv": "spmv",
+    "spmm": "spmv",
+    "csr2mbsr": "conversion",
+    "mbsr2csr": "conversion",
+    "csr2bsr": "conversion",
+}
+
+
+def kernel_class(kernel: str) -> str:
+    """The Fig. 1/2 bucket of a kernel (record or span) name: ``spgemm``,
+    ``spmv`` (the SpMV and its panel form, SpMM), ``conversion`` or
+    ``other`` — the one taxonomy of every phase split."""
+    return _CLASS_OF.get(kernel, "other")
 
 
 @dataclass
@@ -28,6 +54,11 @@ class PhaseTotals:
     spmv_us: float = 0.0
     conversion_us: float = 0.0
     other_us: float = 0.0
+
+    @property
+    def parts(self) -> dict[str, float]:
+        """Microseconds per :data:`KERNEL_CLASSES` bucket."""
+        return {c: getattr(self, f"{c}_us") for c in KERNEL_CLASSES}
 
     @property
     def total_us(self) -> float:
@@ -41,8 +72,17 @@ class PerformanceLog:
     records: list[KernelRecord] = field(default_factory=list)
 
     def append(self, record: KernelRecord) -> KernelRecord:
-        self.records.append(record)
+        self.extend((record,))
         return record
+
+    def extend(self, records: Sequence[KernelRecord]) -> None:
+        """Append priced records in order; while a trace is active each is
+        folded into the metrics registry as well, so the log and the
+        ``repro_kernel_*`` counters count the same calls."""
+        self.records.extend(records)
+        if is_active():
+            for record in records:
+                observe_kernel(record)
 
     # ------------------------------------------------------------------
     def by_phase(self, phase: str) -> list[KernelRecord]:
@@ -61,17 +101,10 @@ class PerformanceLog:
 
     # ------------------------------------------------------------------
     def phase_totals(self, phase: str) -> PhaseTotals:
-        totals = PhaseTotals()
+        us = dict.fromkeys(KERNEL_CLASSES, 0.0)
         for r in self.by_phase(phase):
-            if r.kernel == "spgemm":
-                totals.spgemm_us += r.sim_time_us
-            elif r.kernel == "spmv":
-                totals.spmv_us += r.sim_time_us
-            elif r.kernel in ("csr2mbsr", "mbsr2csr", "csr2bsr"):
-                totals.conversion_us += r.sim_time_us
-            else:
-                totals.other_us += r.sim_time_us
-        return totals
+            us[kernel_class(r.kernel)] += r.sim_time_us
+        return PhaseTotals(**{f"{c}_us": t for c, t in us.items()})
 
     @property
     def setup(self) -> PhaseTotals:
@@ -99,5 +132,6 @@ class PerformanceLog:
             "solve_spmv_us": solve.spmv_us,
             "total_us": setup.total_us + solve.total_us,
             "spgemm_calls": self.count("spgemm"),
-            "spmv_calls": self.count("spmv"),
+            "spmv_calls": sum(kernel_class(r.kernel) == "spmv"
+                              for r in self.records),
         }

@@ -20,7 +20,8 @@ from repro.amg import smoothers
 from repro.amg.cycle import SolveParams, _default_spmv
 from repro.amg.hierarchy import AMGHierarchy
 from repro.kernels.spmv import SpMVBinding
-from repro.tape.tape import CycleTape, TapeOp, Workspace, spmv_span_attrs
+from repro.kernels.record import span_attrs as kernel_span_attrs
+from repro.tape.tape import CycleTape, TapeOp, Workspace
 
 __all__ = ["record_cycle"]
 
@@ -112,7 +113,8 @@ class _Recorder:
     def emit(self, kind, level, fn, *, spmv_calls=0, record=None,
              span_attrs=None):
         if span_attrs is None:
-            span_attrs = spmv_span_attrs(level, record)
+            span_attrs = kernel_span_attrs(
+                "solve", level, () if record is None else (record,))
         self.ops.append(TapeOp(kind, level, fn, spmv_calls, span_attrs))
         if record is not None:
             self.records.extend([record] * spmv_calls)
@@ -171,7 +173,7 @@ class _Recorder:
         hierarchy, ws = self.hierarchy, self.ws
         lvl = hierarchy.levels[level]
         self.smoother_sweeps.append((level, num_sweeps))
-        span_attrs = {"phase": "solve", "level": level}
+        span_attrs = kernel_span_attrs("solve", level)
         if params.smoother == "l1-jacobi":
             bind_a = self.bind(level, "A")
             fn = smoothers.bind_l1_jacobi(

@@ -29,7 +29,7 @@ from repro.amg.cycle import SolveParams, SolveStats, mg_cycle
 from repro.amg.hierarchy import AMGHierarchy
 from repro.amg.precision import accumulator
 from repro.check import runtime as check_runtime
-from repro.kernels.record import KernelRecord
+from repro.kernels.record import KernelRecord, span_attrs
 from repro.obs import convergence as obs_conv
 from repro.obs import names as obs_names
 from repro.obs import trace as obs_trace
@@ -41,20 +41,6 @@ __all__ = ["Workspace", "TapeOp", "CycleTape", "taped_solve"]
 #: solve runs without one, as in the interpreted cycle).
 _SPAN_NAMES = {"smooth": "smoother", "residual": "spmv", "restrict": "spmv",
                "correct": "spmv"}
-
-
-def spmv_span_attrs(level: int, record: KernelRecord | None) -> dict:
-    """Attributes of a replayed SpMV's kernel span: phase and level, plus
-    the priced record's facts when the binding has one."""
-    attrs: dict = {"phase": "solve", "level": level}
-    if record is not None:
-        attrs.update(
-            sim_us=record.sim_time_us,
-            backend=record.backend,
-            precision=record.precision.name.lower(),
-            path=record.detail.get("path"),
-        )
-    return attrs
 
 
 class Workspace:
@@ -208,8 +194,8 @@ class CycleTape:
     def _fold_observability(self) -> None:
         """Fold one replayed cycle into the metrics registry (trace-gated
         caller): the replay counter and the per-smoother sweep counts.
-        Kernel records reach the registry with the perf log, through
-        :func:`repro.obs.metrics.charge`."""
+        Kernel records reach the registry when the driver appends them to
+        its performance log."""
         from repro.obs import metrics as obs_metrics
 
         obs_metrics.REGISTRY.counter(obs_names.TAPE_REPLAY_CYCLES).inc()
@@ -395,7 +381,9 @@ def taped_solve(
             )
         np.copyto(x, x0.T, casting="unsafe")
     r = ws.r[0]
-    residual_attrs = spmv_span_attrs(0, tape.residual_record)
+    res_record = tape.residual_record
+    residual_attrs = span_attrs("solve", 0, () if res_record is None
+                                else (res_record,))
 
     def residual() -> None:
         if traced:

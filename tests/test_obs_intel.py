@@ -1,9 +1,9 @@
 """Tests for the performance-intelligence layer on top of ``repro.obs``.
 
 Covers the three new subsystems end to end: roofline attribution
-(:mod:`repro.obs.profile`) and its exact reconciliation against the
-registry's kernel counters, the always-on flight recorder
-(:mod:`repro.obs.blackbox`) — event capture, bounded ring, postmortem
+(:mod:`repro.obs.profile`) and its reconciliation with the perf log's
+records (the registry side lives in ``test_accounting.py``), the
+always-on flight recorder (:mod:`repro.obs.blackbox`) — event capture, bounded ring, postmortem
 dump/load/render, the forced-ContractViolation path under checked mode,
 bit-identity and warm-path overhead — and the perf ledger / regression
 sentinel (:mod:`repro.obs.ledger`) with its noise-aware ``obs diff``.
@@ -36,6 +36,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
+from repro.perf.timeline import PerformanceLog
 
 
 @pytest.fixture(autouse=True)
@@ -63,26 +64,6 @@ def _traced_solve(n=12, iterations=3, backend="amgt"):
 
 
 class TestAttribution:
-    def test_snapshot_totals_reconcile_exactly(self):
-        """The attribution roll-up equals the registry's kernel counters
-        bit for bit: every byte / flop / call attributed, none invented."""
-        _traced_solve()
-        snap = obs.REGISTRY.snapshot()
-        records = obs_profile.attribute_snapshot(snap, "H100")
-        assert records
-        agg = obs_profile.totals(records)
-        for metric_name, field in (
-            (obs_names.KERNEL_CALLS, "calls"),
-            (obs_names.KERNEL_SIM_US, "sim_us"),
-            (obs_names.KERNEL_BYTES_READ, "bytes_read"),
-            (obs_names.KERNEL_BYTES_WRITTEN, "bytes_written"),
-            (obs_names.KERNEL_MMA_ISSUES, "mma_issues"),
-            (obs_names.KERNEL_SCALAR_FLOPS, "scalar_flops"),
-        ):
-            samples = snap.get(metric_name, {}).get("samples", [])
-            expected = math.fsum(s["value"] for s in samples)
-            assert agg[field] == expected, metric_name
-
     def test_log_attribution_reconciles_with_perf_records(self):
         solver = _traced_solve()
         records = obs_profile.attribute_log(solver.performance, "H100")
@@ -130,16 +111,8 @@ class TestAttribution:
         assert "roofline attribution on H100" in text
         assert "total" in text
 
-    def test_registry_attribution_matches_snapshot(self):
-        _traced_solve()
-        via_registry = obs_profile.attribute_registry(device="H100")
-        via_snapshot = obs_profile.attribute_snapshot(
-            obs.REGISTRY.snapshot(), "H100"
-        )
-        assert via_registry == via_snapshot
-
-    def test_empty_snapshot_attributes_to_nothing(self):
-        assert obs_profile.attribute_snapshot({}, "H100") == []
+    def test_empty_log_attributes_to_nothing(self):
+        assert obs_profile.attribute_log(PerformanceLog(), "H100") == []
         agg = obs_profile.totals([])
         assert agg["calls"] == 0.0
         assert agg["arithmetic_intensity"] == 0.0

@@ -7,7 +7,7 @@ from repro.gpu import A100, CostModel
 from repro.gpu.counters import Precision
 from repro.kernels.record import KernelRecord
 from repro.perf.report import format_table, geomean, speedup_table
-from repro.perf.timeline import PerformanceLog
+from repro.perf.timeline import PerformanceLog, kernel_class
 
 
 def _rec(kernel, phase, us, backend="amgt", level=0):
@@ -35,6 +35,22 @@ class TestPerformanceLog:
         assert solve.spmv_us == 7
         assert solve.other_us == 1
         assert log.total_us == 23
+
+    def test_kernel_class_taxonomy(self):
+        """One taxonomy for every phase split: SpMM is SpMV work."""
+        assert [kernel_class(k) for k in (
+            "spgemm", "spmv", "spmm", "csr2mbsr", "mbsr2csr", "csr2bsr",
+            "coarsen", "smoother",
+        )] == ["spgemm", "spmv", "spmv", "conversion", "conversion",
+               "conversion", "other", "other"]
+        log = PerformanceLog()
+        log.append(_rec("spmv", "solve", 2))
+        log.append(_rec("spmm", "solve", 5))
+        log.append(_rec("vector_ops", "solve", 1))
+        assert log.solve.spmv_us == 7
+        assert log.solve.parts == {"spgemm": 0.0, "spmv": 7.0,
+                                   "conversion": 0.0, "other": 1.0}
+        assert log.summary()["spmv_calls"] == 2
 
     def test_kernel_times_sequence(self):
         log = PerformanceLog()

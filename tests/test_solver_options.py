@@ -5,7 +5,8 @@ import pytest
 
 from repro import AmgTSolver
 from repro.matrices import convection_diffusion_2d, poisson2d
-from repro.perf.export import level_table, to_csv, to_json
+from repro.obs.profile import attribute_log
+from repro.perf.export import to_csv, to_json
 
 
 class TestCycleAndSmootherOptions:
@@ -118,22 +119,23 @@ class TestPerfExport:
         assert data[0]["kernel"]
         assert all(r["sim_time_us"] >= 0 for r in data)
 
-    def test_level_table(self, solved):
-        table = level_table(solved.performance, phase="solve")
+    def test_level_attribution(self, solved):
+        """The per-level table (Fig. 8's bands) is attribute_log's cells."""
+        cells = [c for c in attribute_log(solved.performance)
+                 if c.phase == "solve"]
         levels = solved.hierarchy.num_levels
         # every non-coarsest level ran SpMV calls
         for k in range(levels - 1):
-            assert (k, "spmv") in table
-            assert table[(k, "spmv")]["calls"] > 0
-        total = sum(v["time_us"] for v in table.values())
+            spmv = [c for c in cells if c.level == k and c.kernel == "spmv"]
+            assert spmv and all(c.calls > 0 for c in spmv)
+        total = sum(c.sim_us for c in cells)
         assert total == pytest.approx(
             sum(r.sim_time_us for r in solved.performance.by_phase("solve"))
         )
 
-    def test_level_table_all_phases(self, solved):
-        table = level_table(solved.performance)
-        assert any(k[1] == "spgemm" for k in table)
-        assert any(k[1] == "spmv" for k in table)
+    def test_level_attribution_all_phases(self, solved):
+        kernels = {c.kernel for c in attribute_log(solved.performance)}
+        assert {"spgemm", "spmv"} <= kernels
 
 
 class TestAggregationFamily:
