@@ -50,7 +50,7 @@ import numpy as np
 import common
 
 from repro.amg.cycle import SolveParams
-from repro.gpu.specs import A100
+from repro.gpu.specs import get_device
 from repro.hypre.backends import AmgTBackend
 from repro.hypre.boomeramg import BoomerAMG
 from repro.matrices.generators import evolving_sequence
@@ -58,6 +58,8 @@ from repro.matrices.generators import evolving_sequence
 DEFAULT_FAMILIES = ["newton", "timestep", "refine"]
 DEFAULT_FRACS = [0.01, 0.05, 0.20]
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_evolve.json")
+#: Every backend prices on the device the payload's attribution divides by.
+DEVICE = get_device(common.ATTRIBUTION_DEVICE)
 
 NX = int(os.environ.get("REPRO_EVOLVE_NX", "64"))
 STEPS = int(os.environ.get("REPRO_EVOLVE_STEPS", "3"))
@@ -89,7 +91,7 @@ def _assert_bit_identical(cold, other) -> None:
 
 
 def _solver() -> BoomerAMG:
-    return BoomerAMG(AmgTBackend(A100, precision="fp64"))
+    return BoomerAMG(AmgTBackend(DEVICE, precision="fp64"))
 
 
 def _cold_setup(csr):
@@ -220,7 +222,7 @@ def run(families=None, fracs=None, repeats=None, out_path=OUT_PATH) -> dict:
         out_path,
         "benchmarks/bench_evolve.py",
         {
-            "device": "A100",
+            "device": common.ATTRIBUTION_DEVICE,
             "precision": "fp64",
             "nx": NX,
             "steps": STEPS,

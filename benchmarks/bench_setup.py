@@ -44,7 +44,7 @@ import common
 
 from repro.amg.cycle import SolveParams
 from repro.formats.convert import csr_to_mbsr
-from repro.gpu.specs import A100
+from repro.gpu.specs import get_device
 from repro.hypre.backends import AmgTBackend
 from repro.hypre.boomeramg import BoomerAMG
 from repro.kernels.setup_cache import SetupPlanCache
@@ -53,6 +53,8 @@ from repro.matrices import load_suite_matrix
 
 DEFAULT_MATRICES = ["thermal1", "bcsstk39", "cant"]
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_setup.json")
+#: Every backend prices on the device the payload's attribution divides by.
+DEVICE = get_device(common.ATTRIBUTION_DEVICE)
 
 _median_time = common.median_time
 
@@ -76,7 +78,7 @@ def _assert_hierarchies_identical(cold, replayed) -> None:
 
 
 def _cold_setup(csr):
-    amg = BoomerAMG(AmgTBackend(A100, precision="fp64"))
+    amg = BoomerAMG(AmgTBackend(DEVICE, precision="fp64"))
     return amg, amg.setup(csr)
 
 
@@ -91,7 +93,7 @@ def bench_resetup(csr, repeats):
     backend each)."""
     inputs = [(m, _cold_setup(m)[1]) for m in (_scaled(csr, 2.0), csr)]
 
-    amg = BoomerAMG(AmgTBackend(A100, precision="fp64"))
+    amg = BoomerAMG(AmgTBackend(DEVICE, precision="fp64"))
     amg.setup(csr)
     # Warm-up pair: assembles the fused RAP plans (the intermediate's
     # pattern differs from the cold path's pruned one when the Galerkin
@@ -163,7 +165,7 @@ def _instrumented_pass(csr):
     benchmarked, then one V-cycle: setup charges no work to the coarsest
     level, the cycle's coarse solve does, so the attribution has a row at
     every level.  Returns the log it charged."""
-    amg = BoomerAMG(AmgTBackend(A100, precision="fp64"))
+    amg = BoomerAMG(AmgTBackend(DEVICE, precision="fp64"))
     amg.setup(csr)
     amg.setup(_scaled(csr, 2.0), reuse=True)
     amg.solve(np.ones(csr.nrows), params=SolveParams(max_iterations=1))

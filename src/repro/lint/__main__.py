@@ -34,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description="Repo-specific static analysis for the AmgT reproduction "
         "(dtype-flow, scatter-ban, constant-provenance, contract-hook "
-        "coverage, hot-loop allocations, workspace aliasing/escape "
-        "provenance, stale closure capture).",
+        "coverage, hot-loop allocations, root spans, stale closure "
+        "capture, metric-name provenance).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],

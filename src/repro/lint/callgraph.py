@@ -3,12 +3,11 @@
 The per-file rules of PRs 3–7 each grew a private notion of "delegation"
 — R4 followed ``self._helper()`` chains inside one class, R6 followed
 ``self._impl()`` / module-level ``_impl()`` chains inside one file.
-Neither could see a binding in ``kernels/spmv.py`` hand a workspace view
-to a closure minted in ``tape/recorder.py``.  This module builds the
-shared substrate those rules (and the new provenance rules R7/R8) run
-on: every function definition in the linted tree — module-level
-functions, class methods and *nested* closures — indexed by a stable
-qualified name, with call edges resolved through
+Neither could follow ``kernels/baseline.py::bind_csr_spmv`` into a
+private helper of ``kernels/spmv.py``.  This module builds the shared
+substrate R4 and R5 run on: every function definition in the linted
+tree — module-level functions, class methods and *nested* closures —
+indexed by a stable qualified name, with call edges resolved through
 
 * bare local names (nested defs in the enclosing scope chain, then
   module-level functions, then imports),
@@ -79,13 +78,6 @@ class FunctionInfo:
     def label(self) -> str:
         """Human name for findings: ``Cls.method()`` / ``fn()``."""
         return f"{self.qualname}()"
-
-    def docstring(self) -> str:
-        return ast.get_docstring(self.node) or ""
-
-    def param_names(self) -> list[str]:
-        a = self.node.args
-        return [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
 
 
 @dataclass
@@ -328,14 +320,12 @@ class ProjectIndex:
     # -- traversal ------------------------------------------------------
     def reachable(
         self, root: FunctionInfo, *, private_only: bool = False,
-        same_module: bool = False,
     ) -> Iterator[FunctionInfo]:
         """Functions reachable from *root* through resolved project calls
         and closure edges, *root* included.
 
         ``private_only`` restricts traversal to ``_``-prefixed callees
-        (the delegation pattern R4/R5 follow); ``same_module`` keeps the
-        walk inside *root*'s file.
+        (the delegation pattern R4 follows).
         """
         seen: set[int] = set()
         stack = [root]
@@ -351,8 +341,6 @@ class ProjectIndex:
                 if callee is None:
                     continue
                 if private_only and callee.is_public and callee is not root:
-                    continue
-                if same_module and callee.path != root.path:
                     continue
                 nxt.append(callee)
             stack.extend(n for n in nxt if id(n) not in seen)

@@ -60,15 +60,6 @@ SOLVER_SCOPE = (
     "solvers/bicgstab.py",
 )
 
-#: Subtrees where the interprocedural provenance rules (R7 workspace-
-#: aliasing, R8 escaping-view) apply: everywhere buffers flow between
-#: the tape, the bindings and the solvers.  ``util`` is excluded — the
-#: segmented-reduction engine manipulates caller-provided arrays by
-#: design and owns no workspace.
-PROVENANCE_SCOPE_DIRS = (
-    "kernels", "formats", "amg", "hypre", "dist", "solvers", "tape", "gpu",
-)
-
 #: Constant name -> module (repro-relative) that owns its definition.
 #: The owner is exempt from R3 findings *for that constant only*.
 CONSTANT_OWNERS = {
@@ -137,20 +128,14 @@ class ModuleContext:
             return not self.is_benchmark()
         return rel in SOLVER_SCOPE
 
-    def in_provenance_scope(self) -> bool:
-        rel = self._rel()
-        if rel is None:
-            return True
-        return rel.split("/", 1)[0] in PROVENANCE_SCOPE_DIRS
-
     def is_benchmark(self) -> bool:
         """True for files under a ``benchmarks/`` tree outside the package.
 
-        The benches are the perf ground truth, so the hot-loop and
-        provenance rules (R2/R5/R7/R8/R9) apply there; the package-layout
-        rules (R1/R3/R4/R6) do not — bench drivers legitimately build
-        matrices with inline literals and never define kernel entry
-        points.
+        The benches are the perf ground truth, so the scatter, hot-loop,
+        closure and metric-name rules (R2/R5/R9/R10) apply there; the
+        package-layout rules (R1/R3/R4/R6) do not — bench drivers
+        legitimately build matrices with inline literals and never define
+        kernel entry points.
         """
         return self._rel() is None and "benchmarks" in self.path.split("/")
 

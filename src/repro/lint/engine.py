@@ -1,13 +1,12 @@
 """Orchestration: parse the tree, build the project index, run rules.
 
-Since PR 8 linting is a two-phase pass.  Phase one parses *every*
-requested file and builds the :class:`~repro.lint.callgraph.ProjectIndex`
-— the shared call graph the interprocedural rules (R4 delegation, R5
-hidden in-loop allocation, R7/R8 buffer provenance) resolve edges
-through.  Phase two runs the per-file checkers; each receives its own
-:class:`ModuleContext` *and* the whole-project index, so a rule scoped to
-one file can still see a binding in ``kernels/spmv.py`` hand a workspace
-view to a closure minted in ``tape/recorder.py``.
+Linting is a two-phase pass.  Phase one parses *every* requested file
+and builds the :class:`~repro.lint.callgraph.ProjectIndex` — the shared
+call graph the interprocedural rules (R4 delegation, R5 hidden in-loop
+allocation) resolve edges through.  Phase two runs the per-file
+checkers; each receives its own :class:`ModuleContext` *and* the
+whole-project index, so R4 checking ``kernels/baseline.py`` can follow
+``bind_csr_spmv`` into a private helper of ``kernels/spmv.py``.
 
 The ``report_on`` parameter decouples *indexing* scope from *reporting*
 scope: ``--changed`` indexes the full tree (the call graph needs
@@ -24,12 +23,8 @@ from repro.lint.baseline import Baseline
 from repro.lint.callgraph import ProjectIndex
 from repro.lint.context import ModuleContext, load_module
 from repro.lint.finding import RULES, Finding, Severity, make_finding
-from repro.lint.rules_aliasing import (
-    check_escaping_views,
-    check_stale_closure_capture,
-    check_workspace_aliasing,
-)
 from repro.lint.rules_alloc import check_hot_loop_alloc
+from repro.lint.rules_closures import check_stale_closure_capture
 from repro.lint.rules_constants import check_constant_provenance
 from repro.lint.rules_dtype import check_dtype_flow
 from repro.lint.rules_invariants import (
@@ -51,15 +46,13 @@ CHECKERS: dict[
     "R4": check_contract_hooks,
     "R5": check_hot_loop_alloc,
     "R6": check_root_spans,
-    "R7": check_workspace_aliasing,
-    "R8": check_escaping_views,
     "R9": check_stale_closure_capture,
     "R10": check_metric_name_provenance,
 }
 
 #: Rules that resolve call edges across files: when any of these is
 #: active, ``--changed`` must still parse and index the full tree.
-INTERPROCEDURAL_RULES = frozenset({"R4", "R5", "R7", "R8"})
+INTERPROCEDURAL_RULES = frozenset({"R4", "R5"})
 
 
 @dataclass

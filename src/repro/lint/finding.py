@@ -3,9 +3,10 @@
 The analyzer is deliberately repo-specific: its rules encode invariants of
 *this* reproduction (the FP64/FP32/FP16 level policy, the segmented-
 reduction engine, the paper's tile constants, the runtime contract hooks)
-rather than generic style.  Each rule has a stable id (``R1``..``R10``,
-plus ``R0`` for problems with the lint machinery itself) used in
-suppression comments and baseline entries.
+rather than generic style.  Each rule has a stable id (``R1``..``R6``,
+``R9``, ``R10``, plus ``R0`` for problems with the lint machinery
+itself) used in suppression comments and baseline entries.  ``R7`` and
+``R8`` named the retired buffer-provenance rules and are not reused.
 """
 
 from __future__ import annotations
@@ -97,25 +98,6 @@ RULES: dict[str, Rule] = {
             "Public solver entry points (setup/solve/precondition and the "
             "Krylov drivers) that never open a repro.obs span: traced runs "
             "(REPRO_TRACE=1) would record nothing for this phase.",
-        ),
-        Rule(
-            "R7",
-            "workspace-aliasing",
-            Severity.ERROR,
-            "Tape workspace slots written twice with no intervening read "
-            "ordering (dead store: one op's output is silently discarded), "
-            "or out= aliasing a read operand of a kernel not documented "
-            "alias-safe (non-elementwise kernels may read elements the "
-            "aliased write already overwrote).",
-        ),
-        Rule(
-            "R8",
-            "escaping-view",
-            Severity.ERROR,
-            "A public function or closure returning or storing a Workspace "
-            "slot, a view of one, or a binding-owned reused buffer, without "
-            ".copy().  The PR 6 tape contract — results are always copies — "
-            "checked at parse time via interprocedural provenance.",
         ),
         Rule(
             "R9",

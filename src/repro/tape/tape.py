@@ -15,7 +15,8 @@ interpreted cycle recursion :func:`repro.amg.cycle.mg_cycle` applied to
 column j alone: every replay op uses ufunc-``out=`` forms that round
 exactly like the fresh-allocation expressions they replace, and under
 ``REPRO_CHECK=1`` each replayed cycle is re-run, column by column,
-through ``mg_cycle`` and compared bit for bit.
+through ``mg_cycle`` and compared bit for bit, and every result handed
+to a caller is checked to share no memory with a workspace slot.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.amg.cycle import SolveParams, SolveStats, mg_cycle
 from repro.amg.hierarchy import AMGHierarchy
 from repro.amg.precision import accumulator
 from repro.check import runtime as check_runtime
+from repro.check.violation import ContractViolation
 from repro.kernels.record import KernelRecord, span_attrs
 from repro.obs import convergence as obs_conv
 from repro.obs import names as obs_names
@@ -51,7 +53,8 @@ class Workspace:
     :func:`taped_solve` / :meth:`CycleTape.cycle` before each replay);
     ``r``/``t`` are residual and smoother scratch; coarse-level ``x``/``b``
     are written by the restrict ops of the level above.  Values handed to
-    callers are always copies — no slot ever escapes the tape.
+    callers are always copies — no slot ever escapes the tape; under
+    checked mode :meth:`check_no_escape` verifies it on every result.
 
     Every slot is a **row panel**: row j is right-hand side j, kept
     contiguous so per-column norms and the width-1-equivalent reductions
@@ -76,6 +79,20 @@ class Workspace:
     def nbytes(self) -> int:
         return sum(arr.nbytes for slots in (self.x, self.b, self.r, self.t)
                    for arr in slots)
+
+    def check_no_escape(self, result: np.ndarray) -> None:
+        """Copy contract: raise unless *result*, about to be handed to a
+        caller, shares no memory with any slot at any level."""
+        for name in ("x", "b", "r", "t"):
+            for level, slot in enumerate(getattr(self, name)):
+                if np.shares_memory(result, slot):
+                    raise ContractViolation(
+                        "tape",
+                        "tape/escaping-slot",
+                        f"a result of shape {np.shape(result)} shares memory "
+                        f"with workspace slot {name}[{level}] (shape "
+                        f"{slot.shape}): the next replay overwrites it",
+                    )
 
 
 @dataclass
@@ -221,8 +238,6 @@ class CycleTape:
             )
             got = ws.x[0][j]
             if not np.array_equal(got, x_ref, equal_nan=True):
-                from repro.check import ContractViolation
-
                 bad = int(np.flatnonzero(got != x_ref)[0])
                 raise ContractViolation(
                     "tape",
@@ -241,7 +256,7 @@ class CycleTape:
         and returns one.  Callers holding ``(n, k)`` column panels
         transpose at the boundary.  Returns a fresh iterate; under an
         active check region it is verified against the interpreted cycle
-        first.
+        first, and checked to share no memory with the workspace.
         """
         if self.is_stale():
             raise _stale_error()
@@ -259,7 +274,10 @@ class CycleTape:
         if obs_trace.is_active():
             self._fold_observability()
         out = ws.x[0].copy()
-        return out[0] if np.ndim(b) == 1 else out
+        result = out[0] if np.ndim(b) == 1 else out
+        if check:
+            ws.check_no_escape(result)
+        return result
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """One zero-guess replayed cycle — the preconditioner application."""
@@ -330,7 +348,8 @@ def taped_solve(
     and the loop ends once every column is frozen.
 
     Under an active check region every cycle is differentially verified
-    against the interpreted cycle, column by column.  Traced solves emit
+    against the interpreted cycle, column by column, and the result is
+    checked to share no memory with the workspace.  Traced solves emit
     per-column convergence telemetry and kernel spans; every solved
     column leaves a flight-recorder event, and a diverged column a
     postmortem bundle.
@@ -460,6 +479,7 @@ def taped_solve(
             if tels[j] is not None:
                 tels[j].converged = st.converged
             _postmortem(st, norms0[j], None if vector else j)
-    if vector:
-        return x_final[0], stats[0]
-    return np.ascontiguousarray(x_final.T), stats
+    result = x_final[0] if vector else np.ascontiguousarray(x_final.T)
+    if check:
+        ws.check_no_escape(result)
+    return result, (stats[0] if vector else stats)

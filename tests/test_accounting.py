@@ -263,6 +263,11 @@ class TestPayloadAttribution:
         assert block["totals"]["calls"] == len(log.records)
         assert _close(block["totals"]["sim_us"],
                       math.fsum(r.sim_time_us for r in log.records))
+        # Priced on the device the attribution divides by.
+        model = CostModel(get_device(common.ATTRIBUTION_DEVICE))
+        assert all(_close(r.sim_time_us,
+                          model.kernel_time_us(r.counters, r.kernel_class))
+                   for r in log.records)
 
     def test_payload_attribution_is_attribute_log(self, tmp_path):
         """A bench payload's attribution is ``attribute_log`` over the

@@ -34,6 +34,18 @@ def rules_of(findings) -> set[str]:
     return {f.rule for f in findings}
 
 
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One no-baseline lint of the shipped tree (``src/repro`` and
+    ``benchmarks``), shared by every self-check: each filters it."""
+    return lint_paths([REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"])
+
+
+def in_tree(finding, *parts: str) -> bool:
+    """True when *finding* lies under ``REPO_ROOT/<parts...>``."""
+    return Path(finding.path).is_relative_to(REPO_ROOT.joinpath(*parts))
+
+
 def run_cli(args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
@@ -546,12 +558,10 @@ class TestRootSpan:
         findings, _ = lint_file(path)
         assert "R6" not in rules_of(findings)
 
-    def test_instrumented_tree_has_no_r6_advisories(self):
+    def test_instrumented_tree_has_no_r6_advisories(self, tree_lint):
         """Every public solver entry point in the repo opens a span."""
-        result = lint_paths(
-            [REPO_ROOT / "src" / "repro"], select=["R6"]
-        )
-        assert [f.format_text() for f in result.findings] == []
+        assert [f.format_text() for f in tree_lint.findings
+                if f.rule == "R6" and in_tree(f, "src", "repro")] == []
 
 
 # ---------------------------------------------------------------------------
@@ -674,17 +684,13 @@ class TestHotLoopAlloc:
         findings, _ = lint_file(path)
         assert "R5" not in rules_of(findings)
 
-    def test_solver_tree_is_r5_clean(self):
+    def test_solver_tree_is_r5_clean(self, tree_lint):
         """The shipped solvers/ and tape/ subtrees carry no hot-loop
         allocations (the GMRES restart buffers are hoisted)."""
-        result = lint_paths(
-            [
-                REPO_ROOT / "src" / "repro" / "solvers",
-                REPO_ROOT / "src" / "repro" / "tape",
-            ],
-            select=["R5"],
-        )
-        assert [f.format_text() for f in result.findings] == []
+        assert [f.format_text() for f in tree_lint.findings
+                if f.rule == "R5" and (in_tree(f, "src", "repro", "solvers")
+                                       or in_tree(f, "src", "repro", "tape"))
+                ] == []
 
 
 # ---------------------------------------------------------------------------
@@ -806,14 +812,11 @@ class TestMetricNameProvenance:
         findings, _ = lint_file(path)
         assert "R10" in rules_of(findings)
 
-    def test_tree_is_r10_clean(self):
+    def test_tree_is_r10_clean(self, tree_lint):
         """Every metric name in the shipped tree routes through
         repro.obs.names."""
-        result = lint_paths(
-            [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"],
-            select=["R10"],
-        )
-        assert [f.format_text() for f in result.findings] == []
+        assert [f.format_text() for f in tree_lint.findings
+                if f.rule == "R10"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1010,17 @@ class TestCLI:
         proc = run_cli([str(tmp_path), "--select=R42"])
         assert proc.returncode == 2
 
+    def test_retired_rule_ids_are_unknown(self, tmp_path):
+        """R7/R8 (the retired buffer-provenance rules) are not reused:
+        selecting one is a usage error, suppressing one an R0 finding."""
+        path = write(
+            tmp_path, "ok.py", "VALUE = 1  # lint: disable=R7 -- retired\n"
+        )
+        assert run_cli([str(tmp_path), "--select=R7"]).returncode == 2
+        assert run_cli([str(tmp_path), "--ignore=R8"]).returncode == 2
+        findings, _ = lint_file(path)
+        assert rules_of(findings) == {"R0"}
+
     def test_missing_path_is_usage_error(self, tmp_path):
         proc = run_cli([str(tmp_path / "nope.txt")])
         assert proc.returncode == 2
@@ -1146,288 +1160,6 @@ class TestCallGraph:
         }
         assert {"entry", "closure", "_private"} <= names
         assert "public_other" not in names  # walk stops at public callees
-
-
-# ---------------------------------------------------------------------------
-# R7 — workspace-aliasing
-# ---------------------------------------------------------------------------
-
-
-class TestWorkspaceAliasing:
-    def test_dead_slot_write_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            import numpy as np
-
-            def replay(ws, b, c):
-                np.copyto(ws.b[0], b)
-                np.copyto(ws.b[0], c)
-                return ws.b[0].copy()
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R7" in rules_of(findings)
-        assert any("never read" in f.message for f in findings)
-
-    def test_interleaved_read_is_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            import numpy as np
-
-            def replay(ws, b, c):
-                np.copyto(ws.b[0], b)
-                r = float(np.linalg.norm(ws.b[0]))
-                np.copyto(ws.b[0], c)
-                return r
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R7" not in rules_of(findings)
-
-    def test_write_through_alias_tracked(self, tmp_path):
-        # `r = ws.r[0]` and a later write through `r` land on one slot key.
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            import numpy as np
-
-            def replay(ws, b, c):
-                r = ws.r[0]
-                np.copyto(r, b)
-                np.copyto(ws.r[0], c)
-                return None
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R7" in rules_of(findings)
-
-    def test_out_aliasing_matmul_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            import numpy as np
-
-            def contract(tiles, xblk):
-                np.matmul(tiles, xblk, out=xblk)
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R7" in rules_of(findings)
-        assert any("aliases a read operand" in f.message for f in findings)
-
-    def test_elementwise_out_aliasing_is_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            import numpy as np
-
-            def axpy(x, y):
-                np.add(x, y, out=x)
-                np.multiply(y, y, out=y)
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R7" not in rules_of(findings)
-
-    def test_alias_safe_docstring_exempts_project_callee(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            def _scale(x, out=None):
-                \"\"\"Scale in place; alias-safe: reads each element once.\"\"\"
-                return x
-
-            def caller(x):
-                _scale(x, out=x)
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R7" not in rules_of(findings)
-
-    def test_suppression(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            import numpy as np
-
-            def replay(ws, b, c):
-                np.copyto(ws.b[0], b)
-                np.copyto(ws.b[0], c)  # lint: disable=R7 -- staged write, read on next cycle
-                return None
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R7" not in rules_of(findings)
-
-
-# ---------------------------------------------------------------------------
-# R8 — escaping-view
-# ---------------------------------------------------------------------------
-
-
-class TestEscapingView:
-    def test_returned_slot_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            def fetch(ws):
-                return ws.x[0]
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" in rules_of(findings)
-
-    def test_returned_view_of_slot_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            def fetch(ws):
-                return ws.x[0].reshape(-1)
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" in rules_of(findings)
-        assert any("a view of" in f.message for f in findings)
-
-    def test_copy_is_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            def fetch(ws):
-                return ws.x[0].copy()
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" not in rules_of(findings)
-
-    def test_interprocedural_escape_through_helper(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            def _get_slot(ws, i):
-                return ws.x[i]
-
-            def fetch(ws, i):
-                return _get_slot(ws, i)
-            """,
-        )
-        findings, _ = lint_file(path)
-        r8 = [f for f in findings if f.rule == "R8"]
-        # flagged at the public wrapper, not the private plumbing
-        assert len(r8) == 1
-        assert "fetch()" in r8[0].message
-
-    def test_closure_persistent_buffer_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            import numpy as np
-
-            def bind(n):
-                scratch = np.zeros(n, dtype=np.float64)
-
-                def run(v):
-                    np.add(scratch, v, out=scratch)
-                    return scratch
-
-                return run
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" in rules_of(findings)
-        assert any("enclosing scope" in f.message for f in findings)
-
-    def test_closure_returning_copy_is_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            import numpy as np
-
-            def bind(n):
-                scratch = np.zeros(n, dtype=np.float64)
-
-                def run(v):
-                    np.add(scratch, v, out=scratch)
-                    return scratch.copy()
-
-                return run
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" not in rules_of(findings)
-
-    def test_self_store_of_slot_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            class Holder:
-                def __init__(self, ws):
-                    self.slot = ws.x[0]
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" in rules_of(findings)
-
-    def test_frozen_buffer_is_clean(self, tmp_path):
-        # OperatorCache idiom: expose a buffer after setflags(write=False).
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            import numpy as np
-
-            def build(n):
-                buf = np.zeros(n, dtype=np.float64)
-
-                def expose():
-                    return buf
-
-                buf.setflags(write=False)
-                return expose
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" not in rules_of(findings)
-
-    def test_outside_provenance_scope_is_clean(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/obs/snippet.py",
-            """
-            def fetch(ws):
-                return ws.x[0]
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" not in rules_of(findings)
-
-    def test_suppression(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/tape/snippet.py",
-            """
-            def fetch(ws):
-                return ws.x[0]  # lint: disable=R8 -- diagnostic peek, documented caller contract
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R8" not in rules_of(findings)
 
 
 # ---------------------------------------------------------------------------
@@ -1674,7 +1406,8 @@ class TestSarif:
         assert driver["name"] == "repro.lint"
         rule_ids = [r["id"] for r in driver["rules"]]
         assert rule_ids == sorted(rule_ids)
-        assert {"R0", "R7", "R8", "R9"} <= set(rule_ids)
+        assert {"R0", "R9", "R10"} <= set(rule_ids)
+        assert not {"R7", "R8"} & set(rule_ids)
         (res,) = run["results"]
         assert res["ruleId"] == "R2"
         assert res["level"] == "error"
@@ -1890,15 +1623,18 @@ class TestChangedFlag:
         assert "0 files checked" in proc.stdout
 
     def test_changed_cross_file_context_still_resolves(self, tmp_path):
-        # The changed file's finding depends on a summary from an
-        # UNCHANGED file: the full tree must still be indexed.
+        # The changed file's R4 finding depends on a call edge into an
+        # UNCHANGED file (the private helper that builds the record): the
+        # full tree must still be indexed.
         self._init_repo(tmp_path)
         write(
             tmp_path,
-            "repro/tape/helper.py",
+            "repro/kernels/helper.py",
             """
-            def _get_slot(ws, i):
-                return ws.x[i]
+            from repro.kernels.record import KernelRecord
+
+            def _record(x):
+                return KernelRecord(kernel="spmv", backend="b")
             """,
         )
         self._git(tmp_path, "add", "-A")
@@ -1906,12 +1642,12 @@ class TestChangedFlag:
                   "commit", "-q", "-m", "seed")
         write(
             tmp_path,
-            "repro/tape/user.py",
+            "repro/kernels/user.py",
             """
-            from repro.tape.helper import _get_slot
+            from repro.kernels.helper import _record
 
-            def fetch(ws, i):
-                return _get_slot(ws, i)
+            def kernel(x):
+                return x, _record(x)
             """,
         )
         proc = run_cli(
@@ -1920,8 +1656,8 @@ class TestChangedFlag:
         )
         payload = json.loads(proc.stdout)
         assert proc.returncode == 1
-        assert [f["rule"] for f in payload["findings"]] == ["R8"]
-        assert payload["findings"][0]["path"] == "repro/tape/user.py"
+        assert [f["rule"] for f in payload["findings"]] == ["R4"]
+        assert payload["findings"][0]["path"] == "repro/kernels/user.py"
 
     def test_changed_falls_back_without_git(self, tmp_path):
         # No .git anywhere up the tree inside tmp: force failure by
@@ -1948,29 +1684,30 @@ class TestChangedFlag:
 
 class TestSelfCheck:
     def test_src_repro_is_clean(self):
-        proc = run_cli(["src/repro"], cwd=REPO_ROOT)
+        # CI's command over the tree, from the repo root (baseline
+        # included), warnings failing too.
+        proc = run_cli(["src/repro", "benchmarks", "--strict"], cwd=REPO_ROOT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_src_repro_is_clean_under_new_rules(self):
-        # The interprocedural rules alone, no baseline: the tape/binding
-        # layer honours its own memory contract statically.
-        proc = run_cli(
-            ["src/repro", "--select=R7,R8,R9", "--no-baseline", "--strict"],
-            cwd=REPO_ROOT,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_src_repro_is_clean_under_new_rules(self, tree_lint):
+        # R9 alone, no baseline: the binding loops mint their closures
+        # through factories or default arguments.
+        assert [f.format_text() for f in tree_lint.findings
+                if f.rule == "R9" and in_tree(f, "src", "repro")] == []
 
-    def test_benchmarks_are_clean(self):
-        proc = run_cli(
-            ["benchmarks", "--no-baseline", "--strict"], cwd=REPO_ROOT
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_benchmarks_are_clean(self, tree_lint):
+        # No baseline, --strict semantics: advisories only.
+        assert [f.format_text() for f in tree_lint.findings
+                if in_tree(f, "benchmarks")
+                and f.severity is not Severity.ADVISORY] == []
 
-    def test_repo_baseline_is_loadable_and_current(self):
+    def test_repo_baseline_is_loadable_and_current(self, tree_lint):
         baseline_path = REPO_ROOT / "lint-baseline.json"
         baseline = Baseline.load(baseline_path)
         # Every baselined finding must still exist (no stale entries) and
         # every non-baselined finding must be gone.
-        result = lint_paths([REPO_ROOT / "src" / "repro"])
-        fresh = Baseline.from_findings(result.findings, result.sources)
+        fresh = Baseline.from_findings(
+            [f for f in tree_lint.findings if in_tree(f, "src", "repro")],
+            tree_lint.sources,
+        )
         assert set(fresh.entries) == set(baseline.entries)

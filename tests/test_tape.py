@@ -295,6 +295,69 @@ class TestCheckedReplay:
             bad.fn = orig
             object.__setattr__(tape, "_fns", tuple(op.fn for op in tape.ops))
 
+    @pytest.mark.parametrize(
+        "slot, coarse, view",
+        [
+            ("x", False, lambda a: a),
+            ("r", True, lambda a: a[1]),
+            ("b", True, lambda a: a.T),
+            ("t", True, lambda a: a[:, 2]),
+        ],
+        ids=["slot", "row-view", "transposed-view", "column-view"],
+    )
+    def test_escape_guard_flags_slot_memory(self, slot, coarse, view):
+        """Copy contract: any array sharing memory with a workspace slot
+        (the slot, or a row, transposed or column view of a panel slot)
+        is refused; a copy of the same view passes."""
+        h = amg_setup(poisson2d(24), SetupParams())
+        ws = Workspace(h, batch=3)
+        level = h.num_levels - 1 if coarse else 0
+        escaped = view(getattr(ws, slot)[level])
+        with pytest.raises(
+            ContractViolation, match=rf"escaping-slot.*slot {slot}\[{level}\]"
+        ):
+            ws.check_no_escape(escaped)
+        ws.check_no_escape(escaped.copy())
+
+    def test_checked_results_pass_the_escape_guard(self, monkeypatch):
+        """Every result the tape hands out under checked mode — vector and
+        panel solves, replayed cycles and preconditioner applications —
+        runs through the guard, and passes it."""
+        s = _solver()
+        n = s.hierarchy.levels[0].n
+        b = _rhs(s)
+        panel = np.stack([b, 2.0 * b, -b], axis=1)
+        guard, seen = Workspace.check_no_escape, []
+
+        def spy(ws, result):
+            seen.append(result.shape)
+            guard(ws, result)
+
+        monkeypatch.setattr(Workspace, "check_no_escape", spy)
+        with checked_region():
+            s.solve(b, max_iterations=2)
+            s.solve_multi(panel, max_iterations=2)
+            tape = s._driver.get_tape()
+            tape.cycle(b)
+            tape.apply(b)
+            s._driver.get_tape(batch=3).cycle(panel.T)
+        assert seen == [(n,), (n, 3), (n,), (n,), (3, n)]
+
+    def test_escape_guard_off_outside_checked_mode(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+
+        def never(ws, result):
+            raise AssertionError("escape guard ran outside checked mode")
+
+        monkeypatch.setattr(Workspace, "check_no_escape", never)
+        s = _solver()
+        b = _rhs(s)
+        s.solve(b, max_iterations=2)
+        s.solve_multi(np.stack([b, -b], axis=1), max_iterations=2)
+        tape = s._driver.get_tape()
+        tape.cycle(b)
+        tape.apply(b)
+
 
 # ---------------------------------------------------------------------------
 # Perf-log replication and tape structure
