@@ -1016,8 +1016,9 @@ class TestCLI:
         path = write(
             tmp_path, "ok.py", "VALUE = 1  # lint: disable=R7 -- retired\n"
         )
-        assert run_cli([str(tmp_path), "--select=R7"]).returncode == 2
-        assert run_cli([str(tmp_path), "--ignore=R8"]).returncode == 2
+        proc = run_cli([str(tmp_path), "--select=R7,R8"])
+        assert proc.returncode == 2
+        assert "['R7', 'R8']" in proc.stderr
         findings, _ = lint_file(path)
         assert rules_of(findings) == {"R0"}
 
