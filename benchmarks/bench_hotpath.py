@@ -40,14 +40,14 @@ import common
 
 from repro.amg.cycle import SolveParams, SolveStats, mg_cycle
 from repro.amg.hierarchy import SetupParams, amg_setup
-from repro.formats.bitmap import BLOCK_SIZE, bitmap_popcount
+from repro.formats.bitmap import BLOCK_SIZE, bitmap_multiply, bitmap_popcount
 from repro.formats.convert import csr_to_mbsr
 from repro.gpu.counters import Precision
 from repro.gpu.specs import get_device
 from repro.hypre.backends import AmgTBackend
 from repro.hypre.boomeramg import BoomerAMG
 from repro.kernels.spgemm import mbsr_spgemm_symbolic_plan
-from repro.kernels.spgemm_numeric import locate_output_tiles, numeric_spgemm
+from repro.kernels.spgemm_numeric import numeric_spgemm
 from repro.kernels.spmv import build_spmv_plan, mbsr_spmv
 from repro.matrices import load_suite_matrix
 
@@ -98,9 +98,10 @@ def naive_numeric_values(mat_a, mat_b, symbolic, precision):
     blc_map_c = np.zeros(blc_num_c, dtype=np.uint16)
     if pair_a.shape[0] == 0:
         return blc_val_c, blc_map_c
-    cols = mat_b.blc_idx[pair_b]
-    pos = locate_output_tiles(symbolic, cols, mat_b.nb)
+    # Output tile of every pair, from the plan's per-tile pair pointer.
+    pos = np.repeat(np.arange(blc_num_c, dtype=np.int64), np.diff(symbolic.pair_ptr))
     bitmap_popcount(mat_a.blc_map)[pair_a]  # recomputed per call pre-cache
+    pair_map = bitmap_multiply(mat_a.blc_map[pair_a], mat_b.blc_map[pair_b])
     tiles_a = mat_a.blc_val[pair_a].astype(in_dtype).astype(acc_dtype)
     tiles_b = mat_b.blc_val[pair_b].astype(in_dtype).astype(acc_dtype)
     prod = np.einsum("pik,pkj->pij", tiles_a, tiles_b, optimize=True)
@@ -108,7 +109,7 @@ def naive_numeric_values(mat_a, mat_b, symbolic, precision):
     # the segops engine against exactly this unbuffered scatter
     np.add.at(blc_val_c, pos, prod)
     # lint: disable=R2 -- naive reference path, see above
-    np.bitwise_or.at(blc_map_c, pos, symbolic.pair_map)
+    np.bitwise_or.at(blc_map_c, pos, pair_map)
     return blc_val_c, blc_map_c
 
 

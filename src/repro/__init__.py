@@ -28,27 +28,35 @@ Quickstart::
     print(solver.performance.summary())
 """
 
-from repro.amg.solver import AmgTSolver, MultiSolveResult, SolveResult
-from repro.amg.hierarchy import SetupParams, amg_setup
-from repro.amg.cycle import SolveParams
-from repro.formats import CSRMatrix, MBSRMatrix
-from repro.gpu import get_device, list_devices, Precision
-from repro.solvers import pcg
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AmgTSolver",
-    "MultiSolveResult",
-    "SolveResult",
-    "SetupParams",
-    "SolveParams",
-    "amg_setup",
-    "CSRMatrix",
-    "MBSRMatrix",
-    "get_device",
-    "list_devices",
-    "Precision",
-    "pcg",
-    "__version__",
-]
+#: Public name -> defining module.  Resolved on first access (PEP 562), so
+#: importing a light subpackage such as the stdlib-only ``repro.lint``
+#: does not import the solver, numpy or scipy.
+_EXPORTS = {
+    "AmgTSolver": "repro.amg.solver",
+    "MultiSolveResult": "repro.amg.solver",
+    "SolveResult": "repro.amg.solver",
+    "SetupParams": "repro.amg.hierarchy",
+    "SolveParams": "repro.amg.cycle",
+    "amg_setup": "repro.amg.hierarchy",
+    "CSRMatrix": "repro.formats",
+    "MBSRMatrix": "repro.formats",
+    "get_device": "repro.gpu",
+    "list_devices": "repro.gpu",
+    "Precision": "repro.gpu",
+    "pcg": "repro.solvers",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

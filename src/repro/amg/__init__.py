@@ -21,7 +21,6 @@ from repro.amg.smoothers import l1_jacobi_diagonal, jacobi_sweep
 from repro.amg.cycle import mg_cycle, SolveParams, amg_solve
 from repro.amg.coarse import CoarseSolver
 from repro.amg.precision import PrecisionSchedule
-from repro.amg.solver import AmgTSolver, SolveResult
 
 __all__ = [
     "strength_of_connection",
@@ -43,3 +42,14 @@ __all__ = [
     "AmgTSolver",
     "SolveResult",
 ]
+
+
+def __getattr__(name: str):
+    # The solver sits on the HYPRE layer, which itself imports this
+    # package (``hypre.backends`` -> ``amg.precision``): resolve it on
+    # first access so importing either package first works.
+    if name in ("AmgTSolver", "SolveResult"):
+        from repro.amg import solver
+
+        return getattr(solver, name)
+    raise AttributeError(f"module 'repro.amg' has no attribute {name!r}")

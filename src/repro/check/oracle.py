@@ -288,7 +288,11 @@ def verify_spgemm(mat_a, mat_b, mat_c, precision, out_dtype=None,
     ref = aq @ bq
     scale = abs(aq) @ abs(bq)
     depth = float(np.diff(aq.indptr).max()) if aq.nnz else 1.0
-    factor = _SAFETY * _acc_eps(precision) * (depth + 8.0)
+    # A narrower output dtype rounds every accumulated value once more:
+    # at most half its eps relative to |c| <= (|A| @ |B|).
+    out_eps = float(np.finfo(expected_dtype).eps)
+    round_out = out_eps if out_eps > _acc_eps(precision) else 0.0
+    factor = _SAFETY * (_acc_eps(precision) * (depth + 8.0) + round_out)
     _sparse_compare(kernel, "spgemm/differential", c_scipy, ref, scale,
                     factor, {"A": mat_a, "B": mat_b, "C": mat_c})
 

@@ -97,22 +97,21 @@ def bitmap_popcount(bitmaps: np.ndarray) -> np.ndarray:
 def bitmap_multiply(map_a: np.ndarray, map_b: np.ndarray) -> np.ndarray:
     """Boolean 4x4 tile product of two bitmap arrays (``BITMAPMULTIPLY``).
 
-    ``C[i, j] = OR_k (A[i, k] AND B[k, j])``.  Implemented with shifts and
-    masks exactly as a warp would evaluate it: whenever bit ``(i, k)`` of A
-    is set, row ``k`` of B is OR-ed into row ``i`` of the result.
+    ``C[i, j] = OR_k (A[i, k] AND B[k, j])``.  One pass per inner index
+    ``k``: column ``k`` of A, masked to bit 0 of every row nibble
+    (``(a >> k) & 0x1111``), times row ``k`` of B (a nibble) places that
+    row in every row of C whose A bit is set.  The nibbles are disjoint,
+    so the product never carries and equals the OR a warp would compute.
     """
-    a = np.asarray(map_a, dtype=np.uint32)
-    b = np.asarray(map_b, dtype=np.uint32)
+    a = np.asarray(map_a, dtype=np.uint16)
+    b = np.asarray(map_b, dtype=np.uint16)
     a, b = np.broadcast_arrays(a, b)
-    out = np.zeros(a.shape, dtype=np.uint32)
+    out = np.zeros(a.shape, dtype=np.uint16)
     for k in range(BLOCK_SIZE):
-        # Row k of B, as a 4-bit nibble.
-        row_k = (b >> np.uint32(BLOCK_SIZE * k)) & np.uint32(0xF)
-        for i in range(BLOCK_SIZE):
-            # Bit (i, k) of A selects whether row k of B feeds row i of C.
-            sel = (a >> np.uint32(BLOCK_SIZE * i + k)) & np.uint32(1)
-            out |= (sel * row_k) << np.uint32(BLOCK_SIZE * i)
-    return out.astype(np.uint16)
+        col_k = (a >> np.uint16(k)) & np.uint16(0x1111)
+        row_k = (b >> np.uint16(BLOCK_SIZE * k)) & np.uint16(0xF)
+        out |= col_k * row_k
+    return out
 
 
 def bitmap_transpose(bitmaps: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ from repro.check import runtime as check_runtime
 from repro.formats.csr import CSRMatrix
 from repro.gpu.counters import Precision
 from repro.kernels.record import KernelRecord
-from repro.util.hashing import distinct_count_per_segment, distinct_sorted_per_segment
+from repro.util.hashing import distinct_per_segment
 from repro.util.prefix_sum import counts_to_ptr
-from repro.util.segops import segment_sum
+from repro.util.segops import segment_sum_ptr
 
 __all__ = ["csr_spgemm", "csr_spmv", "bind_csr_spmv"]
 
@@ -62,25 +62,20 @@ def csr_spgemm(
 
     pair_a, pair_b, pair_row = _expand_pairs(a, b)
     cols = b.indices[pair_b]
-    seg_counts = np.bincount(pair_row, minlength=a.nrows)
-    seg_ptr = counts_to_ptr(seg_counts)
 
-    # Symbolic pass: distinct columns per row (hash counting).
-    row_nnz = distinct_count_per_segment(cols, seg_ptr)
-    indptr_c = counts_to_ptr(row_nnz)
-    indices_c, _ = distinct_sorted_per_segment(cols, seg_ptr)
+    # Symbolic pass: distinct columns per row (hash counting), and the
+    # products grouped per output entry, from one ordering.
+    entries = distinct_per_segment(pair_row, cols, a.nrows, b.ncols)
+    indptr_c, indices_c = entries.ptr, entries.keys
 
-    # Numeric pass: accumulate products into the located slots.
+    # Numeric pass: accumulate each entry's products in traversal order.
     acc_dtype = precision.accum_dtype
     in_dtype = precision.np_dtype
-    row_of_out = np.repeat(np.arange(a.nrows, dtype=np.int64), row_nnz)
-    keys_c = row_of_out * b.ncols + indices_c
-    keys_pair = pair_row * b.ncols + cols
-    pos = np.searchsorted(keys_c, keys_pair)
+    pair_a, pair_b = pair_a[entries.order], pair_b[entries.order]
     prods = a.data[pair_a].astype(in_dtype).astype(acc_dtype) * b.data[pair_b].astype(
         in_dtype
     ).astype(acc_dtype)
-    vals = segment_sum(prods, pos, indices_c.shape[0])
+    vals = segment_sum_ptr(prods, entries.entry_ptr)
 
     n_products = pair_a.shape[0]
     counters.add_flops(precision, 2.0 * n_products)

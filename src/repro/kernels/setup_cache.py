@@ -18,7 +18,8 @@ fingerprints (:func:`repro.check.fingerprint.pattern_fingerprint`):
   both symbolic phases of ``R@A`` and ``(RA)@P`` are chained once,
   including the intermediate's structure (derivable from bitmaps alone);
   a replay runs only the two numeric passes and never materialises the
-  intermediate in CSR.  :meth:`rap_numeric_rows` restricts both passes to
+  intermediate in CSR.  The intermediate's bitmap is the first stage
+  plan's ``BlcMapC``.  :meth:`rap_numeric_rows` restricts both passes to
   dirty block-rows — the re-setup engine's (:mod:`repro.amg.patch`)
   Galerkin replay.
 * :meth:`csr2mbsr` / :meth:`expansion` — conversion templates: the tile
@@ -76,7 +77,6 @@ from repro.kernels.spgemm_analysis import analyse_and_bin
 from repro.kernels.spgemm_numeric import numeric_spgemm
 from repro.kernels.spgemm_symbolic import SymbolicResult, symbolic_spgemm
 from repro.util.prefix_sum import counts_to_ptr
-from repro.util.segops import segment_bitwise_or
 
 __all__ = ["RAPPlan", "SetupPlanCache", "splice_segments"]
 
@@ -153,7 +153,8 @@ class RAPPlan:
     """Captured structure of one fused Galerkin product ``R @ A @ P``.
 
     Chains the symbolic phases of both SpGEMMs.  The intermediate ``RA``
-    is stored structure-only (its bitmap is the OR of the pair bitmap
+    is structure-only: ``plan_ra.symbolic`` holds its ``BlcPtrC`` /
+    ``BlcIdxC`` / ``BlcMapC`` (the bitmap is the OR of the pair bitmap
     products — no numerics involved), so :meth:`SetupPlanCache.rap_numeric`
     can rebuild it from a numeric pass alone and feed it straight into the
     second plan.
@@ -161,11 +162,9 @@ class RAPPlan:
 
     plan_ra: SpGEMMPlan
     plan_rap: SpGEMMPlan
-    #: Structure of the intermediate RA (shared across replays).
+    #: Shape, popcounts and pattern key of the intermediate RA (shared
+    #: across replays).
     ra_shape: tuple[int, int]
-    ra_blc_ptr: np.ndarray
-    ra_blc_idx: np.ndarray
-    ra_blc_map: np.ndarray
     ra_pop_per_tile: np.ndarray
     ra_pattern_key: str
     #: Pattern keys of (R, A, P) the plan was built for.
@@ -224,47 +223,49 @@ def _segment_slice(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     )
 
 
+def _structure_only(shape, sym: SymbolicResult) -> MBSRMatrix:
+    """A zero-valued mBSR matrix carrying a product's symbolic structure
+    (the fused RAP intermediate, as the second stage plans over it)."""
+    return MBSRMatrix(
+        shape,
+        sym.blc_ptr_c,
+        sym.blc_idx_c,
+        np.zeros((sym.blc_num_c, 4, 4), dtype=np.float64),
+        sym.blc_map_c,
+        _trusted=True,
+    )
+
+
 def _restrict_symbolic(
     sym: SymbolicResult,
     rows: np.ndarray,
-    mat_b: MBSRMatrix,
     compact_a_ptr: np.ndarray | None = None,
 ) -> SymbolicResult:
     """Row-slice a full symbolic result into the compact form the numeric
-    phase consumes: pairs of the selected block-rows only, output tile
-    positions rebased to the compacted C, pair order untouched.
+    phase consumes: the tiles and pairs of the selected block-rows only,
+    pair pointer rebased to the compacted C, pair order untouched.
 
     ``compact_a_ptr`` additionally rebases ``pair_a`` from the full A tile
     space to the same row-compacted layout — used when the left operand
     itself is materialised only on the dirty rows (the RA intermediate).
     """
     rows = np.asarray(rows, dtype=np.int64)
-    mb = sym.blc_ptr_c.shape[0] - 1
-    mask = np.zeros(mb, dtype=bool)
-    mask[rows] = True
-    sel = np.flatnonzero(mask[sym.pair_row])
-    pair_row_sel = sym.pair_row[sel]
-    row_pos = np.searchsorted(rows, pair_row_sel)
-    counts = np.diff(sym.blc_ptr_c)[rows]
-    cptr = counts_to_ptr(counts)
-    cols_all, pos_all = sym.locate_pairs(mat_b)
-    pos = pos_all[sel] - sym.blc_ptr_c[pair_row_sel] + cptr[row_pos]
-    pair_a = sym.pair_a[sel]
-    if compact_a_ptr is not None:
-        a_counts = np.diff(compact_a_ptr)[rows]
-        a_cptr = counts_to_ptr(a_counts)
-        pair_a = pair_a - compact_a_ptr[pair_row_sel] + a_cptr[row_pos]
     tile_sel = _segment_slice(sym.blc_ptr_c, rows)
+    row_pairs = sym.row_pair_ptr
+    pair_sel = _segment_slice(row_pairs, rows)
+    pair_a = sym.pair_a[pair_sel]
+    if compact_a_ptr is not None:
+        a_shift = (counts_to_ptr(np.diff(compact_a_ptr)[rows])[:-1]
+                   - compact_a_ptr[rows])
+        pair_a = pair_a + np.repeat(a_shift, row_pairs[rows + 1] - row_pairs[rows])
     return SymbolicResult(
-        blc_ptr_c=cptr,
+        blc_ptr_c=counts_to_ptr(np.diff(sym.blc_ptr_c)[rows]),
         blc_idx_c=sym.blc_idx_c[tile_sel],
+        blc_map_c=sym.blc_map_c[tile_sel],
         pair_a=pair_a,
-        pair_b=sym.pair_b[sel],
-        pair_map=sym.pair_map[sel],
-        pair_row=row_pos,
+        pair_b=sym.pair_b[pair_sel],
+        pair_ptr=counts_to_ptr(np.diff(sym.pair_ptr)[tile_sel]),
         counters=KernelCounters(),
-        _pair_cols=cols_all[sel],
-        _pair_pos=pos,
     )
 
 
@@ -272,23 +273,16 @@ def _verify_spliced_plan(plan: SpGEMMPlan, a_new, b_new) -> None:
     """REPRO_CHECK gate: a spliced plan must be bytewise the cold build."""
     from repro.check.violation import ContractViolation
 
-    cold = mbsr_spgemm_symbolic_plan(a_new, b_new)
-    pairs = (
-        ("blc_ptr_c", plan.symbolic.blc_ptr_c, cold.symbolic.blc_ptr_c),
-        ("blc_idx_c", plan.symbolic.blc_idx_c, cold.symbolic.blc_idx_c),
-        ("pair_a", plan.symbolic.pair_a, cold.symbolic.pair_a),
-        ("pair_b", plan.symbolic.pair_b, cold.symbolic.pair_b),
-        ("pair_map", plan.symbolic.pair_map, cold.symbolic.pair_map),
-        ("pair_row", plan.symbolic.pair_row, cold.symbolic.pair_row),
-        ("pair_pos", plan.symbolic._pair_pos, cold.symbolic._pair_pos),
-        ("pair_cols", plan.symbolic._pair_cols, cold.symbolic._pair_cols),
-    )
-    for name, got, want in pairs:
-        if not np.array_equal(got, want):
+    cold = mbsr_spgemm_symbolic_plan(a_new, b_new).symbolic
+    got = plan.symbolic
+    for name in ("blc_ptr_c", "blc_idx_c", "blc_map_c", "pair_a", "pair_b",
+                 "pair_ptr"):
+        g, w = getattr(got, name), getattr(cold, name)
+        if not (g.dtype == w.dtype and np.array_equal(g, w)):
             raise ContractViolation(
                 "setup_cache", "setup/plan-splice",
                 f"spliced SpGEMM plan diverges from the cold build in "
-                f"{name}: {got.shape} vs {want.shape}",
+                f"{name}: {g.shape} vs {w.shape}",
             )
 
 
@@ -388,30 +382,17 @@ class SetupPlanCache:
 
         plan_ra = self.spgemm_plan(r, a)
         sym = plan_ra.symbolic
-        _, pos = sym.locate_pairs(a)
-        # The intermediate's bitmap is the OR of the pair bitmap products —
-        # exactly what the numeric phase computes, minus the values.
-        ra_map = segment_bitwise_or(sym.pair_map, pos, sym.blc_num_c)
-        ra_pop = bitmap_popcount(ra_map)
+        # The intermediate's bitmap is the stage plan's BlcMapC — exactly
+        # what the numeric phase hands out, minus the values.
         ra_shape = (r.nrows, a.ncols)
-        template = MBSRMatrix(
-            ra_shape,
-            sym.blc_ptr_c,
-            sym.blc_idx_c,
-            np.zeros((sym.blc_num_c, 4, 4), dtype=np.float64),
-            ra_map,
-            _trusted=True,
-        )
-        template.cache.seed_pop_per_tile(ra_pop)
+        template = _structure_only(ra_shape, sym)
+        template.cache.seed_pop_per_tile(bitmap_popcount(sym.blc_map_c))
         plan_rap = self.spgemm_plan(template, p)
 
         plan = RAPPlan(
             plan_ra=plan_ra,
             plan_rap=plan_rap,
             ra_shape=ra_shape,
-            ra_blc_ptr=sym.blc_ptr_c,
-            ra_blc_idx=sym.blc_idx_c,
-            ra_blc_map=ra_map,
             ra_pop_per_tile=template.cache.pop_per_tile,
             ra_pattern_key=template.cache.pattern_key,
             keys=key,
@@ -679,21 +660,15 @@ class SetupPlanCache:
             self.stats.count("spgemm", hit=True)
             return hit
         dirty_rows = np.asarray(dirty_rows, dtype=np.int64)
-        mb = a_new.mb
         sym_old = prev.symbolic
         sub = symbolic_spgemm(a_new, b_new, None, dirty_rows)
-        sub.locate_pairs(b_new)
-        cols_old, pos_old = sym_old.locate_pairs(b_old)
 
-        # Pair-list splice.  Kept pairs shift their A/B tile indices by the
-        # per-block-row tile-count deltas of the drifted operands.
-        old_pair_ptr = counts_to_ptr(
-            np.bincount(sym_old.pair_row, minlength=mb)
+        # Pair-list splice, per block-row.  Kept pairs shift their A/B tile
+        # indices by the per-block-row tile-count deltas of the drifted
+        # operands; pairs stay in output-tile order within every row.
+        geom_p = splice_segments(
+            sym_old.row_pair_ptr, dirty_rows, np.diff(sub.row_pair_ptr)
         )
-        sub_counts = np.bincount(
-            sub.pair_row, minlength=dirty_rows.shape[0]
-        )
-        geom_p = splice_segments(old_pair_ptr, dirty_rows, sub_counts)
         shift_a = a_new.blc_ptr[:-1] - a_old.blc_ptr[:-1]
         shift_b = b_new.blc_ptr[:-1] - b_old.blc_ptr[:-1]
         pair_a = geom_p.splice(
@@ -703,41 +678,22 @@ class SetupPlanCache:
         pair_b = geom_p.splice(
             sym_old.pair_b, sub.pair_b, shift_b[b_rows_kept]
         )
-        pair_map = geom_p.splice(sym_old.pair_map, sub.pair_map)
-        pair_row = np.repeat(
-            np.arange(mb, dtype=np.int64), np.diff(geom_p.new_ptr)
-        )
 
-        # Output-structure splice (tile segments of C).
+        # Output-structure splice (tile segments of C and their pair counts).
         geom_t = splice_segments(
             sym_old.blc_ptr_c, dirty_rows, np.diff(sub.blc_ptr_c)
         )
-        blc_idx_c = geom_t.splice(sym_old.blc_idx_c, sub.blc_idx_c)
-        # Numeric-phase geometry: output tile positions shift with C's
-        # layout; the dirty rows' compact positions are rebased.
-        c_shift = geom_t.new_ptr[:-1] - sym_old.blc_ptr_c[:-1]
-        sub_cols, sub_pos = sub.locate_pairs(b_new)
-        sub_pos_global = (
-            geom_t.new_ptr[dirty_rows[sub.pair_row]]
-            + sub_pos
-            - sub.blc_ptr_c[sub.pair_row]
-        )
-        pos = geom_p.splice(pos_old, sub_pos_global, c_shift[geom_p.rows_kept])
-        cols = geom_p.splice(cols_old, sub_cols)
-        for arr in (pair_a, pair_b, pair_map, pair_row, pos, cols):
-            arr.setflags(write=False)
-
         symbolic = SymbolicResult(
             blc_ptr_c=geom_t.new_ptr,
-            blc_idx_c=blc_idx_c,
+            blc_idx_c=geom_t.splice(sym_old.blc_idx_c, sub.blc_idx_c),
+            blc_map_c=geom_t.splice(sym_old.blc_map_c, sub.blc_map_c),
             pair_a=pair_a,
             pair_b=pair_b,
-            pair_map=pair_map,
-            pair_row=pair_row,
+            pair_ptr=counts_to_ptr(geom_t.splice(
+                np.diff(sym_old.pair_ptr), np.diff(sub.pair_ptr)
+            )),
             counters=sub.counters,
-            _pair_cols=cols,
-            _pair_pos=pos,
-        )
+        ).freeze()
         plan = SpGEMMPlan(
             analysis=analyse_and_bin(a_new, b_new),
             symbolic=symbolic,
@@ -787,45 +743,13 @@ class SetupPlanCache:
             r, a, r_old, a_old, prev.plan_ra, dirty_rows
         )
         sym = plan_ra.symbolic
+        prev_sym = prev.plan_ra.symbolic
 
-        # RA structure splice: dirty rows OR their fresh pair bitmaps.
-        geom = splice_segments(
-            prev.ra_blc_ptr, dirty_rows, np.diff(sym.blc_ptr_c)[dirty_rows]
-        )
-        dmask = np.zeros(r.mb, dtype=bool)
-        dmask[dirty_rows] = True
-        sel = dmask[sym.pair_row]
-        dptr = counts_to_ptr(np.diff(sym.blc_ptr_c)[dirty_rows])
-        row_pos = np.searchsorted(dirty_rows, sym.pair_row[sel])
-        _, pos_all = sym.locate_pairs(a)
-        pos_compact = (
-            pos_all[sel]
-            - sym.blc_ptr_c[sym.pair_row[sel]]
-            + dptr[row_pos]
-        )
-        dirty_map = segment_bitwise_or(
-            sym.pair_map[sel], pos_compact, int(dptr[-1])
-        )
-        ra_map = geom.splice(prev.ra_blc_map, dirty_map)
-        ra_pop = geom.splice(prev.ra_pop_per_tile, bitmap_popcount(dirty_map))
+        # RA structure: the spliced stage plan's BlcMapC.
         ra_shape = (r.nrows, a.ncols)
-        template = MBSRMatrix(
-            ra_shape,
-            sym.blc_ptr_c,
-            sym.blc_idx_c,
-            np.zeros((sym.blc_num_c, 4, 4), dtype=np.float64),
-            ra_map,
-            _trusted=True,
-        )
-        template.cache.seed_pop_per_tile(ra_pop)
-        template_old = MBSRMatrix(
-            prev.ra_shape,
-            prev.ra_blc_ptr,
-            prev.ra_blc_idx,
-            np.zeros((prev.ra_blc_map.shape[0], 4, 4), dtype=np.float64),
-            prev.ra_blc_map,
-            _trusted=True,
-        )
+        template = _structure_only(ra_shape, sym)
+        template.cache.seed_pop_per_tile(bitmap_popcount(sym.blc_map_c))
+        template_old = _structure_only(prev.ra_shape, prev_sym)
         template_old.cache.seed_pop_per_tile(prev.ra_pop_per_tile)
         template_old.cache.seed_pattern_key(prev.ra_pattern_key)
         plan_rap = self.patch_spgemm_plan(
@@ -836,10 +760,7 @@ class SetupPlanCache:
             plan_ra=plan_ra,
             plan_rap=plan_rap,
             ra_shape=ra_shape,
-            ra_blc_ptr=sym.blc_ptr_c,
-            ra_blc_idx=sym.blc_idx_c,
-            ra_blc_map=ra_map,
-            ra_pop_per_tile=ra_pop,
+            ra_pop_per_tile=template.cache.pop_per_tile,
             ra_pattern_key=template.cache.pattern_key,
             keys=key,
         )
@@ -875,16 +796,17 @@ class SetupPlanCache:
             )
         rows = np.asarray(rows, dtype=np.int64)
         threshold = TC_NNZ_THRESHOLD if tc_threshold is None else tc_threshold
-        sym1 = _restrict_symbolic(plan.plan_ra.symbolic, rows, a)
+        ra_ptr = plan.plan_ra.symbolic.blc_ptr_c
+        sym1 = _restrict_symbolic(plan.plan_ra.symbolic, rows)
         ra_sub, rec_ra = self._replay_stage(
             plan.plan_ra, r, a, precision, None, threshold,
             storage_itemsize, stage="ra", rows=rows, symbolic=sym1,
         )
         # Adopt the plan's intermediate structure on the row subset.
-        tile_sel = _segment_slice(plan.ra_blc_ptr, rows)
+        tile_sel = _segment_slice(ra_ptr, rows)
         ra_sub.cache.seed_pop_per_tile(plan.ra_pop_per_tile[tile_sel])
         sym2 = _restrict_symbolic(
-            plan.plan_rap.symbolic, rows, p, compact_a_ptr=plan.ra_blc_ptr
+            plan.plan_rap.symbolic, rows, compact_a_ptr=ra_ptr
         )
         rap_sub, rec_rap = self._replay_stage(
             plan.plan_rap, ra_sub, p, precision, out_dtype, threshold,
@@ -906,7 +828,7 @@ class SetupPlanCache:
                                full.blc_ptr[rows + 1] - full.blc_ptr[rows])
                 and np.array_equal(rap_sub.blc_idx, full.blc_idx[sel])
                 and np.array_equal(rap_sub.blc_map, full.blc_map[sel])
-                and np.array_equal(rap_sub.blc_val, full.blc_val[sel])
+                and rap_sub.blc_val.tobytes() == full.blc_val[sel].tobytes()
             ):
                 raise ContractViolation(
                     "setup_cache", "setup/rap-rows-slice",

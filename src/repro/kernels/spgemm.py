@@ -95,13 +95,9 @@ def mbsr_spgemm_symbolic_plan(
             f"inner dimensions differ: A is {mat_a.shape}, B is {mat_b.shape}"
         )
     analysis = analyse_and_bin(mat_a, mat_b)
-    symbolic = symbolic_spgemm(mat_a, mat_b, analysis)
-    # Precompute the numeric-phase geometry so every replay of this plan
-    # (explicit or via SetupPlanCache) starts straight at the value math.
-    symbolic.locate_pairs(mat_b)
     return SpGEMMPlan(
         analysis=analysis,
-        symbolic=symbolic,
+        symbolic=symbolic_spgemm(mat_a, mat_b, analysis),
         shape_a=mat_a.shape,
         shape_b=mat_b.shape,
         blc_num_a=mat_a.blc_num,
@@ -127,15 +123,14 @@ def mbsr_spgemm_rows(
     of A and returns the compacted sub-product (block-row ``i`` of the
     result is block-row ``rows[i]`` of the full product) together with the
     restricted :class:`SymbolicResult` (pair lists indexing the *full*
-    operand tile arrays — the splice machinery of
-    :mod:`repro.kernels.setup_cache` grafts them into cached plans) and a
+    operand tile arrays, pair pointer over the compacted tiles) and a
     merged :class:`KernelRecord`.
 
-    Bit-identity: within every selected block-row the candidate-pair order
-    equals the full traversal's, and the segmented accumulation follows
-    pair order, so each returned tile is bytewise equal to the same tile
-    of ``mbsr_spgemm(mat_a, mat_b)`` — the property the incremental setup
-    patcher's contract gate relies on.
+    Bit-identity: every selected block-row keeps the full product's output
+    tiles and, within each tile, its pairs in traversal order, and the
+    segmented accumulation follows that order, so each returned tile is
+    bytewise equal to the same tile of ``mbsr_spgemm(mat_a, mat_b)`` —
+    the property the incremental setup patcher's contract gate relies on.
     """
     if mat_a.ncols != mat_b.nrows:
         raise ValueError(
@@ -200,12 +195,14 @@ def _verify_rows_slice(mat_a, mat_b, out, rows, precision, out_dtype, *,
     if not (np.array_equal(np.diff(out.blc_ptr), counts)
             and np.array_equal(out.blc_idx, full.blc_idx[offs])
             and np.array_equal(out.blc_map, full.blc_map[offs])
-            and np.array_equal(out.blc_val, full.blc_val[offs])):
+            and out.blc_val.tobytes() == full.blc_val[offs].tobytes()):
+        from repro.check.fingerprint import fingerprint
+
         raise ContractViolation(
             "mbsr_spgemm_rows", "spgemm/rows-slice",
             f"restricted product diverges from the full product on "
             f"{rows.shape[0]} block-rows",
-            operands=(mat_a, mat_b),
+            operands={"A": fingerprint(mat_a), "B": fingerprint(mat_b)},
         )
 
 

@@ -14,9 +14,17 @@ bitmap popcount of each A-tile selects the execution mode:
   multiplies the tile pair scalar-by-scalar, walking the bitmap bits.
 
 Both modes locate the output tile by binary-searching the B-tile's column in
-the block-row segment of ``BlcIdxC`` (``np.searchsorted`` over the row-keyed
-index here), OR the bitmap product into ``BlcMapC`` and accumulate values
-into ``BlcValC``.
+the block-row segment of ``BlcIdxC``, OR the bitmap product into ``BlcMapC``
+and accumulate values into ``BlcValC``.  On the host the symbolic phase has
+already done both structural steps: it stores the pairs in output-tile
+order with a per-tile pair pointer and hands over ``BlcMapC``.  The numeric
+phase is gather -> batched 4x4 ``np.matmul`` -> one in-order segmented sum
+over the pointer (:func:`repro.util.segops.segment_sum_ptr`), for cold
+products and every plan replay alike; the cost model still charges the
+search and the OR per pair.  ``np.matmul`` stays the tile contraction
+because it is the host's reference rounding: each entry is a sequential
+FMA chain on the OpenBLAS build, which no elementwise numpy form
+reproduces.
 
 The numeric results of the two modes are identical in exact arithmetic; in
 low precision the tensor-core mode accumulates FP16 products in FP32,
@@ -33,9 +41,9 @@ from repro.formats.bitmap import TC_NNZ_THRESHOLD, bitmap_scalar_mul_flops
 from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import KernelCounters, Precision
 from repro.kernels.spgemm_symbolic import SymbolicResult
-from repro.util.segops import segment_bitwise_or, segment_sum
+from repro.util.segops import segment_sum_ptr
 
-__all__ = ["NumericResult", "locate_output_tiles", "numeric_spgemm"]
+__all__ = ["NumericResult", "numeric_spgemm"]
 
 
 @dataclass
@@ -48,34 +56,6 @@ class NumericResult:
     #: Pairs handled by each mode, for path-selection diagnostics.
     tc_pairs: int
     cuda_pairs: int
-
-
-def locate_output_tiles(
-    symbolic: SymbolicResult, cols: np.ndarray, nb: int
-) -> np.ndarray:
-    """Binary-search each pair's output tile position within BlcIdxC.
-
-    ``BlcIdxC`` is sorted within every block-row, so the (row, col) pair of
-    a product maps to a globally sorted key ``row * nb + col``; a single
-    ``searchsorted`` reproduces the per-row binary search of Alg. 4 line 11.
-
-    The result depends only on the operands' sparsity patterns, so callers
-    that replay a product (plan reuse) fetch it from
-    :meth:`~repro.kernels.spgemm_symbolic.SymbolicResult.locate_pairs`,
-    which memoises this function per plan.
-    """
-    row_of_tile = np.repeat(
-        np.arange(symbolic.blc_ptr_c.shape[0] - 1, dtype=np.int64),
-        np.diff(symbolic.blc_ptr_c),
-    )
-    keys_c = row_of_tile * nb + symbolic.blc_idx_c
-    keys_pair = symbolic.pair_row * nb + cols
-    pos = np.searchsorted(keys_c, keys_pair)
-    if pos.size and (
-        pos.max(initial=0) >= keys_c.shape[0] or np.any(keys_c[pos] != keys_pair)
-    ):
-        raise AssertionError("numeric pair targets a tile missing from symbolic C")
-    return pos
 
 
 def numeric_spgemm(
@@ -97,13 +77,11 @@ def numeric_spgemm(
         counters.launches = 1
         return NumericResult(
             np.zeros((blc_num_c, 4, 4), dtype=acc_dtype),
-            np.zeros(blc_num_c, dtype=np.uint16),
+            symbolic.blc_map_c,
             counters,
             0,
             0,
         )
-
-    _, pos = symbolic.locate_pairs(mat_b)
 
     # Mode selection by the A-tile popcount (Alg. 4 line 3); the per-tile
     # popcounts are cached on the operand and reused across products.
@@ -118,14 +96,13 @@ def numeric_spgemm(
     # widened from the per-operator caches (one cast per matrix), and the
     # batched 4x4 products run through matmul so no contraction path is
     # re-searched per call.
-    tiles_a = mat_a.cache.tiles(in_dtype, acc_dtype)[pair_a]
-    tiles_b = mat_b.cache.tiles(in_dtype, acc_dtype)[pair_b]
+    tiles_a = np.take(mat_a.cache.tiles(in_dtype, acc_dtype), pair_a, axis=0)
+    tiles_b = np.take(mat_b.cache.tiles(in_dtype, acc_dtype), pair_b, axis=0)
     prod = np.matmul(tiles_a, tiles_b)
-    # The pair lists are grouped by output block-row; within a row the
-    # output positions interleave, so the segmented reduction sorts (a
-    # near-sorted key, cheap) before reducing.
-    blc_val_c = segment_sum(prod, pos, blc_num_c)
-    blc_map_c = segment_bitwise_or(symbolic.pair_map, pos, blc_num_c)
+    # The pairs arrive in output-tile order, traversal order within a
+    # tile: one in-order sum per tile is the sequential accumulation.
+    blc_val_c = segment_sum_ptr(prod, symbolic.pair_ptr)
+    blc_map_c = symbolic.blc_map_c
 
     # --- cost accounting ----------------------------------------------
     # Tensor-core mode: per A-tile, the valid B-tiles are consumed two per

@@ -12,10 +12,17 @@ product would be structurally zero, which plain BSR cannot do.
 * **Step 2** re-runs the hash inserts, compresses and sorts each table, and
   writes ``BlcIdxC``.
 
-The implementation is vectorised over all candidate pairs at once: the
-per-row hash tables become a segmented distinct-count/distinct-sort (see
-:mod:`repro.util.hashing`, whose scalar :class:`~repro.util.hashing.HashTable`
-is the executable specification the vectorised path is tested against).
+The host runs both steps from one ordering: the surviving pairs are sorted
+once, stably, by their output tile ``(block_row, block_col)``
+(:func:`repro.util.hashing.distinct_per_segment`, whose scalar
+:class:`~repro.util.hashing.HashTable` is the executable specification it
+is tested against).  That one ordering yields ``BlcPtrC`` and ``BlcIdxC``,
+``BlcMapC`` (an OR over each tile's pairs) and the pairs themselves, stored
+in output-tile order with a per-tile pair pointer — so the numeric phase
+reduces each tile's pairs in place, with no sort and no search.  Within a
+tile the pairs keep the row-wise traversal order, which fixes the
+accumulation order of every output value.  The cost model still charges
+two launches, one per step.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ import numpy as np
 
 from repro.formats.bitmap import bitmap_multiply
 from repro.formats.mbsr import MBSRMatrix
-from repro.gpu.counters import KernelCounters
+from repro.gpu.counters import KernelCounters, Precision
 from repro.kernels.spgemm_analysis import AnalysisResult
-from repro.util.hashing import distinct_count_per_segment, distinct_sorted_per_segment
+from repro.util.hashing import distinct_per_segment
 from repro.util.prefix_sum import counts_to_ptr
 
 __all__ = ["SymbolicResult", "expand_candidate_pairs", "symbolic_spgemm"]
@@ -36,50 +43,47 @@ __all__ = ["SymbolicResult", "expand_candidate_pairs", "symbolic_spgemm"]
 
 @dataclass
 class SymbolicResult:
-    """Structure of C plus the surviving candidate pair lists.
+    """Structure of C plus its surviving candidate pairs in output order.
 
-    The numeric phase re-uses the pair lists (``pair_a``, ``pair_b``,
-    ``pair_map``) instead of re-deriving them, mirroring how the GPU kernel
-    keeps the hash tables of step 2 around for the numeric pass.
+    The numeric phase re-uses the pair lists (``pair_a``, ``pair_b``), the
+    pair pointer and ``blc_map_c`` instead of re-deriving them, mirroring
+    how the GPU kernel keeps the hash tables of step 2 around for the
+    numeric pass.
+    Pairs ``pair_ptr[t]:pair_ptr[t + 1]`` all land on output tile ``t``,
+    in the order the row-wise traversal visits them; every tile has at
+    least one pair.
     """
 
     blc_ptr_c: np.ndarray
     blc_idx_c: np.ndarray
+    #: Bitmap of every output tile: the OR of its pairs' bitmap products.
+    blc_map_c: np.ndarray
     #: Index into A's tile arrays per surviving candidate pair.
     pair_a: np.ndarray
     #: Index into B's tile arrays per surviving candidate pair.
     pair_b: np.ndarray
-    #: Bitmap product per surviving pair.
-    pair_map: np.ndarray
-    #: Block-row of C per surviving pair.
-    pair_row: np.ndarray
+    #: Per-tile pair pointer (length ``blc_num_c + 1``).
+    pair_ptr: np.ndarray
     counters: KernelCounters
-    #: Memoised numeric-phase geometry (see :meth:`locate_pairs`).
-    _pair_cols: np.ndarray | None = None
-    _pair_pos: np.ndarray | None = None
 
     @property
     def blc_num_c(self) -> int:
         return int(self.blc_ptr_c[-1])
 
-    def locate_pairs(self, mat_b: MBSRMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair B-tile columns and output tile positions, memoised.
+    @property
+    def row_pair_ptr(self) -> np.ndarray:
+        """Per-block-row pair pointer: block-row ``i``'s pairs are
+        ``row_pair_ptr[i]:row_pair_ptr[i + 1]``."""
+        return self.pair_ptr[self.blc_ptr_c]
 
-        Both arrays depend only on the operands' sparsity patterns, so a
-        plan that replays this symbolic result (``reuse_plan`` /
-        :class:`~repro.kernels.setup_cache.SetupPlanCache`) computes them
-        exactly once; every later numeric pass starts straight at the
-        value math.
-        """
-        if self._pair_pos is None:
-            from repro.kernels.spgemm_numeric import locate_output_tiles
-
-            cols = mat_b.blc_idx[self.pair_b]
-            pos = locate_output_tiles(self, cols, mat_b.nb)
-            cols.setflags(write=False)
-            pos.setflags(write=False)
-            self._pair_cols, self._pair_pos = cols, pos
-        return self._pair_cols, self._pair_pos
+    def freeze(self) -> "SymbolicResult":
+        """Make every array read-only (plans are shared by replays and
+        their outputs alias ``blc_ptr_c`` / ``blc_idx_c`` / ``blc_map_c``);
+        returns self."""
+        for arr in (self.blc_ptr_c, self.blc_idx_c, self.blc_map_c,
+                    self.pair_a, self.pair_b, self.pair_ptr):
+            arr.setflags(write=False)
+        return self
 
 
 def expand_candidate_pairs(
@@ -132,17 +136,16 @@ def expand_candidate_pairs(
 def symbolic_spgemm(
     mat_a: MBSRMatrix,
     mat_b: MBSRMatrix,
-    analysis: AnalysisResult,
+    analysis: AnalysisResult | None,
     rows: np.ndarray | None = None,
 ) -> SymbolicResult:
     """Run the two-step symbolic phase; returns the structure of C.
 
     With ``rows`` (sorted block-row ids of A) the result describes only
     those block-rows of C, compacted: ``blc_ptr_c`` has ``len(rows) + 1``
-    entries and ``pair_row`` holds positions within ``rows``, while the
-    pair lists keep indexing the full operand tile arrays.  Each selected
-    block-row's structure and pair order are bit-identical to the same
-    block-row of the unrestricted result.
+    entries, while the pair lists keep indexing the full operand tile
+    arrays.  Each selected block-row's structure and pair order are
+    bit-identical to the same block-row of the unrestricted result.
     """
     counters = KernelCounters()
     pair_a, pair_b, pair_row = expand_candidate_pairs(mat_a, mat_b, rows)
@@ -151,50 +154,38 @@ def symbolic_spgemm(
     # BITMAPMULTIPLY prunes structurally-zero products (Alg. 3 lines 7-8).
     n_candidates = pair_a.shape[0]
     map_c = bitmap_multiply(mat_a.blc_map[pair_a], mat_b.blc_map[pair_b])
-    keep = map_c != 0
-    pair_a, pair_b, pair_row, map_c = (
-        pair_a[keep],
-        pair_b[keep],
-        pair_row[keep],
-        map_c[keep],
+    keep = np.flatnonzero(map_c)
+
+    # Steps 1 and 2 from one stable ordering of the survivors by output
+    # tile: distinct columns per block-row (BlcPtrC by prefix sum, BlcIdxC
+    # ascending) and the pairs grouped per tile, traversal order kept.
+    tiles = distinct_per_segment(
+        pair_row[keep], mat_b.blc_idx[pair_b[keep]], out_rows, mat_b.nb
     )
-
-    cols = mat_b.blc_idx[pair_b]
-    # Segment the surviving pairs by block-row of C.  The pairs are already
-    # grouped by row (the expansion walks A row-wise), so a bincount gives
-    # the segment pointer directly.
-    seg_counts = np.bincount(pair_row, minlength=out_rows)
-    seg_ptr = counts_to_ptr(seg_counts)
-
-    # Step 1: count distinct columns per block-row -> BlcPtrC by prefix sum.
-    row_nnz = distinct_count_per_segment(cols, seg_ptr)
-    blc_ptr_c = counts_to_ptr(row_nnz)
-
-    # Step 2: hash again, compress and sort -> BlcIdxC.
-    blc_idx_c, check_ptr = distinct_sorted_per_segment(cols, seg_ptr)
-    if not np.array_equal(check_ptr, blc_ptr_c):
-        raise AssertionError("symbolic step 2 disagrees with step 1")
+    sel = keep[tiles.order]
+    blc_map_c = (
+        np.bitwise_or.reduceat(map_c[sel], tiles.entry_ptr[:-1])
+        if sel.size else map_c[sel]
+    )
 
     # Cost accounting: each of the n_candidates pre-filter pairs reads two
     # bitmaps and does one bitmap product (~a handful of bit ops, modelled
     # as 16 integer ops on the scalar cores at fp32 rate); only the
     # surviving pairs pay hash inserts (integer work too).
-    n_survivors = pair_a.shape[0]
-    from repro.gpu.counters import Precision
-
+    n_survivors = sel.shape[0]
     counters.add_flops(Precision.FP32, 16.0 * n_candidates + 8.0 * n_survivors)
     counters.add_bytes(
         read=n_candidates * (2 + 8) * 2,  # bitmaps + indices of both tiles
-        written=blc_ptr_c.shape[0] * 8 + blc_idx_c.shape[0] * 8,
+        written=tiles.ptr.shape[0] * 8 + tiles.keys.shape[0] * 8,
     )
     counters.launches = 2  # one launch per symbolic step
 
     return SymbolicResult(
-        blc_ptr_c=blc_ptr_c,
-        blc_idx_c=blc_idx_c,
-        pair_a=pair_a,
-        pair_b=pair_b,
-        pair_map=map_c,
-        pair_row=pair_row,
+        blc_ptr_c=tiles.ptr,
+        blc_idx_c=tiles.keys,
+        blc_map_c=blc_map_c,
+        pair_a=pair_a[sel],
+        pair_b=pair_b[sel],
+        pair_ptr=tiles.entry_ptr,
         counters=counters,
-    )
+    ).freeze()

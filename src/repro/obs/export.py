@@ -23,7 +23,9 @@ import re
 
 from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry
 from repro.obs.trace import TRACER, Span, Tracer
-from repro.perf.timeline import KERNEL_CLASSES, kernel_class
+# Module reference, read at call time: ``perf.timeline`` imports this
+# package (through ``repro.obs.metrics``), so either may load first.
+from repro.perf import timeline as _timeline
 
 __all__ = [
     "chrome_trace",
@@ -182,7 +184,7 @@ def _fold_kernel(k: Span, phase: dict[str, float]) -> None:
     sweeps bill as spmv, the smoother overhead as other)."""
     inner = _top_kernels(k)
     inner_ns = sum(i.wall_ns for i in inner)
-    phase[kernel_class(k.name)] += max(k.wall_ns - inner_ns, 0) / 1000.0
+    phase[_timeline.kernel_class(k.name)] += max(k.wall_ns - inner_ns, 0) / 1000.0
     for i in inner:
         _fold_kernel(i, phase)
 
@@ -204,7 +206,7 @@ def measured_phase_totals(tracer: Tracer | None = None) -> dict[str, dict[str, f
             if sp.kind != "phase":
                 continue
             phase = totals.setdefault(
-                sp.name, dict.fromkeys(KERNEL_CLASSES + ("total",), 0.0)
+                sp.name, dict.fromkeys(_timeline.KERNEL_CLASSES + ("total",), 0.0)
             )
             phase["total"] += sp.wall_ns / 1000.0
             top = _top_kernels(sp)
@@ -225,21 +227,21 @@ def phase_report_data(perf, tracer: Tracer | None = None) -> dict:
     with their shares.  ``repro obs report --format=json`` and the ledger
     consume this instead of parsing text."""
     measured = measured_phase_totals(tracer)
-    empty = dict.fromkeys(KERNEL_CLASSES + ("total",), 0.0)
+    empty = dict.fromkeys(_timeline.KERNEL_CLASSES + ("total",), 0.0)
     out: dict = {}
     for phase in ("setup", "solve"):
         sim = perf.phase_totals(phase)
         sim_parts = sim.parts
         meas = measured.get(phase, empty)
         out[phase] = {
-            "measured_us": {**{b: meas[b] for b in KERNEL_CLASSES},
+            "measured_us": {**{b: meas[b] for b in _timeline.KERNEL_CLASSES},
                             "total": meas["total"]},
             "measured_pct": {
-                b: _pct(meas[b], meas["total"]) for b in KERNEL_CLASSES
+                b: _pct(meas[b], meas["total"]) for b in _timeline.KERNEL_CLASSES
             },
             "simulated_us": {**sim_parts, "total": sim.total_us},
             "simulated_pct": {
-                b: _pct(sim_parts[b], sim.total_us) for b in KERNEL_CLASSES
+                b: _pct(sim_parts[b], sim.total_us) for b in _timeline.KERNEL_CLASSES
             },
         }
     return out
@@ -262,7 +264,7 @@ def phase_report(perf, tracer: Tracer | None = None) -> str:
     for phase, data in phase_report_data(perf, tracer).items():
         meas, meas_pct = data["measured_us"], data["measured_pct"]
         sim, sim_pct = data["simulated_us"], data["simulated_pct"]
-        for bucket in KERNEL_CLASSES:
+        for bucket in _timeline.KERNEL_CLASSES:
             lines.append(
                 f"{phase:<8}{bucket:<12}"
                 f"{meas[bucket]:>14.1f}{meas_pct[bucket]:>8.1f}%"

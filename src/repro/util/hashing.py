@@ -9,27 +9,31 @@ table supports two operations:
 * *compress + sort* (step 2): extract the distinct keys in ascending order to
   write ``BlcCidC``.
 
-:class:`HashTable` implements the same linear-probing behaviour on the host.
-Batched helpers (:func:`distinct_count_per_segment`,
-:func:`distinct_sorted_per_segment`) provide the vectorised equivalent used
-by the production kernels, while the scalar class remains the executable
-specification that the tests compare against.
+:class:`HashTable` implements the same linear-probing behaviour on the host
+and stays the executable specification the tests compare against.  The
+production kernels use :func:`distinct_per_segment` instead: one stable
+ordering of all (segment, key) entries yields both steps at once — the
+per-segment distinct counts and the sorted distinct keys — together with
+the entries that land on each distinct key, which is what the numeric
+phase of a product reduces over.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.util.ordering import lexsort_pairs
+from repro.util.prefix_sum import counts_to_ptr
 
 __all__ = [
     "HashTable",
+    "SegmentedDistinct",
     "content_digest",
     "next_pow2",
-    "distinct_count_per_segment",
-    "distinct_sorted_per_segment",
+    "distinct_per_segment",
 ]
 
 
@@ -113,54 +117,49 @@ class HashTable:
         return np.sort(keys)
 
 
-def _segment_ids(segment_ptr: np.ndarray) -> np.ndarray:
-    counts = np.diff(segment_ptr)
-    return np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+class SegmentedDistinct(NamedTuple):
+    """Distinct keys per segment and the entries behind each of them."""
+
+    #: Stable permutation grouping the entries by ``(segment, key)``;
+    #: entries with equal pairs keep their input order.
+    order: np.ndarray
+    #: ``order[entry_ptr[d]:entry_ptr[d + 1]]`` are the entries that carry
+    #: distinct key ``d`` (length ``len(keys) + 1``).
+    entry_ptr: np.ndarray
+    #: The distinct keys, ascending within each segment — the concatenated
+    #: :meth:`HashTable.compress_sorted` outputs.
+    keys: np.ndarray
+    #: ``keys[ptr[s]:ptr[s + 1]]`` belong to segment ``s``; ``diff(ptr)``
+    #: are the per-segment :class:`HashTable` sizes.
+    ptr: np.ndarray
 
 
-def distinct_count_per_segment(keys: np.ndarray, segment_ptr: np.ndarray) -> np.ndarray:
-    """Vectorised step 1: number of distinct keys inside each segment.
+def distinct_per_segment(
+    segment_ids: np.ndarray,
+    keys: np.ndarray,
+    num_segments: int,
+    key_extent: int,
+) -> SegmentedDistinct:
+    """Both hash-table steps for every segment, from one stable ordering.
 
-    ``keys`` is the concatenation of per-segment key streams (non-negative,
-    like the table's) delimited by ``segment_ptr`` (length ``nseg + 1``).  Equivalent to inserting every key
-    of a segment into that segment's :class:`HashTable` and reading its size.
+    Entry ``e`` inserts ``keys[e]`` (``0 <= key < key_extent``) into the
+    table of segment ``segment_ids[e]`` (``0 <= id < num_segments``).  The
+    result equals inserting every entry into its segment's
+    :class:`HashTable` and compressing each table, and additionally tells,
+    per distinct key, which entries produced it.
     """
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.int64)
-    segment_ptr = np.asarray(segment_ptr, dtype=np.int64)
-    nseg = segment_ptr.shape[0] - 1
-    if keys.shape[0] == 0:
-        return np.zeros(nseg, dtype=np.int64)
-    seg = _segment_ids(segment_ptr)
-    order = lexsort_pairs(seg, keys, nseg, int(keys.max()) + 1)
+    n = keys.shape[0]
+    order = lexsort_pairs(segment_ids, keys, num_segments, key_extent)
+    sseg = segment_ids[order]
     skeys = keys[order]
-    sseg = seg[order]
-    new = np.ones(skeys.shape[0], dtype=bool)
+    new = np.ones(n, dtype=bool)
     new[1:] = (skeys[1:] != skeys[:-1]) | (sseg[1:] != sseg[:-1])
-    return np.bincount(sseg[new], minlength=nseg).astype(np.int64)
-
-
-def distinct_sorted_per_segment(
-    keys: np.ndarray, segment_ptr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised step 2: per-segment distinct keys, ascending.
-
-    Returns ``(out_keys, out_ptr)`` where ``out_keys[out_ptr[i]:out_ptr[i+1]]``
-    are the sorted distinct keys of segment ``i`` — exactly the
-    compress-and-sort output of the per-row hash tables.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    segment_ptr = np.asarray(segment_ptr, dtype=np.int64)
-    nseg = segment_ptr.shape[0] - 1
-    if keys.shape[0] == 0:
-        return keys[:0], np.zeros(nseg + 1, dtype=np.int64)
-    seg = _segment_ids(segment_ptr)
-    order = lexsort_pairs(seg, keys, nseg, int(keys.max()) + 1)
-    skeys = keys[order]
-    sseg = seg[order]
-    new = np.ones(skeys.shape[0], dtype=bool)
-    new[1:] = (skeys[1:] != skeys[:-1]) | (sseg[1:] != sseg[:-1])
-    out_keys = skeys[new]
-    counts = np.bincount(sseg[new], minlength=nseg).astype(np.int64)
-    out_ptr = np.zeros(nseg + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_ptr[1:])
-    return out_keys, out_ptr
+    starts = np.flatnonzero(new)
+    return SegmentedDistinct(
+        order=order,
+        entry_ptr=np.append(starts, n),
+        keys=skeys[starts],
+        ptr=counts_to_ptr(np.bincount(sseg[starts], minlength=num_segments)),
+    )

@@ -1,8 +1,8 @@
 """Two-key integer ordering without ``np.lexsort``.
 
 Every canonical-order step of the setup data flow — CSR construction
-(row, column), the symbolic SpGEMM's per-row distinct columns (segment,
-column), the blockwise transpose (block-column, block-row) — orders
+(row, column), the symbolic SpGEMM's output-tile order (block-row,
+block-column), the blockwise transpose (block-column, block-row) — orders
 entries by a pair of bounded non-negative integers.  ``np.lexsort`` does
 that with one stable pass per key and is pathologically slow on input that
 is already in order, which most setup builds pass (``eliminate_zeros``,

@@ -23,17 +23,24 @@ to the ``ufunc.at`` semantics, which the kernel regression tests rely on:
   segment per pass, reproducing the sequential per-slot rounding of
   ``np.add.at`` while staying O(max-segment-length) vectorised passes.
 
-All functions take ``sorted_ids=True`` as a no-sort fast path: the SpGEMM
-pair lists and the CSR->mBSR entry lists are already grouped by output
-segment, so the stable sort the general path needs is free there.
+All functions take ``sorted_ids=True`` as a no-sort fast path: the
+CSR->mBSR entry lists are already grouped by output segment, so the stable
+sort the general path needs is free there.
+
+Where the producer hands over its entries already in segment order, with a
+segment pointer instead of ids (the SpGEMM pairs of a symbolic result,
+stored in output-tile order), :func:`segment_sum_ptr` sums them with one
+0/1 CSR product — no sort, no search, no per-component id expansion.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "segment_sum",
+    "segment_sum_ptr",
     "segment_bitwise_or",
     "segment_max",
     "scatter_accumulate",
@@ -160,6 +167,36 @@ def segment_sum(
     # have no exact bincount path either.  The ragged sweep reproduces the
     # sequential per-slot rounding for all of them.
     return _ragged_sum(values, ids, num_segments, sorted_ids, dt)
+
+
+def segment_sum_ptr(values: np.ndarray, segment_ptr: np.ndarray) -> np.ndarray:
+    """Sum each contiguous segment ``values[ptr[s]:ptr[s + 1]]`` in order.
+
+    Bit-identical to ``segment_sum(values, ids, nseg)`` for ids that are
+    sorted and delimited by ``segment_ptr``, for float32 and float64: the
+    0/1 CSR product (scipy's ``csr_matvec(s)``) starts every output at
+    +0.0 and adds the segment's rows one by one (``1.0 * v`` is ``v``
+    exactly, signed zeros and infinities included) — the sequential order
+    of both ``np.bincount`` and the ragged float32 sweep.  A NaN result is
+    NaN on both paths, but where two NaNs meet, which one propagates (its
+    sign and payload) is up to each loop.  Values may be
+    multi-dimensional; the reduction runs over axis 0.
+    """
+    values = np.asarray(values)
+    if values.dtype not in (np.float32, np.float64):
+        raise TypeError(f"segment_sum_ptr sums float32/float64, got {values.dtype}")
+    ptr = np.asarray(segment_ptr)
+    n = values.shape[0]
+    if ptr.ndim != 1 or ptr.shape[0] < 1 or int(ptr[0]) != 0 or int(ptr[-1]) != n:
+        raise ValueError("segment_ptr must run from 0 to len(values)")
+    idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    reduce = sp.csr_array(
+        (np.ones(n, dtype=values.dtype), np.arange(n, dtype=idx_dtype),
+         ptr.astype(idx_dtype, copy=False)),
+        shape=(ptr.shape[0] - 1, n),
+    )
+    flat = values.reshape(n, int(np.prod(values.shape[1:]))) if values.ndim > 1 else values
+    return (reduce @ flat).reshape((ptr.shape[0] - 1,) + values.shape[1:])
 
 
 def segment_bitwise_or(

@@ -197,10 +197,18 @@ def test_spgemm_under_oracle(precision):
     from repro.kernels.spgemm import mbsr_spgemm
 
     a = csr_to_mbsr(poisson2d(6))
+    p = poisson2d(6)
+    rng = np.random.default_rng(7)
+    r = csr_to_mbsr(CSRMatrix(p.shape, p.indptr, p.indices,
+                              rng.standard_normal(p.nnz)))
     with checked_region():
         c, _ = mbsr_spgemm(a, a, precision)
         mbsr_spgemm(a, a, precision, out_dtype=np.float64)
+        # A narrower output dtype rounds once more after accumulating;
+        # the oracle's band must cover that, not flag it.
+        narrow, _ = mbsr_spgemm(r, r, precision, out_dtype=np.float16)
     assert c.dtype == np.dtype(precision.accum_dtype)
+    assert narrow.dtype == np.float16
 
 
 @pytest.mark.contract

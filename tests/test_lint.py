@@ -984,6 +984,27 @@ class TestCLI:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert rule in proc.stdout
 
+    def test_import_leaves_the_solver_unloaded(self):
+        """The linter is stdlib-only: importing it must not load the solver
+        (and numpy/scipy with it) through the package's public exports,
+        which still resolve on first access."""
+        code = (
+            "import sys, repro.lint\n"
+            "assert 'repro.amg' not in sys.modules, 'repro.amg imported'\n"
+            "import repro\n"
+            "missing = [n for n in repro.__all__ if not hasattr(repro, n)]\n"
+            "assert not missing, missing\n"
+            "from repro import AmgTSolver\n"
+            "assert AmgTSolver.__module__ == 'repro.amg.solver'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=REPO_ROOT, env=env)
+        assert proc.returncode == 0, proc.stderr
+
     def test_clean_tree_exits_zero(self, tmp_path):
         write(tmp_path, "ok.py", "VALUE = 1\n")
         proc = run_cli([str(tmp_path)])

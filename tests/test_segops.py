@@ -20,6 +20,7 @@ from repro.util.segops import (
     segment_bitwise_or,
     segment_max,
     segment_sum,
+    segment_sum_ptr,
 )
 
 # A segment layout: number of segments and per-element segment ids drawn
@@ -88,6 +89,35 @@ class TestSegmentSumBitIdentity:
             got = segment_sum(vals, ids, k, sorted_ids=True)
             want = _reference_at(np.add, ids, vals, k)
             np.testing.assert_array_equal(got, want)
+
+    @given(layouts, st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_pointer_sum_matches_add_at(self, layout, seed):
+        """The pointer form: sorted ids given as a segment pointer, values
+        spanning magnitudes (rounding order matters) with signed zeros."""
+        k, ids_list = layout
+        ids = np.sort(np.asarray(ids_list, dtype=np.int64))
+        ptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=k), out=ptr[1:])
+        rng = np.random.default_rng(seed)
+        for dtype in (np.float32, np.float64):
+            vals = (rng.normal(size=(ids.shape[0], 4))
+                    * np.exp2(rng.integers(-30, 30, size=(ids.shape[0], 4))))
+            vals[rng.random(vals.shape) < 0.1] = -0.0
+            vals = vals.astype(dtype)
+            want = _reference_at(np.add, ids, vals, k, (4,))
+            got = segment_sum_ptr(vals, ptr)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+            np.testing.assert_array_equal(segment_sum_ptr(vals[:, 0], ptr), want[:, 0])
+
+    def test_pointer_sum_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            segment_sum_ptr(np.ones(3), np.array([0, 2]))
+        with pytest.raises(ValueError):
+            segment_sum_ptr(np.ones(3), np.array([1, 3]))
+        with pytest.raises(TypeError):
+            segment_sum_ptr(np.ones(3, dtype=np.float16), np.array([0, 3]))
 
     def test_empty_and_out_of_range(self):
         out = segment_sum(np.zeros(0), np.zeros(0, dtype=np.int64), 5)

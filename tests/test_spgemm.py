@@ -95,9 +95,12 @@ class TestSymbolic:
     def test_pair_maps_are_bitmap_products(self):
         am, bm, *_ = mbsr_pair(6)
         res = symbolic_spgemm(am, bm, analyse_and_bin(am, bm))
-        ref = bitmap_multiply(am.blc_map[res.pair_a], bm.blc_map[res.pair_b])
-        np.testing.assert_array_equal(res.pair_map, ref)
-        assert np.all(res.pair_map != 0)
+        pair_map = bitmap_multiply(am.blc_map[res.pair_a], bm.blc_map[res.pair_b])
+        assert np.all(pair_map != 0)
+        # BlcMapC is the OR of each output tile's pair bitmap products.
+        np.testing.assert_array_equal(
+            res.blc_map_c, np.bitwise_or.reduceat(pair_map, res.pair_ptr[:-1])
+        )
 
     def test_counters_populated(self):
         am, bm, *_ = mbsr_pair(7)

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.hashing import (
-    HashTable,
-    distinct_count_per_segment,
-    distinct_sorted_per_segment,
-    next_pow2,
-)
+from repro.util.hashing import HashTable, distinct_per_segment, next_pow2
 from repro.util.prefix_sum import (
     counts_to_ptr,
     exclusive_scan,
@@ -129,20 +124,25 @@ class TestSegmentedDistinct:
         sizes, keys = sizes_keys
         ptr = counts_to_ptr(sizes)
         keys = np.array(keys, dtype=np.int64)
+        seg = np.repeat(np.arange(len(sizes)), sizes)
         ref_counts, ref_keys = self._reference(keys, ptr)
-        counts = distinct_count_per_segment(keys, ptr)
-        np.testing.assert_array_equal(counts, ref_counts)
-        out_keys, out_ptr = distinct_sorted_per_segment(keys, ptr)
-        np.testing.assert_array_equal(ptr_to_counts(out_ptr), ref_counts)
+        out = distinct_per_segment(seg, keys, len(sizes), 21)
+        np.testing.assert_array_equal(ptr_to_counts(out.ptr), ref_counts)
         for i, rk in enumerate(ref_keys):
-            np.testing.assert_array_equal(out_keys[out_ptr[i]: out_ptr[i + 1]], rk)
+            np.testing.assert_array_equal(out.keys[out.ptr[i]: out.ptr[i + 1]], rk)
+        # The entries behind each distinct key, in input order.
+        key_of = np.repeat(out.keys, np.diff(out.entry_ptr))
+        seg_of = np.repeat(np.repeat(np.arange(len(sizes)), np.diff(out.ptr)),
+                           np.diff(out.entry_ptr))
+        np.testing.assert_array_equal(keys[out.order], key_of)
+        np.testing.assert_array_equal(seg[out.order], seg_of)
+        np.testing.assert_array_equal(out.order, np.lexsort((keys, seg)))
 
     def test_empty_stream(self):
-        ptr = np.array([0, 0, 0])
-        assert list(distinct_count_per_segment(np.zeros(0, np.int64), ptr)) == [0, 0]
-        keys, optr = distinct_sorted_per_segment(np.zeros(0, np.int64), ptr)
-        assert keys.shape == (0,)
-        np.testing.assert_array_equal(optr, [0, 0, 0])
+        out = distinct_per_segment(np.zeros(0, np.int64), np.zeros(0, np.int64), 2, 1)
+        assert out.keys.shape == (0,) and out.order.shape == (0,)
+        np.testing.assert_array_equal(out.ptr, [0, 0, 0])
+        np.testing.assert_array_equal(out.entry_ptr, [0])
 
 
 class TestValidation:
