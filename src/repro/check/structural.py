@@ -185,14 +185,27 @@ def validate_operator_cache(mat, kernel: str = "OperatorCache") -> None:
                   f"association probe gives {slot_pairing(acc_dtype)}", A=mat)
         fresh = TilePasses(mat, widened_tiles(mat.blc_val, in_dtype, acc_dtype),
                            in_dtype, acc_dtype, passes.pairing)
-        for part in ("pairs", "reduce"):
-            got, want = getattr(passes, part), getattr(fresh, part)
+        if passes.full_rows != fresh.full_rows:
+            _fail(kernel, "cache/coherent",
+                  f"cached {name} pairs {passes.full_rows} full tile rows, "
+                  f"a rebuild {fresh.full_rows}", A=mat)
+        parts = [("pass1", passes.pass1, fresh.pass1),
+                 ("reduce", passes.reduce, fresh.reduce)]
+        if passes.dense is not None:
+            dense_tiles, dense_reduce = passes.dense
+            fresh_tiles, fresh_reduce = fresh.dense_passes()
+            _cmp(f"{name}.dense.tiles", dense_tiles, fresh_tiles)
+            parts.append(("dense.reduce", dense_reduce, fresh_reduce))
+        for part, got, want in parts:
             if got is None:
-                continue  # the matmul fallback has no slot-pair pass
+                continue  # no compact passes without a slot pairing
+            if got.shape != want.shape:
+                _fail(kernel, "cache/coherent",
+                      f"cached {name}.{part} has shape {got.shape}, a "
+                      f"rebuild {want.shape}", A=mat)
             for field in ("data", "indices", "indptr"):
                 _cmp(f"{name}.{part}.{field}", getattr(got, field),
                      getattr(want, field))
-        _cmp(f"{name}.tiles", passes.tiles, fresh.tiles)
     for (allow_tc, threshold), plan in cache._spmv_plans.items():
         fresh_plan = build_spmv_plan(
             mat, allow_tensor_cores=allow_tc, tc_threshold=threshold

@@ -61,7 +61,7 @@ class OperatorCache:
         self._blocks_per_row: np.ndarray | None = None
         #: Quantised-then-widened tile arrays, keyed by (in, acc) dtypes.
         self._tiles: dict[tuple[np.dtype, np.dtype], np.ndarray] = {}
-        #: Two-pass CSR tile contractions (:class:`repro.kernels.spmv.
+        #: Compact tile contractions (:class:`repro.kernels.spmv.
         #: TilePasses`), keyed by (in, acc) dtypes; built on the first
         #: SpMV/SpMM or binding at that precision.
         self._tile_passes: dict[tuple[np.dtype, np.dtype], object] = {}
@@ -193,8 +193,9 @@ class OperatorCache:
         precision: the host SpMV/SpMM contraction, built on first use.
 
         Reuses the memoised :meth:`tiles` entry when one exists (an FP64
-        operator's tiles are its own values) but does not create one — the
-        passes hold the only widened copy they need.
+        operator's tiles are its own values) but does not create one: the
+        passes keep only the nonzero slots they read, plus references to
+        the matrix's arrays for the dense route they build on first use.
         """
         key = (np.dtype(in_dtype), np.dtype(acc_dtype))
         passes = self._tile_passes.get(key)

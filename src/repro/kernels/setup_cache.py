@@ -464,11 +464,13 @@ class SetupPlanCache:
         ``4 * len(rows)``-row slice)."""
         record = KernelRecord(kernel="spgemm", backend="amgt", precision=precision)
         charged = plan.charge(record.counters)
+        priced = plan.priced if symbolic is None else None
         if symbolic is None:
             symbolic = plan.symbolic
         numeric = numeric_spgemm(
             mat_a, mat_b, symbolic, precision,
             tc_threshold=threshold, storage_itemsize=storage_itemsize,
+            priced=priced,
         )
         record.counters.merge(numeric.counters)
         record.detail = {

@@ -15,7 +15,7 @@ and pass the plan back via ``reuse_plan`` to run only the numeric phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,10 @@ class SpGEMMPlan:
     #: True once a kernel record carried this plan's analysis + symbolic
     #: cost (see :meth:`charge`).
     paid: bool = False
+    #: The numeric phase's counters per (precision, tc_threshold,
+    #: storage_itemsize): pattern-only, so every full replay of the plan
+    #: reuses them (see :func:`numeric_spgemm`).
+    priced: dict = field(default_factory=dict, repr=False, compare=False)
 
     def charge(self, counters) -> bool:
         """Charge the plan's build to *counters* unless already paid.
@@ -280,7 +284,8 @@ def mbsr_spgemm(
     threshold = TC_NNZ_THRESHOLD if tc_threshold is None else tc_threshold
     numeric = numeric_spgemm(mat_a, mat_b, symbolic, precision,
                              tc_threshold=threshold,
-                             storage_itemsize=storage_itemsize)
+                             storage_itemsize=storage_itemsize,
+                             priced=plan.priced)
 
     record.counters.merge(numeric.counters)
     record.detail = {

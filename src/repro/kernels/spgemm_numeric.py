@@ -65,15 +65,24 @@ def numeric_spgemm(
     precision: Precision = Precision.FP64,
     tc_threshold: int = TC_NNZ_THRESHOLD,
     storage_itemsize: int | None = None,
+    *,
+    priced: dict | None = None,
 ) -> NumericResult:
-    """Compute ``BlcValC`` / ``BlcMapC`` for the structure found symbolically."""
-    counters = KernelCounters()
+    """Compute ``BlcValC`` / ``BlcMapC`` for the structure found symbolically.
+
+    The cost accounting depends only on the operand patterns, the pairs
+    and the pricing knobs, so a full-plan replay passes its plan's
+    *priced* memo (:attr:`repro.kernels.spgemm.SpGEMMPlan.priced`) and
+    prices once per ``(precision, tc_threshold, storage_itemsize)``; a
+    row-restricted replay passes none and prices every call.
+    """
     blc_num_c = symbolic.blc_num_c
     acc_dtype = precision.accum_dtype
     in_dtype = precision.np_dtype
 
     pair_a, pair_b = symbolic.pair_a, symbolic.pair_b
     if pair_a.shape[0] == 0:
+        counters = KernelCounters()
         counters.launches = 1
         return NumericResult(
             np.zeros((blc_num_c, 4, 4), dtype=acc_dtype),
@@ -82,11 +91,6 @@ def numeric_spgemm(
             0,
             0,
         )
-
-    # Mode selection by the A-tile popcount (Alg. 4 line 3); the per-tile
-    # popcounts are cached on the operand and reused across products.
-    pop_a = mat_a.pop_per_tile[pair_a]
-    tc_mask = pop_a >= tc_threshold
 
     # --- numeric work, both modes ------------------------------------
     # The value math is the same tile product either way; precision
@@ -102,9 +106,36 @@ def numeric_spgemm(
     # The pairs arrive in output-tile order, traversal order within a
     # tile: one in-order sum per tile is the sequential accumulation.
     blc_val_c = segment_sum_ptr(prod, symbolic.pair_ptr)
-    blc_map_c = symbolic.blc_map_c
 
-    # --- cost accounting ----------------------------------------------
+    key = (precision, tc_threshold, storage_itemsize)
+    cost = None if priced is None else priced.get(key)
+    if cost is None:
+        cost = _price_numeric(mat_a, mat_b, symbolic, precision, tc_threshold,
+                              storage_itemsize)
+        if priced is not None:
+            priced[key] = cost
+    counters, tc_pairs, cuda_pairs = cost
+    return NumericResult(blc_val_c, symbolic.blc_map_c, counters.copy(),
+                         tc_pairs, cuda_pairs)
+
+
+def _price_numeric(
+    mat_a: MBSRMatrix,
+    mat_b: MBSRMatrix,
+    symbolic: SymbolicResult,
+    precision: Precision,
+    tc_threshold: int,
+    storage_itemsize: int | None,
+) -> tuple[KernelCounters, int, int]:
+    """The numeric phase's counters and its TC / CUDA pair split."""
+    counters = KernelCounters()
+    pair_a, pair_b = symbolic.pair_a, symbolic.pair_b
+    acc_dtype = precision.accum_dtype
+    # Mode selection by the A-tile popcount (Alg. 4 line 3); the per-tile
+    # popcounts are cached on the operand and reused across products.
+    pop_a = mat_a.pop_per_tile[pair_a]
+    tc_mask = pop_a >= tc_threshold
+
     # Tensor-core mode: per A-tile, the valid B-tiles are consumed two per
     # MMA issue; an odd count wastes half an issue.
     from repro.gpu.counters import effective_value_bytes
@@ -153,5 +184,4 @@ def numeric_spgemm(
     n_pairs = pair_a.shape[0]
     counters.add_flops(Precision.FP32, 8.0 * n_pairs)
     counters.launches = 1
-
-    return NumericResult(blc_val_c, blc_map_c, counters, tc_pairs, cuda_pairs)
+    return counters, tc_pairs, cuda_pairs

@@ -18,6 +18,7 @@ throughput ceiling prices the work.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +29,7 @@ from repro.check import runtime as check_runtime
 from repro.formats.bitmap import BLOCK_SIZE, TC_NNZ_THRESHOLD, TILE_SLOTS
 from repro.formats.mbsr import MBSRMatrix
 from repro.gpu.counters import Precision, effective_value_bytes
+from repro.kernels.cache import widened_tiles
 from repro.kernels.record import KernelRecord
 
 __all__ = [
@@ -128,27 +130,33 @@ def build_spmv_plan(
 
 
 # ----------------------------------------------------------------------
-# Host tile contraction: two CSR passes over the mBSR tiles.
+# Host tile contraction: two CSR passes over the nonzero tile slots.
 #
 # The reference dataflow is a batched ``np.matmul(tiles, xblk[:, :, None])``
-# (one BLAS gemv per 4x4 tile) followed by a sequential ``bincount`` of
-# the per-tile contributions into block rows.  Both steps are rewritten
-# as scipy CSR products that round exactly like them:
+# (one BLAS gemv per 4x4 tile, ``(p_a + p_b) + (p_c + p_d)`` over the slot
+# products of a tile row) followed by a sequential ``bincount`` of the
+# per-tile contributions into block rows.  Like the CUDA-core kernel
+# (Alg. 5), which walks each tile's bitmap, the host runs only the slots
+# that hold a nonzero, as two scipy CSR products that round exactly like
+# the dense dataflow:
 #
-# * the *slot-pair* pass has two rows per tile row: row ``4t+i`` of its
-#   top half holds tile ``t``'s row ``i`` restricted to slots ``(a, b)``,
-#   the same row of its bottom half slots ``(c, d)``, and scipy's matvec
-#   sums each row as ``(0 + t_a*x_a) + t_b*x_b``.  ``top + bottom`` then
-#   reproduces matmul's four-term association when the pairs are the ones
-#   gemv adds first (probed per accumulator dtype, see
-#   :func:`slot_pairing`).  The leading ``+0.0`` can only flip the sign of
-#   a zero partial sum, which the reduction's own ``+0.0`` start absorbs.
-# * the *reduction* pass is a 0/1 matrix summing the tile contributions of
-#   each output row in tile order, starting from ``+0.0`` — exactly
-#   ``bincount``'s (and the float32 ragged sweep's) sequential rounding.
+# * *pass 1* has one row per tile row with two or three nonzero slots —
+#   the full pair first when there are three — and two half-rows, one per
+#   pair, for a tile row with all four; the halves are summed in place.
+#   Identity rows pass the x entries through that single-slot tile rows
+#   read.  scipy sums a row in stored order as ``((0 + p_0) + p_1) + ...``,
+#   so each kept row reproduces gemv's association when ``(a, b | c, d)``
+#   are the pairs it adds first (probed per accumulator dtype, see
+#   :func:`slot_pairing`).
+# * the *reduction* reads, per output row and in tile order, the pass-1
+#   sum of each multi-slot tile row (coefficient 1) or ``t_j * x_j`` of a
+#   single-slot one, starting from ``+0.0`` — ``bincount``'s (and the
+#   float32 ragged sweep's) sequential rounding.  Empty tile rows drop out.
 #
-# All 16 slots of every tile stay in the slot-pair pass, structural zeros
-# included, so inf/NaN in x propagates as the dense tile product does.
+# For finite x a dropped slot contributes ``±0``, which can change only the
+# sign of a zero partial sum; the reduction's ``+0.0`` start never holds
+# ``-0`` and absorbs it.  An x that is non-finite after quantisation runs
+# the dense matmul contraction instead, so ``0 * inf`` still gives NaN.
 # scipy's multi-vector product runs the same per-column arithmetic, so a
 # ``(ncols, k)`` panel goes through the identical code path.
 # ----------------------------------------------------------------------
@@ -161,34 +169,31 @@ _PAIRINGS = ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2))
 #: contraction (no candidate reproduces the BLAS build's gemv).
 _SLOT_PAIRING: dict[np.dtype, tuple[int, ...] | None] = {}
 
-#: Process-wide read-only constants shared by every operator's passes:
-#: the stride-2 slot-pair indptr and the all-ones reduction values, one
-#: buffer per (kind, dtype, power-of-two length).
-_SHARED: dict[tuple[str, np.dtype, int], np.ndarray] = {}
+#: Nonzero slots per 4-bit tile-row mask (bit s = slot s).
+_MASK_POP = np.array([bin(m).count("1") for m in range(1 << BLOCK_SIZE)])
+
+#: Multiplier moving the four 0/1 bytes of a tile row's nonzero flags, read
+#: as one little-endian uint32, to bits 24..27 (the strays stay below 2**20).
+_GATHER_FLAGS = np.uint32((1 << 24) | (1 << 17) | (1 << 10) | (1 << 3))
 
 
 def _index_dtype(maxval: int) -> type:
     return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
 
 
-def _shared_prefix(kind: str, dtype, n: int) -> np.ndarray:
-    """The first *n* entries of a shared read-only constant array.
-
-    Buffer lengths are powers of two so a prefix always spans at least
-    half its buffer: scipy copies a data array that is a view of a much
-    larger one.
-    """
-    size = 1 << max(n - 1, 0).bit_length()
-    key = (kind, np.dtype(dtype), size)
-    buf = _SHARED.get(key)
-    if buf is None:
-        if kind == "stride2":
-            buf = np.arange(0, 2 * size, 2, dtype=dtype)
-        else:
-            buf = np.ones(size, dtype=dtype)
-        buf.setflags(write=False)
-        _SHARED[key] = buf
-    return buf[:n]
+@functools.cache
+def _slot_order(pairing: tuple[int, ...]) -> np.ndarray:
+    """Per 4-bit tile-row mask, its nonzero slots in pass-1 order: the
+    pairing's order, except that a three-slot row leads with its full pair."""
+    a, b = pairing[:2]
+    table = np.zeros((1 << BLOCK_SIZE, BLOCK_SIZE), dtype=np.intp)
+    for mask in range(1 << BLOCK_SIZE):
+        slots = [s for s in pairing if mask >> s & 1]
+        if len(slots) == 3 and not (mask >> a & 1 and mask >> b & 1):
+            slots = slots[1:] + slots[:1]
+        table[mask, : len(slots)] = slots
+    table.setflags(write=False)
+    return table
 
 
 def _frozen_csr(data, indices, indptr, shape) -> sp.csr_array:
@@ -200,58 +205,122 @@ def _frozen_csr(data, indices, indptr, shape) -> sp.csr_array:
     return out
 
 
-def _pair_pass(tiles: np.ndarray, blc_idx: np.ndarray, pairing,
-               ncols: int) -> sp.csr_array:
-    """The ``(8 * blc, ncols)`` slot-pair pass over widened *tiles*."""
-    blc = tiles.shape[0]
-    idx_dtype = _index_dtype(max(TILE_SLOTS * blc, ncols))
-    # Laid out (half, tile, tile row, slot of the pair).
-    data = np.empty((2, blc, BLOCK_SIZE, 2), dtype=tiles.dtype)
-    cols = np.empty(data.shape, dtype=idx_dtype)
-    base = (blc_idx * BLOCK_SIZE).astype(idx_dtype)[:, None]
-    for slot, src in enumerate(pairing):
-        half, pos = divmod(slot, 2)
-        data[half, :, :, pos] = tiles[:, :, src]
-        np.add(base, src, out=cols[half, :, :, pos])
-    indptr = _shared_prefix("stride2", idx_dtype, 2 * BLOCK_SIZE * blc + 1)
-    return _frozen_csr(data.reshape(-1), cols.reshape(-1), indptr,
-                       (2 * BLOCK_SIZE * blc, ncols))
-
-
-def _pair_sum(u: np.ndarray) -> np.ndarray:
-    """Per-tile-row contributions ``top + bottom``, added in place into
-    the top half of the slot-pair pass output (1-D or ``(rows, k)``)."""
-    top = u[: u.shape[0] // 2]
-    np.add(top, u[top.shape[0]:], out=top)
-    return top
+def _reduction_order(blc_ptr: np.ndarray, nrows: int):
+    """Tile rows ``4t + i`` in reduction order — block row, then tile row
+    ``i``, then tile ``t`` — cut at output row *nrows*, with the offset
+    of every output row's first one (length ``nrows + 1``)."""
+    counts = np.diff(blc_ptr)
+    blc = int(blc_ptr[-1])
+    comp = np.arange(BLOCK_SIZE)
+    first = np.repeat(blc_ptr[:-1], counts)
+    # Tile row (t, i) of a block row starting at tile f with n tiles sits
+    # at 4f + i*n + (t - f).
+    pos = (np.arange(blc) + 3 * first)[:, None] + comp * np.repeat(counts, counts)[:, None]
+    order = np.empty(BLOCK_SIZE * blc, dtype=np.intp)
+    order[pos.reshape(-1)] = np.arange(BLOCK_SIZE * blc)
+    offsets = (BLOCK_SIZE * blc_ptr[:-1, None] + comp * counts[:, None]).reshape(-1)
+    offsets = np.append(offsets, BLOCK_SIZE * blc)[: nrows + 1]
+    return order[: offsets[-1]], offsets
 
 
 def _reduce_pass(blc_ptr: np.ndarray, nrows: int, acc_dtype) -> sp.csr_array:
-    """The ``(nrows, 4 * blc)`` 0/1 pass summing contributions in tile order.
+    """The dense route's ``(nrows, 4 * blc)`` 0/1 pass summing every tile's
+    contributions in tile order."""
+    order, offsets = _reduction_order(blc_ptr, nrows)
+    idx_dtype = _index_dtype(BLOCK_SIZE * int(blc_ptr[-1]))
+    return _frozen_csr(np.ones(order.shape[0], dtype=acc_dtype),
+                       order.astype(idx_dtype), offsets.astype(idx_dtype),
+                       (nrows, BLOCK_SIZE * int(blc_ptr[-1])))
 
-    Output row ``4*br + i`` reads contribution ``4*t + i`` of every tile
-    ``t`` of block row ``br``, in increasing ``t``.
+
+def _compact_passes(tiles: np.ndarray, blc_ptr: np.ndarray,
+                    blc_idx: np.ndarray, shape: tuple[int, int], pairing):
+    """Pass 1, its number of full tile rows and the reduction over the
+    widened *tiles* of an operator of *shape* (see the block comment).
+
+    Pass-1 rows, and so the entries of its output z, are laid out as
+    ``[full tops | full bottoms | two/three-slot rows | identity rows]``,
+    each part in reduction order.
     """
-    counts = np.diff(blc_ptr)
-    blc = int(blc_ptr[-1])
-    idx_dtype = _index_dtype(BLOCK_SIZE * blc)
-    comp = np.arange(BLOCK_SIZE)
-    starts = BLOCK_SIZE * blc_ptr[:-1, None] + comp * counts[:, None]
-    tile = np.arange(blc)
-    brow = np.repeat(np.arange(counts.shape[0]), counts)
-    pos = starts[brow] + (tile - blc_ptr[brow])[:, None]
-    indices = np.empty(BLOCK_SIZE * blc, dtype=idx_dtype)
-    indices[pos.reshape(-1)] = (BLOCK_SIZE * tile[:, None] + comp).reshape(-1)
-    indptr = np.append(starts.reshape(-1), BLOCK_SIZE * blc)[: nrows + 1]
-    nnz = int(indptr[-1])
-    ones = _shared_prefix("ones", acc_dtype, nnz)
-    return _frozen_csr(ones, indices[:nnz], indptr.astype(idx_dtype),
-                       (nrows, BLOCK_SIZE * blc))
+    nrows, ncols = shape
+    order, offsets = _reduction_order(blc_ptr, nrows)
+    flat = tiles.reshape(-1)
+    flags = (tiles.reshape(-1, BLOCK_SIZE) != 0).view("<u4")[:, 0]
+    masks = (flags * _GATHER_FLAGS) >> 24
+    kept = masks[order] != 0
+    tile_row = order[kept]
+    mask = masks[tile_row]
+    nnz = _MASK_POP[mask]
+    full, single = np.flatnonzero(nnz == BLOCK_SIZE), np.flatnonzero(nnz == 1)
+    mid = np.flatnonzero((nnz == 2) | (nnz == 3))
+    n4, n23 = full.shape[0], mid.shape[0]
+    table = _slot_order(pairing)
+
+    # Flat tile indices (16t + 4i + slot) of every pass-1 entry but the
+    # identity rows', and the x entries single-slot tile rows read.
+    a, b, c, d = pairing
+    full4 = BLOCK_SIZE * tile_row[full, None]
+    mid_slots, mid_nnz = table[mask[mid], :3], nnz[mid]
+    in_mid = np.arange(3) < mid_nnz[:, None]
+    entry = np.concatenate((
+        (full4 + (a, b)).reshape(-1),
+        (full4 + (c, d)).reshape(-1),
+        (BLOCK_SIZE * tile_row[mid, None] + mid_slots)[in_mid],
+    ))
+    lone = BLOCK_SIZE * tile_row[single] + table[mask[single], 0]
+    x_col = BLOCK_SIZE * blc_idx[lone >> 4] + (lone & 3)
+    read = np.zeros(BLOCK_SIZE * -(-ncols // BLOCK_SIZE), dtype=bool)
+    read[x_col] = True
+    x_rows = np.flatnonzero(read)
+    nz = 2 * n4 + n23 + x_rows.shape[0]
+    idx_dtype = _index_dtype(max(nz, read.shape[0]))
+
+    cols = np.concatenate((BLOCK_SIZE * blc_idx[entry >> 4] + (entry & 3),
+                           x_rows)).astype(idx_dtype)
+    data = np.concatenate((flat[entry], np.ones(x_rows.shape[0], flat.dtype)))
+    lengths = np.concatenate((np.full(2 * n4, 2), mid_nnz,
+                              np.ones(x_rows.shape[0], dtype=np.intp)))
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(idx_dtype)
+    # The pass reads x unpadded unless a kept slot sits in a padding column.
+    span = read.shape[0] if cols.size and cols.max() >= ncols else ncols
+    pass1 = _frozen_csr(data, cols, indptr, (nz, span))
+
+    # Reduction: one entry per kept tile row, in reduction order.
+    z_col = np.empty(tile_row.shape[0], dtype=idx_dtype)
+    z_col[full] = np.arange(n4)
+    z_col[mid] = np.arange(2 * n4, 2 * n4 + n23)
+    z_col[single] = 2 * n4 + n23 + (np.cumsum(read) - 1)[x_col]
+    coef = np.ones(tile_row.shape[0], dtype=flat.dtype)
+    coef[single] = flat[lone]
+    red_ptr = np.concatenate(([0], np.cumsum(kept)))[offsets]
+    reduce = _frozen_csr(coef, z_col, red_ptr.astype(idx_dtype), (nrows, nz))
+    return pass1, n4, reduce
+
+
+def _contract(pass1: sp.csr_array, full_rows: int, reduce: sp.csr_array,
+              xp: np.ndarray) -> np.ndarray:
+    """The compact contraction of a 1-D or ``(ncols, k)`` accumulator-dtype
+    x: pass 1, the in-place sum of the full rows' halves, the reduction."""
+    z = pass1 @ _padded(xp, pass1.shape[1])
+    if full_rows:
+        top = z[:full_rows]
+        np.add(top, z[full_rows: 2 * full_rows], out=top)
+    return reduce @ z
+
+
+def _padded(xp: np.ndarray, n: int) -> np.ndarray:
+    """*xp* extended with zero rows to *n* rows (no copy when it has them)."""
+    if xp.shape[0] == n:
+        return xp
+    out = np.zeros((n,) + xp.shape[1:], dtype=xp.dtype)
+    out[: xp.shape[0]] = xp
+    return out
 
 
 def _probe_pairing(acc_dtype: np.dtype) -> tuple[int, ...] | None:
-    """Find the slot pairing whose two-pass contraction matches
-    ``np.matmul``'s ``(4, 4) @ (4, 1)`` bit for bit, width 1 and panel."""
+    """Find the slot pairing whose compact contraction matches
+    ``np.matmul``'s ``(4, 4) @ (4, 1)`` bit for bit, width 1 and panel,
+    on tiles with every count of nonzero slots per row."""
     rng = np.random.default_rng(0x5EED)
     blc, width = 256, 3
 
@@ -260,20 +329,27 @@ def _probe_pairing(acc_dtype: np.dtype) -> tuple[int, ...] | None:
         return (rng.standard_normal(shape) * scale).astype(acc_dtype)
 
     tiles, x = draw((blc, BLOCK_SIZE, BLOCK_SIZE)), draw((blc * BLOCK_SIZE, width))
+    tiles[rng.random(tiles.shape) < 0.3] = 0
     ref = [
         np.matmul(tiles, np.ascontiguousarray(x[:, j]).reshape(blc, -1, 1))
         .reshape(-1)
         for j in range(width)
     ]
-    for pairing in _PAIRINGS:
-        # lint: disable=R5 -- runs once per accumulator dtype per process
-        pairs = _pair_pass(tiles, np.arange(blc), pairing, blc * BLOCK_SIZE)
-        panel = _pair_sum(pairs @ x)
-        if all(
-            np.array_equal(_pair_sum(pairs @ np.ascontiguousarray(x[:, j])), r)
+    one_tile_rows = np.arange(blc + 1)
+
+    def matches(pairing) -> bool:
+        passes = _compact_passes(tiles, one_tile_rows, one_tile_rows[:-1],
+                                 (blc * BLOCK_SIZE,) * 2, pairing)
+        panel = _contract(*passes, x)
+        return all(
+            np.array_equal(_contract(*passes, np.ascontiguousarray(x[:, j])), r)
             and np.array_equal(panel[:, j], r)
             for j, r in enumerate(ref)
-        ):
+        )
+
+    for pairing in _PAIRINGS:
+        # lint: disable=R5 -- runs once per accumulator dtype per process
+        if matches(pairing):
             return pairing
     return None
 
@@ -294,63 +370,70 @@ class TilePasses:
     ``passes(x)`` computes ``A @ x`` in the accumulator dtype for an
     ``(ncols,)`` vector or an ``(ncols, k)`` panel, quantising x to the
     input dtype first — bit-identical to the batched-matmul + bincount
-    dataflow.  When no slot pairing reproduces the host's matmul
-    (``pairing is None``) the slot-pair pass is replaced by that matmul
-    itself; the reduction pass is shared by both.
+    dataflow.  A finite x runs the compact passes (``pass1``, its
+    ``full_rows`` half-row pairs, ``reduce``); an x that is non-finite
+    after quantisation, or every x when no slot pairing reproduces the
+    host's matmul (``pairing is None``), runs the dense route: that
+    matmul itself, then an all-ones reduction over every tile.
 
     Holds only arrays, never the matrix, so the operator cache storing it
-    creates no reference cycle.  Scratch is allocated per call: the
-    object is immutable and safe to share across bindings.
+    creates no reference cycle; the dense route is built from them on
+    first use (``dense``).  Scratch is allocated per call, so the object
+    is safe to share across bindings.
     """
 
-    __slots__ = ("in_dtype", "acc_dtype", "nrows", "ncols", "padded",
-                 "pairing", "pairs", "reduce", "tiles", "blc_idx")
+    __slots__ = ("in_dtype", "acc_dtype", "nrows", "padded",
+                 "pairing", "pass1", "full_rows", "reduce",
+                 "vals", "blc_ptr", "blc_idx", "dense")
 
-    pairs: sp.csr_array | None
-    tiles: np.ndarray | None
-    blc_idx: np.ndarray | None
+    pass1: sp.csr_array | None
+    reduce: sp.csr_array | None
+    dense: tuple[np.ndarray, sp.csr_array] | None
 
     def __init__(self, mat: MBSRMatrix, tiles: np.ndarray, in_dtype,
                  acc_dtype, pairing: tuple[int, ...] | None) -> None:
         self.in_dtype = np.dtype(in_dtype)
         self.acc_dtype = np.dtype(acc_dtype)
-        self.nrows, self.ncols = mat.shape
+        self.nrows = mat.nrows
         self.padded = mat.nb * BLOCK_SIZE
         self.pairing = pairing
+        self.vals = mat.blc_val.view()
+        self.vals.setflags(write=False)
+        self.blc_ptr, self.blc_idx = mat.blc_ptr, mat.blc_idx
+        self.dense = None
         if pairing is None:
-            self.pairs = None
-            self.tiles = tiles.view()
-            self.tiles.setflags(write=False)
-            self.blc_idx = mat.blc_idx
+            self.pass1 = self.reduce = None
+            self.full_rows = 0
         else:
-            self.pairs = _pair_pass(tiles, mat.blc_idx, pairing, self.padded)
-            self.tiles = self.blc_idx = None
-        self.reduce = _reduce_pass(mat.blc_ptr, self.nrows, self.acc_dtype)
+            self.pass1, self.full_rows, self.reduce = _compact_passes(
+                tiles, mat.blc_ptr, mat.blc_idx, mat.shape, pairing)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        xq = x.astype(self.in_dtype, copy=False)
-        if xq.shape[0] == self.padded:
-            xp = xq.astype(self.acc_dtype, copy=False)
-        else:
-            xp = np.zeros((self.padded,) + xq.shape[1:], dtype=self.acc_dtype)
-            xp[: self.ncols] = xq
-        if self.pairs is not None:
-            contrib = _pair_sum(self.pairs @ xp)
-        else:
-            contrib = self._matmul_contrib(xp)
-        return self.reduce @ contrib
-
-    def _matmul_contrib(self, xp: np.ndarray) -> np.ndarray:
-        """The fallback contraction: one ``(4, 4) @ (4, 1)`` per tile."""
-        tiles, blc_idx = self.tiles, self.blc_idx
-        assert tiles is not None and blc_idx is not None
-        xblk = xp.reshape((-1, BLOCK_SIZE) + xp.shape[1:])[blc_idx]
+        xp = x.astype(self.in_dtype, copy=False).astype(self.acc_dtype,
+                                                        copy=False)
+        # A finite sum proves every entry finite; one that overflows only
+        # sends a finite x down the (bit-identical) dense route.
+        if self.pass1 is not None and np.isfinite(xp.sum()):
+            return _contract(self.pass1, self.full_rows, self.reduce, xp)
+        tiles, reduce = self.dense_passes()
+        xblk = _padded(xp, self.padded).reshape(
+            (-1, BLOCK_SIZE) + xp.shape[1:])[self.blc_idx]
         if xp.ndim == 1:
-            return np.matmul(tiles, xblk[:, :, None]).reshape(-1)
+            return reduce @ np.matmul(tiles, xblk[:, :, None]).reshape(-1)
         # (k, blc, 4, 1): the broadcast keeps the width-1 gufunc core per
         # column, so each column rounds as its width-1 call would.
         x4 = np.ascontiguousarray(np.moveaxis(xblk, 2, 0))[..., None]
-        return np.matmul(tiles[None], x4).reshape(x4.shape[0], -1).T
+        return reduce @ np.matmul(tiles[None], x4).reshape(x4.shape[0], -1).T
+
+    def dense_passes(self) -> tuple[np.ndarray, sp.csr_array]:
+        """The dense route's widened tiles and all-ones reduction pass,
+        built on first use."""
+        if self.dense is None:
+            tiles = widened_tiles(self.vals, self.in_dtype, self.acc_dtype)
+            tiles.setflags(write=False)
+            self.dense = (tiles, _reduce_pass(self.blc_ptr, self.nrows,
+                                              self.acc_dtype))
+        return self.dense
 
 
 def _account_spmv(

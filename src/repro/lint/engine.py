@@ -1,7 +1,7 @@
 """Orchestration: parse the tree, build the project index, run rules.
 
-Linting is a two-phase pass.  Phase one parses *every* requested file
-and builds the :class:`~repro.lint.callgraph.ProjectIndex` — the shared
+Linting is a two-phase pass.  Phase one parses the requested files and
+builds the :class:`~repro.lint.callgraph.ProjectIndex` — the shared
 call graph the interprocedural rules (R4 delegation, R5 hidden in-loop
 allocation) resolve edges through.  Phase two runs the per-file
 checkers; each receives its own :class:`ModuleContext` *and* the
@@ -9,8 +9,10 @@ whole-project index, so R4 checking ``kernels/baseline.py`` can follow
 ``bind_csr_spmv`` into a private helper of ``kernels/spmv.py``.
 
 The ``report_on`` parameter decouples *indexing* scope from *reporting*
-scope: ``--changed`` indexes the full tree (the call graph needs
-cross-file context) but reports findings only for the changed files.
+scope: with an interprocedural rule active, ``--changed`` indexes the
+full tree (the call graph needs cross-file context) but reports findings
+only for the changed files; with per-file rules only, it parses just
+those files.
 """
 
 from __future__ import annotations
@@ -177,12 +179,17 @@ def lint_paths(
     """Lint *paths*; the module-level entry point used by the CLI and tests.
 
     ``report_on`` (display paths, posix) restricts which files *report*
-    findings; the whole tree is still parsed and indexed so cross-file
-    call edges resolve.  ``None`` reports on everything.
+    findings.  When an :data:`INTERPROCEDURAL_RULES` rule is active the
+    whole tree is still parsed and indexed so cross-file call edges
+    resolve; otherwise only the reported files are parsed.  ``None``
+    reports on everything.
     """
     rules = _selected_rules(select, ignore)
     result = LintResult()
-    ctxs, problems, sources = _parse_files(iter_python_files(paths))
+    files = iter_python_files(paths)
+    if report_on is not None and not rules & INTERPROCEDURAL_RULES:
+        files = [f for f in files if f.as_posix() in report_on]
+    ctxs, problems, sources = _parse_files(files)
     index = ProjectIndex(ctxs)
     scoped = (
         problems

@@ -197,7 +197,8 @@ class TestCachedSpMVExactness:
             y_panel, _ = mbsr_spmv(mat, panel, precision)
             passes = mat.cache.tile_passes(precision.np_dtype,
                                            precision.accum_dtype)
-            assert passes.pairing is None and passes.pairs is None
+            assert passes.pairing is None and passes.pass1 is None
+            assert passes.dense is not None
             _assert_same_bits(y, _naive_spmv_values(mat, x, precision))
             _assert_same_bits(y, expected[precision][0])
             _assert_same_bits(y_panel, expected[precision][1])
@@ -301,9 +302,11 @@ class TestOperatorCacheState:
             passes = c.tile_passes(*key)
             assert passes is c.tile_passes(*key)
             assert passes.pairing == spmv_mod.slot_pairing(key[1])
-            for part in (passes.pairs, passes.reduce):
+            tiles, dense_reduce = passes.dense_passes()
+            assert not tiles.flags.writeable
+            for part in (passes.pass1, passes.reduce, dense_reduce):
                 if part is None:
-                    continue
+                    continue  # no compact passes without a slot pairing
                 assert part.indices.dtype == np.int32
                 for arr in (part.data, part.indices, part.indptr):
                     assert not arr.flags.writeable

@@ -1681,6 +1681,32 @@ class TestChangedFlag:
         assert [f["rule"] for f in payload["findings"]] == ["R4"]
         assert payload["findings"][0]["path"] == "repro/kernels/user.py"
 
+    @pytest.mark.parametrize("select, parsed", [
+        (["R2"], {"repro/kernels/fresh.py"}),
+        (["R2", "R5"], {"repro/kernels/committed.py", "repro/kernels/fresh.py"}),
+    ])
+    def test_report_on_parses_the_whole_tree_only_for_interprocedural_rules(
+        self, tmp_path, monkeypatch, select, parsed
+    ):
+        from repro.lint import engine
+
+        write(tmp_path, "repro/kernels/committed.py", self.SEEDED)
+        write(tmp_path, "repro/kernels/fresh.py", self.SEEDED)
+        seen = []
+        real = engine.load_module
+
+        def recording(path, display_path):
+            seen.append(display_path)
+            return real(path, display_path=display_path)
+
+        monkeypatch.setattr(engine, "load_module", recording)
+        monkeypatch.chdir(tmp_path)
+        result = lint_paths(["repro"], select=select,
+                            report_on={"repro/kernels/fresh.py"})
+        assert set(seen) == parsed
+        assert result.files_checked == 1
+        assert [f.path for f in result.findings] == ["repro/kernels/fresh.py"]
+
     def test_changed_falls_back_without_git(self, tmp_path):
         # No .git anywhere up the tree inside tmp: force failure by
         # pointing GIT_DIR at a nonexistent location.

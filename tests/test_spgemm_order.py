@@ -21,7 +21,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.check import ContractViolation, checked_region
-from repro.formats.bitmap import bitmap_multiply, bitmap_popcount
+from repro.formats.bitmap import TC_NNZ_THRESHOLD, bitmap_multiply, bitmap_popcount
 from repro.formats.convert import csr_to_mbsr
 from repro.formats.csr import CSRMatrix
 from repro.formats.mbsr import MBSRMatrix
@@ -410,3 +410,44 @@ class TestRestrictedAndSplicedPlans:
         np.testing.assert_array_equal(sub.blc_idx, full.blc_idx[tiles])
         np.testing.assert_array_equal(sub.blc_map, full.blc_map[tiles])
         assert_same_values(sub.blc_val, full.blc_val[tiles])
+
+
+class TestReplayPricing:
+    """A full-plan replay prices the numeric phase once per (precision,
+    threshold, itemsize); a row-restricted replay prices every call."""
+
+    def test_full_replays_price_once(self, monkeypatch):
+        from repro.kernels import spgemm_numeric
+
+        # Counts the products this test runs: under REPRO_CHECK the row
+        # oracle's own cold products would be priced as well.
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        priced = []
+        real = spgemm_numeric._price_numeric
+
+        def counting(*args):
+            priced.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(spgemm_numeric, "_price_numeric", counting)
+        mat_a, mat_b = _random_pair(3)
+        cache = SetupPlanCache()
+        records = [mbsr_spgemm(mat_a, mat_b, Precision.FP64, plan_cache=cache)[1]
+                   for _ in range(3)]
+        assert priced == [Precision.FP64]
+        plan = cache.spgemm_plan(mat_a, mat_b)
+        fresh = real(mat_a, mat_b, plan.symbolic, Precision.FP64, TC_NNZ_THRESHOLD, None)
+        for rec in records[1:]:
+            assert rec.counters == fresh[0]
+            assert rec.detail["tc_pairs"] == fresh[1]
+            assert rec.detail["cuda_pairs"] == fresh[2]
+        assert records[1].counters is not records[2].counters
+        mbsr_spgemm(mat_a, mat_b, Precision.FP16, plan_cache=cache)
+        mbsr_spgemm(mat_a, mat_b, Precision.FP16, plan_cache=cache)
+        mbsr_spgemm(mat_a, mat_b, Precision.FP16, plan_cache=cache, storage_itemsize=8)
+        assert priced == [Precision.FP64, Precision.FP16, Precision.FP16]
+
+        rows = np.array([0, mat_a.mb - 1])
+        for _ in range(2):
+            mbsr_spgemm_rows(mat_a, mat_b, rows)
+        assert len(priced) == 5
