@@ -178,7 +178,10 @@ def validate_operator_cache(mat, kernel: str = "OperatorCache") -> None:
         _cmp(f"tiles[{in_dtype}->{acc_dtype}]", tiles,
              widened_tiles(mat.blc_val, in_dtype, acc_dtype))
     for (in_dtype, acc_dtype), passes in cache._tile_passes.items():
-        name = f"tile_passes[{in_dtype}->{acc_dtype}]"
+        # A refilled entry shares its layout with an operator of the same
+        # structure; the name says so, as a violation's origin.
+        origin = "refilled" if passes.refilled else "built"
+        name = f"tile_passes[{in_dtype}->{acc_dtype}, {origin}]"
         if passes.pairing != slot_pairing(acc_dtype):
             _fail(kernel, "cache/coherent",
                   f"cached {name} pairs slots {passes.pairing}, the "

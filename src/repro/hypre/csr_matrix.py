@@ -116,8 +116,10 @@ class HypreCSRMatrix:
             cached = base.astype(precision.np_dtype)
             # The cast shares the structure arrays; hand it the canonical
             # form's pattern key so plan-cache lookups on any precision of
-            # an operator hash the structure once.
+            # an operator hash the structure once, and its SpMV pass
+            # layouts.
             cached.cache.seed_pattern_key(base.cache.pattern_key)
+            cached.cache.seed_layouts(base.cache.layout_pool)
             self._casts[precision] = cached
         return cached
 

@@ -65,6 +65,12 @@ class OperatorCache:
         #: TilePasses`), keyed by (in, acc) dtypes; built on the first
         #: SpMV/SpMM or binding at that precision.
         self._tile_passes: dict[tuple[np.dtype, np.dtype], object] = {}
+        #: Pass layouts of this operator's structure, keyed like
+        #: ``_tile_passes``, that its passes may refill (see
+        #: :meth:`seed_layouts`), and the structure's weak layout map,
+        #: which the passes built here join.
+        self._layouts: dict[tuple[np.dtype, np.dtype], object] = {}
+        self._layout_pool: weakref.WeakValueDictionary | None = None
         #: SpMV plans keyed by (allow_tensor_cores, tc_threshold).
         self._spmv_plans: dict[tuple[bool, float], object] = {}
         #: Replayable SpMV bindings keyed by (precision, width, allow_tc,
@@ -196,6 +202,8 @@ class OperatorCache:
         operator's tiles are its own values) but does not create one: the
         passes keep only the nonzero slots they read, plus references to
         the matrix's arrays for the dense route they build on first use.
+        A seeded layout at this precision is refilled when the values fit
+        it; a layout built here joins the structure's map.
         """
         key = (np.dtype(in_dtype), np.dtype(acc_dtype))
         passes = self._tile_passes.get(key)
@@ -212,7 +220,19 @@ class OperatorCache:
             tiles = self._tiles.get(key)
             if tiles is None:
                 tiles = widened_tiles(mat.blc_val, *key)
-            passes = TilePasses(mat, tiles, *key, slot_pairing(key[1]))
+            passes = TilePasses(mat, tiles, *key, slot_pairing(key[1]),
+                                layout=self._layouts.get(key))
+            if passes.layout is not None:
+                obs_metrics.inc(
+                    obs_names.TILE_PASS_LAYOUTS,
+                    result="refill" if passes.refilled else "build",
+                )
+                if not passes.refilled:
+                    # A seeded layout that did not fit is released; the
+                    # new one serves the structure's next operators.
+                    self._layouts.pop(key, None)
+                    if self._layout_pool is not None:
+                        self._layout_pool[key] = passes.layout
             self._tile_passes[key] = passes
         else:
             self.hits += 1
@@ -221,6 +241,28 @@ class OperatorCache:
                 result="hit",
             )
         return passes
+
+    @property
+    def layout_pool(self) -> weakref.WeakValueDictionary | None:
+        """The weak pass-layout map this cache joined, if any."""
+        return self._layout_pool
+
+    def seed_layouts(self, pool: weakref.WeakValueDictionary | None) -> None:
+        """Join the weak pass-layout map of a structure this operator
+        carries (its fill template's, or its canonical form's), holding
+        the layouts alive in it now.  ``None`` (a structure with no map)
+        is a no-op.
+
+        A layout lives as long as some passes built from it or some cache
+        seeded with it, so a re-setup's operators, seeded while the
+        operators they replace are alive, refill their layouts at the
+        first solve; the layout of a dead structure dies with its last
+        operator.
+        """
+        if pool is not None and self._layout_pool is None:
+            self._layout_pool = pool
+            if pool:  # most maps are empty: skip the guarded iteration
+                self._layouts = dict(pool.items())
 
     # -- SpMV preprocessing ----------------------------------------------
     def spmv_plan(self, allow_tensor_cores: bool = True, tc_threshold=None):

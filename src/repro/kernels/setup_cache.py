@@ -46,6 +46,7 @@ so long-running solvers with churning hierarchies stay bounded.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -196,6 +197,11 @@ class _FillTemplate:
     #: CSR entry offset at each block-row boundary (``indptr[min(4b, n)]``),
     #: the segment pointer the template splice shifts clean rows by.
     row_starts: np.ndarray | None = None
+    #: Weak map from ``(in_dtype, acc_dtype)`` to the SpMV pass layout of
+    #: this structure's operators (:class:`repro.kernels.spmv.PassLayout`);
+    #: every operator carrying the template's arrays joins it.
+    layouts: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary)
 
 
 @dataclass
@@ -534,6 +540,7 @@ class SetupPlanCache:
             )
             out.cache.seed_pop_per_tile(tmpl.pop_per_tile)
             out.cache.seed_pattern_key(tmpl.mbsr_pattern_key)
+            out.cache.seed_layouts(tmpl.layouts)
             stats = ConversionStats(
                 kind="csr2mbsr",
                 nnz=csr.nnz,
@@ -554,7 +561,7 @@ class SetupPlanCache:
         """Store the fill template of the conversion *csr* -> *out*."""
         mb = out.blc_ptr.shape[0] - 1
         bounds = np.minimum(np.arange(mb + 1, dtype=np.int64) * 4, csr.nrows)
-        self._put(self._fill, csr.pattern_key(), _FillTemplate(
+        tmpl = _FillTemplate(
             shape=csr.shape,
             blc_ptr=out.blc_ptr,
             blc_idx=out.blc_idx,
@@ -564,7 +571,9 @@ class SetupPlanCache:
             slots=slots,
             mbsr_pattern_key=out.cache.pattern_key,
             row_starts=csr.indptr[bounds],
-        ))
+        )
+        out.cache.seed_layouts(tmpl.layouts)
+        self._put(self._fill, csr.pattern_key(), tmpl)
 
     def expansion(self, mbsr: MBSRMatrix) -> tuple[CSRMatrix, np.ndarray]:
         """``MBSR2CSR`` plus the flat ``blc_val`` position of every entry.

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro.check import runtime as check_runtime
 from repro.formats.bitmap import BLOCK_SIZE, TC_NNZ_THRESHOLD, TILE_SLOTS
@@ -37,6 +38,7 @@ __all__ = [
     "VARIATION_THRESHOLD",
     "SpMVPlan",
     "SpMVBinding",
+    "PassLayout",
     "TilePasses",
     "build_spmv_plan",
     "bind_spmv",
@@ -159,6 +161,14 @@ def build_spmv_plan(
 # the dense matmul contraction instead, so ``0 * inf`` still gives NaN.
 # scipy's multi-vector product runs the same per-column arithmetic, so a
 # ``(ncols, k)`` panel goes through the identical code path.
+#
+# Both products call scipy's CSR kernels (``csr_matvec``/``csr_matvecs``)
+# directly, as ``csr_array @`` does after its dispatch, behind a guard on
+# the operand's length, dtype and contiguity.  The passes are a
+# pattern-only :class:`PassLayout` filled with one operator's values.  An
+# operator carrying the structure arrays of a live one (a fill-template
+# hit, or a precision cast of such a matrix) refills that layout when its
+# tiles are nonzero at exactly the layout's slots.
 # ----------------------------------------------------------------------
 
 #: Candidate slot pairings ``(a, b, c, d)``: a tile row contracts as
@@ -194,6 +204,11 @@ def _slot_order(pairing: tuple[int, ...]) -> np.ndarray:
         table[mask, : len(slots)] = slots
     table.setflags(write=False)
     return table
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _frozen_csr(data, indices, indptr, shape) -> sp.csr_array:
@@ -233,79 +248,181 @@ def _reduce_pass(blc_ptr: np.ndarray, nrows: int, acc_dtype) -> sp.csr_array:
                        (nrows, BLOCK_SIZE * int(blc_ptr[-1])))
 
 
-def _compact_passes(tiles: np.ndarray, blc_ptr: np.ndarray,
-                    blc_idx: np.ndarray, shape: tuple[int, int], pairing):
-    """Pass 1, its number of full tile rows and the reduction over the
-    widened *tiles* of an operator of *shape* (see the block comment).
+class PassLayout:
+    """The pattern-only half of an operator's compact passes: everything
+    :class:`TilePasses` derives from the nonzero slots of the quantised
+    tiles, the tile structure, the shape and the slot pairing (see the
+    block comment).
 
     Pass-1 rows, and so the entries of its output z, are laid out as
     ``[full tops | full bottoms | two/three-slot rows | identity rows]``,
-    each part in reduction order.
+    each part in reduction order.  ``entry`` holds the flat tile
+    position (``16t + 4i + slot``) of every pass-1 entry but the identity
+    rows' (which hold 1); ``lone`` the position of each single-slot
+    row's coefficient and ``single`` its entry in the reduction (every
+    other entry holds 1).  :meth:`refill` gathers one operator's values
+    through them, so operators of one structure whose tiles are nonzero
+    at the same slots share one layout and its index arrays.
     """
-    nrows, ncols = shape
-    order, offsets = _reduction_order(blc_ptr, nrows)
-    flat = tiles.reshape(-1)
-    flags = (tiles.reshape(-1, BLOCK_SIZE) != 0).view("<u4")[:, 0]
-    masks = (flags * _GATHER_FLAGS) >> 24
-    kept = masks[order] != 0
-    tile_row = order[kept]
-    mask = masks[tile_row]
-    nnz = _MASK_POP[mask]
-    full, single = np.flatnonzero(nnz == BLOCK_SIZE), np.flatnonzero(nnz == 1)
-    mid = np.flatnonzero((nnz == 2) | (nnz == 3))
-    n4, n23 = full.shape[0], mid.shape[0]
-    table = _slot_order(pairing)
 
-    # Flat tile indices (16t + 4i + slot) of every pass-1 entry but the
-    # identity rows', and the x entries single-slot tile rows read.
-    a, b, c, d = pairing
-    full4 = BLOCK_SIZE * tile_row[full, None]
-    mid_slots, mid_nnz = table[mask[mid], :3], nnz[mid]
-    in_mid = np.arange(3) < mid_nnz[:, None]
-    entry = np.concatenate((
-        (full4 + (a, b)).reshape(-1),
-        (full4 + (c, d)).reshape(-1),
-        (BLOCK_SIZE * tile_row[mid, None] + mid_slots)[in_mid],
-    ))
-    lone = BLOCK_SIZE * tile_row[single] + table[mask[single], 0]
-    x_col = BLOCK_SIZE * blc_idx[lone >> 4] + (lone & 3)
-    read = np.zeros(BLOCK_SIZE * -(-ncols // BLOCK_SIZE), dtype=bool)
-    read[x_col] = True
-    x_rows = np.flatnonzero(read)
-    nz = 2 * n4 + n23 + x_rows.shape[0]
-    idx_dtype = _index_dtype(max(nz, read.shape[0]))
+    __slots__ = ("shape", "blc_ptr", "blc_idx", "pairing", "full_rows",
+                 "pass1_shape", "pass1_indices", "pass1_indptr", "entry",
+                 "reduce_indices", "reduce_indptr", "single", "lone",
+                 "__weakref__")
 
-    cols = np.concatenate((BLOCK_SIZE * blc_idx[entry >> 4] + (entry & 3),
-                           x_rows)).astype(idx_dtype)
-    data = np.concatenate((flat[entry], np.ones(x_rows.shape[0], flat.dtype)))
-    lengths = np.concatenate((np.full(2 * n4, 2), mid_nnz,
-                              np.ones(x_rows.shape[0], dtype=np.intp)))
-    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(idx_dtype)
-    # The pass reads x unpadded unless a kept slot sits in a padding column.
-    span = read.shape[0] if cols.size and cols.max() >= ncols else ncols
-    pass1 = _frozen_csr(data, cols, indptr, (nz, span))
+    def __init__(self, tiles: np.ndarray, blc_ptr: np.ndarray,
+                 blc_idx: np.ndarray, shape: tuple[int, int], pairing) -> None:
+        nrows, ncols = shape
+        order, offsets = _reduction_order(blc_ptr, nrows)
+        flags = (tiles.reshape(-1, BLOCK_SIZE) != 0).view("<u4")[:, 0]
+        masks = (flags * _GATHER_FLAGS) >> 24
+        kept = masks[order] != 0
+        tile_row = order[kept]
+        mask = masks[tile_row]
+        nnz = _MASK_POP[mask]
+        full, single = np.flatnonzero(nnz == BLOCK_SIZE), np.flatnonzero(nnz == 1)
+        mid = np.flatnonzero((nnz == 2) | (nnz == 3))
+        n4, n23 = full.shape[0], mid.shape[0]
+        table = _slot_order(pairing)
 
-    # Reduction: one entry per kept tile row, in reduction order.
-    z_col = np.empty(tile_row.shape[0], dtype=idx_dtype)
-    z_col[full] = np.arange(n4)
-    z_col[mid] = np.arange(2 * n4, 2 * n4 + n23)
-    z_col[single] = 2 * n4 + n23 + (np.cumsum(read) - 1)[x_col]
-    coef = np.ones(tile_row.shape[0], dtype=flat.dtype)
-    coef[single] = flat[lone]
-    red_ptr = np.concatenate(([0], np.cumsum(kept)))[offsets]
-    reduce = _frozen_csr(coef, z_col, red_ptr.astype(idx_dtype), (nrows, nz))
-    return pass1, n4, reduce
+        # Flat tile indices of every pass-1 entry but the identity rows',
+        # and the x entries single-slot tile rows read.
+        a, b, c, d = pairing
+        full4 = BLOCK_SIZE * tile_row[full, None]
+        mid_slots, mid_nnz = table[mask[mid], :3], nnz[mid]
+        in_mid = np.arange(3) < mid_nnz[:, None]
+        entry = np.concatenate((
+            (full4 + (a, b)).reshape(-1),
+            (full4 + (c, d)).reshape(-1),
+            (BLOCK_SIZE * tile_row[mid, None] + mid_slots)[in_mid],
+        ))
+        lone = BLOCK_SIZE * tile_row[single] + table[mask[single], 0]
+        x_col = BLOCK_SIZE * blc_idx[lone >> 4] + (lone & 3)
+        read = np.zeros(BLOCK_SIZE * -(-ncols // BLOCK_SIZE), dtype=bool)
+        read[x_col] = True
+        x_rows = np.flatnonzero(read)
+        nz = 2 * n4 + n23 + x_rows.shape[0]
+        idx_dtype = _index_dtype(max(nz, read.shape[0]))
+        pos_dtype = _index_dtype(tiles.size)
+
+        cols = np.concatenate((BLOCK_SIZE * blc_idx[entry >> 4] + (entry & 3),
+                               x_rows)).astype(idx_dtype)
+        lengths = np.concatenate((np.full(2 * n4, 2), mid_nnz,
+                                  np.ones(x_rows.shape[0], dtype=np.intp)))
+        # The pass reads x unpadded unless a kept slot sits in a padding
+        # column.
+        span = read.shape[0] if cols.size and cols.max() >= ncols else ncols
+
+        # Reduction: one entry per kept tile row, in reduction order.
+        z_col = np.empty(tile_row.shape[0], dtype=idx_dtype)
+        z_col[full] = np.arange(n4)
+        z_col[mid] = np.arange(2 * n4, 2 * n4 + n23)
+        z_col[single] = 2 * n4 + n23 + (np.cumsum(read) - 1)[x_col]
+        red_ptr = np.concatenate(([0], np.cumsum(kept)))[offsets]
+
+        self.shape, self.blc_ptr, self.blc_idx = shape, blc_ptr, blc_idx
+        self.pairing, self.full_rows = pairing, n4
+        self.pass1_shape = (nz, span)
+        self.pass1_indices = _frozen(cols)
+        self.pass1_indptr = _frozen(
+            np.concatenate(([0], np.cumsum(lengths))).astype(idx_dtype))
+        self.entry = _frozen(entry.astype(pos_dtype))
+        self.reduce_indices = _frozen(z_col)
+        self.reduce_indptr = _frozen(red_ptr.astype(idx_dtype))
+        self.single = _frozen(single.astype(idx_dtype))
+        self.lone = _frozen(lone.astype(pos_dtype))
+
+    @property
+    def slots(self) -> int:
+        """Tile slots the passes read: the nonzeros of every tile row
+        before ``nrows``."""
+        return self.entry.shape[0] + self.lone.shape[0]
+
+    def fill(self, tiles: np.ndarray) -> tuple[sp.csr_array, sp.csr_array]:
+        """``(pass1, reduce)`` over this layout with the values of *tiles*
+        — the tiles it was built from, or tiles :meth:`refill` accepts."""
+        return self._passes(*self._gather(tiles.reshape(-1)))
+
+    def refill(self, mat: MBSRMatrix, tiles: np.ndarray, pairing
+               ) -> tuple[sp.csr_array, sp.csr_array] | None:
+        """:meth:`fill` with the tiles of *mat* when they fit this layout,
+        else ``None``.
+
+        *mat* must carry the very structure arrays and the shape the
+        layout was built on, and *pairing* must be its pairing.  Then the
+        test: every slot the layout gathers is nonzero, and the tiles hold
+        :attr:`slots` nonzeros in all.  Their nonzero set then contains
+        the layout's and is as large, so it is the layout's — which makes
+        a build on them give this layout — with no mask stored.
+        """
+        flat = tiles.reshape(-1)
+        if (mat.blc_ptr is not self.blc_ptr or mat.blc_idx is not self.blc_idx
+                or mat.shape != self.shape or pairing != self.pairing
+                or np.count_nonzero(flat) != self.slots):
+            return None
+        data, coef = self._gather(flat)
+        if not (data.all() and coef.all()):
+            return None
+        return self._passes(data, coef)
+
+    def _gather(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pass 1's and the reduction's values, gathered from *flat*."""
+        n = self.entry.shape[0]
+        data = np.empty(self.pass1_indices.shape[0], dtype=flat.dtype)
+        data[:n] = flat[self.entry]
+        data[n:] = 1
+        coef = np.ones(self.reduce_indices.shape[0], dtype=flat.dtype)
+        coef[self.single] = flat[self.lone]
+        return data, coef
+
+    def _passes(self, data: np.ndarray, coef: np.ndarray
+                ) -> tuple[sp.csr_array, sp.csr_array]:
+        return (_frozen_csr(data, self.pass1_indices, self.pass1_indptr,
+                            self.pass1_shape),
+                _frozen_csr(coef, self.reduce_indices, self.reduce_indptr,
+                            (self.shape[0], self.pass1_shape[0])))
 
 
 def _contract(pass1: sp.csr_array, full_rows: int, reduce: sp.csr_array,
               xp: np.ndarray) -> np.ndarray:
     """The compact contraction of a 1-D or ``(ncols, k)`` accumulator-dtype
     x: pass 1, the in-place sum of the full rows' halves, the reduction."""
-    z = pass1 @ _padded(xp, pass1.shape[1])
+    z = _csr_product(pass1, np.ascontiguousarray(_padded(xp, pass1.shape[1])))
     if full_rows:
         top = z[:full_rows]
         np.add(top, z[full_rows: 2 * full_rows], out=top)
-    return reduce @ z
+    return _csr_product(reduce, z)
+
+
+def _csr_product(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` through the scipy CSR kernel that ``csr_array @``
+    dispatches to, called directly into a zeroed output.
+
+    *x* must be a C-contiguous ``(n,)`` or ``(n, k)`` array of *a*'s
+    dtype, with ``n`` *a*'s column count; anything else raises
+    ``ValueError`` before the kernel runs, so no call reads past x.
+    """
+    m, n = a.shape
+    if (x.ndim not in (1, 2) or x.shape[0] != n or x.dtype != a.data.dtype
+            or not x.flags.c_contiguous):
+        raise ValueError(
+            f"pass operand has shape {x.shape} and dtype {x.dtype} "
+            f"(C-contiguous: {x.flags.c_contiguous}); the pass takes a "
+            f"C-contiguous ({n},) or ({n}, k) {a.data.dtype} array")
+    if x.ndim == 1:
+        y = np.zeros(m, dtype=x.dtype)
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, y)
+        return y
+    k = x.shape[1]
+    y = np.zeros((m, k), dtype=x.dtype)
+    if k == 1:
+        # As scipy does, an (n, 1) operand runs the single-vector kernel.
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data,
+                                x.reshape(-1), y.reshape(-1))
+    else:
+        _sparsetools.csr_matvecs(m, n, k, a.indptr, a.indices, a.data,
+                                 x.reshape(-1), y.reshape(-1))
+    return y
 
 
 def _padded(xp: np.ndarray, n: int) -> np.ndarray:
@@ -338,8 +455,10 @@ def _probe_pairing(acc_dtype: np.dtype) -> tuple[int, ...] | None:
     one_tile_rows = np.arange(blc + 1)
 
     def matches(pairing) -> bool:
-        passes = _compact_passes(tiles, one_tile_rows, one_tile_rows[:-1],
-                                 (blc * BLOCK_SIZE,) * 2, pairing)
+        layout = PassLayout(tiles, one_tile_rows, one_tile_rows[:-1],
+                            (blc * BLOCK_SIZE,) * 2, pairing)
+        pass1, reduce = layout.fill(tiles)
+        passes = (pass1, layout.full_rows, reduce)
         panel = _contract(*passes, x)
         return all(
             np.array_equal(_contract(*passes, np.ascontiguousarray(x[:, j])), r)
@@ -376,6 +495,11 @@ class TilePasses:
     host's matmul (``pairing is None``), runs the dense route: that
     matmul itself, then an all-ones reduction over every tile.
 
+    The compact passes are a :class:`PassLayout` filled with the
+    operator's values.  Given the *layout* of an operator of the same
+    structure, the constructor refills it when the values fit
+    (``refilled``) and builds a new one otherwise.
+
     Holds only arrays, never the matrix, so the operator cache storing it
     creates no reference cycle; the dense route is built from them on
     first use (``dense``).  Scratch is allocated per call, so the object
@@ -383,15 +507,17 @@ class TilePasses:
     """
 
     __slots__ = ("in_dtype", "acc_dtype", "nrows", "padded",
-                 "pairing", "pass1", "full_rows", "reduce",
-                 "vals", "blc_ptr", "blc_idx", "dense")
+                 "pairing", "layout", "refilled", "pass1", "full_rows",
+                 "reduce", "vals", "blc_ptr", "blc_idx", "dense")
 
+    layout: PassLayout | None
     pass1: sp.csr_array | None
     reduce: sp.csr_array | None
     dense: tuple[np.ndarray, sp.csr_array] | None
 
     def __init__(self, mat: MBSRMatrix, tiles: np.ndarray, in_dtype,
-                 acc_dtype, pairing: tuple[int, ...] | None) -> None:
+                 acc_dtype, pairing: tuple[int, ...] | None,
+                 layout: PassLayout | None = None) -> None:
         self.in_dtype = np.dtype(in_dtype)
         self.acc_dtype = np.dtype(acc_dtype)
         self.nrows = mat.nrows
@@ -401,12 +527,20 @@ class TilePasses:
         self.vals.setflags(write=False)
         self.blc_ptr, self.blc_idx = mat.blc_ptr, mat.blc_idx
         self.dense = None
+        self.refilled = False
         if pairing is None:
-            self.pass1 = self.reduce = None
+            self.layout = self.pass1 = self.reduce = None
             self.full_rows = 0
-        else:
-            self.pass1, self.full_rows, self.reduce = _compact_passes(
-                tiles, mat.blc_ptr, mat.blc_idx, mat.shape, pairing)
+            return
+        passes = None if layout is None else layout.refill(mat, tiles, pairing)
+        self.refilled = passes is not None
+        if passes is None:
+            layout = PassLayout(tiles, mat.blc_ptr, mat.blc_idx, mat.shape,
+                                pairing)
+            passes = layout.fill(tiles)
+        self.layout = layout
+        self.pass1, self.reduce = passes
+        self.full_rows = layout.full_rows
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         xp = x.astype(self.in_dtype, copy=False).astype(self.acc_dtype,

@@ -38,6 +38,7 @@ __all__ = [
     "OPERATOR_CACHE_REQUESTS",
     "SETUP_CACHE_REQUESTS",
     "SETUP_CACHE_EVICTIONS",
+    "TILE_PASS_LAYOUTS",
     # setup engine
     "SETUP_REUSE",
     # smoothers
@@ -73,6 +74,9 @@ SPGEMM_TILE_POPCOUNT = "repro_spgemm_tile_popcount"
 OPERATOR_CACHE_REQUESTS = "repro_operator_cache_requests_total"
 SETUP_CACHE_REQUESTS = "repro_setup_cache_requests_total"
 SETUP_CACHE_EVICTIONS = "repro_setup_cache_evictions_total"
+#: Compact SpMV pass layouts by ``result``: ``build`` or ``refill`` (an
+#: operator of the same structure filled a live layout with its values).
+TILE_PASS_LAYOUTS = "repro_tile_pass_layouts_total"
 
 # -- setup engine (unprefixed: payload/test compatibility, see above) ---
 SETUP_REUSE = "setup_reuse_total"
