@@ -280,6 +280,7 @@ class AmgTSolver:
         """
         if self._driver is None:
             raise RuntimeError("call setup() before solve_krylov()")
+        from repro.check import checked_region
         from repro.obs import trace as obs_trace
         from repro.solvers import bicgstab, gmres, pcg
 
@@ -289,24 +290,24 @@ class AmgTSolver:
                 f"unknown Krylov method {method!r}; use one of {sorted(solvers)}"
             )
         driver = self._driver
-        binding = driver.backend.bind_matvec(driver._wrapped[0]["A"],
-                                             driver.perf, "solve", 0)
-        run, records, perf = binding.run, (binding.record,), driver.perf
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            perf.extend(records)
-            return run(v)
-
-        preconditioner = self.as_preconditioner()
         with obs_trace.span("AmgTSolver.solve_krylov", "solver"):
-            return solvers[method](
-                matvec,
-                np.asarray(b, dtype=np.float64),
-                preconditioner=preconditioner,
-                x0=x0,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-            )
+            with checked_region(enabled=self.checked):
+                binding = driver.backend.bind_matvec(driver._wrapped[0]["A"],
+                                                     driver.perf, "solve", 0)
+                run, records, perf = binding.run, (binding.record,), driver.perf
+
+                def matvec(v: np.ndarray) -> np.ndarray:
+                    perf.extend(records)
+                    return run(v)
+
+                return solvers[method](
+                    matvec,
+                    np.asarray(b, dtype=np.float64),
+                    preconditioner=self.as_preconditioner(),
+                    x0=x0,
+                    tolerance=tolerance,
+                    max_iterations=max_iterations,
+                )
 
     # ------------------------------------------------------------------
     def as_preconditioner(self, tape: bool = False):

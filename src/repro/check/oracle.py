@@ -16,6 +16,13 @@ smoother and Galerkin hooks sit above the backend's per-level schedule),
 the tolerance is widened to the coarsest precision any backend may apply
 (FP16 quantisation, FP32 accumulation); the tight per-precision check
 still happens underneath, at the mbsr/csr kernel entry points.
+
+The kernel oracles take the :class:`~repro.kernels.record.KernelRecord`
+of the call they check and, once it passes, :func:`stamp` it.  Under
+checked mode the one charge point,
+:meth:`repro.perf.timeline.PerformanceLog.extend`, rejects any SpGEMM,
+SpMV or SpMM record without the stamp (``perf/unchecked-record``), so a
+kernel that skips its oracle cannot have its work charged.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from repro.check.fingerprint import fingerprint
 from repro.check.violation import ContractViolation
 
 __all__ = [
+    "STAMP",
+    "stamp",
     "verify_spmv",
     "verify_csr_spmv",
     "verify_spgemm",
@@ -35,7 +44,11 @@ __all__ = [
     "verify_galerkin",
     "verify_smoother",
     "verify_distributed_spmv",
+    "verify_rows_slice",
 ]
+
+#: The ``KernelRecord.detail`` key an oracle sets on the record it verified.
+STAMP = "oracle_verified"
 
 #: Safety factor on the analytic rounding bounds (accumulation order is
 #: implementation defined; 4x absorbs pairwise-vs-sequential differences).
@@ -55,6 +68,12 @@ def _fail(kernel, invariant, detail, **operands):
         kernel, invariant, detail,
         operands={k: fingerprint(v) for k, v in operands.items()},
     )
+
+
+def stamp(record) -> None:
+    """Mark *record* as the record of a verified call (no-op for None)."""
+    if record is not None:
+        record.detail[STAMP] = True
 
 
 def _acc_eps(precision) -> float:
@@ -133,7 +152,8 @@ def _verify_plan(mat, plan, kernel):
               "for the operand matrix", A=mat)
 
 
-def verify_spmv(mat, x, y, precision, plan=None, kernel="mbsr_spmv"):
+def verify_spmv(mat, x, y, precision, plan=None, kernel="mbsr_spmv",
+                record=None):
     """Differential + structural check of one ``mbsr_spmv`` call."""
     from repro.check.structural import validate_mbsr, validate_operator_cache
 
@@ -157,9 +177,10 @@ def verify_spmv(mat, x, y, precision, plan=None, kernel="mbsr_spmv"):
     terms = np.diff(aq.indptr)
     tol = _SAFETY * _acc_eps(precision) * (terms + 8.0) * scale
     _compare_vectors(kernel, y, ref, tol, {"A": mat, "x": x, "y": y})
+    stamp(record)
 
 
-def verify_csr_spmv(mat, x, y, precision, kernel="csr_spmv"):
+def verify_csr_spmv(mat, x, y, precision, kernel="csr_spmv", record=None):
     """Differential check of one vendor-style ``csr_spmv`` call."""
     from repro.check.structural import validate_csr
 
@@ -179,6 +200,7 @@ def verify_csr_spmv(mat, x, y, precision, kernel="csr_spmv"):
     terms = np.diff(aq.indptr)
     tol = _SAFETY * _acc_eps(precision) * (terms + 8.0) * scale
     _compare_vectors(kernel, y, ref, tol, {"A": mat, "x": x, "y": y})
+    stamp(record)
 
 
 def verify_distributed_spmv(global_mat, x, y, precision, num_ranks,
@@ -226,7 +248,7 @@ def _pattern_coo(mat_scipy):
 
 
 def verify_spgemm(mat_a, mat_b, mat_c, precision, out_dtype=None,
-                  kernel="mbsr_spgemm"):
+                  kernel="mbsr_spgemm", record=None):
     """Differential + structural check of one ``mbsr_spgemm`` call."""
     from repro.check.structural import validate_mbsr
 
@@ -295,9 +317,11 @@ def verify_spgemm(mat_a, mat_b, mat_c, precision, out_dtype=None,
     factor = _SAFETY * (_acc_eps(precision) * (depth + 8.0) + round_out)
     _sparse_compare(kernel, "spgemm/differential", c_scipy, ref, scale,
                     factor, {"A": mat_a, "B": mat_b, "C": mat_c})
+    stamp(record)
 
 
-def verify_csr_spgemm(mat_a, mat_b, mat_c, precision, kernel="csr_spgemm"):
+def verify_csr_spgemm(mat_a, mat_b, mat_c, precision, kernel="csr_spgemm",
+                      record=None):
     """Differential check of one vendor-style ``csr_spgemm`` call."""
     from repro.check.structural import validate_csr
 
@@ -322,6 +346,30 @@ def verify_csr_spgemm(mat_a, mat_b, mat_c, precision, kernel="csr_spgemm"):
     factor = _SAFETY * _acc_eps(precision) * (depth + 8.0)
     _sparse_compare(kernel, "spgemm/differential", c_scipy, ref, scale,
                     factor, {"A": mat_a, "B": mat_b, "C": mat_c})
+    stamp(record)
+
+
+def verify_rows_slice(sub, full, rows, kernel, invariant, records=(),
+                      **operands):
+    """A dirty-row replay must be a bytewise slice of the full product:
+    block-row ``i`` of *sub* is block-row ``rows[i]`` of *full* (tiles,
+    bitmaps and value bytes).  Stamps *records*, the replay's."""
+    s0 = full.blc_ptr[rows]
+    counts = (full.blc_ptr[rows + 1] - s0).astype(np.int64)
+    total = int(counts.sum())
+    sel = np.repeat(s0, counts) + (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    )
+    if not (np.array_equal(np.diff(sub.blc_ptr), counts)
+            and np.array_equal(sub.blc_idx, full.blc_idx[sel])
+            and np.array_equal(sub.blc_map, full.blc_map[sel])
+            and sub.blc_val.tobytes() == full.blc_val[sel].tobytes()):
+        _fail(kernel, invariant,
+              f"restricted product diverges from the full product on "
+              f"{rows.shape[0]} block-rows", **operands)
+    for record in records:
+        stamp(record)
 
 
 # ----------------------------------------------------------------------

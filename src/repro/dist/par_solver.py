@@ -176,10 +176,12 @@ class ParAMGSolver:
             return np.asarray(y, dtype=np.float64), total_us
 
         allow_tc = self.device.mma_shape_compatible
+        storage = self.device.storage_itemsize
         wrapped = self._wrapped_block(level, op, sl.rank, "diag", sl.diag)
         m = wrapped.mbsr_at_precision(prec)
         y, rec = mbsr_spmv(m, np.asarray(x_local, dtype=np.float64), prec,
-                           wrapped.spmv_plan(allow_tc), allow_tensor_cores=allow_tc)
+                           wrapped.spmv_plan(allow_tc), allow_tensor_cores=allow_tc,
+                           storage_itemsize=storage)
         total_us += rec.price(self.cost)
         y = np.asarray(y, dtype=np.float64)
         if sl.offd.nnz:
@@ -187,7 +189,8 @@ class ParAMGSolver:
             m = wrapped.mbsr_at_precision(prec)
             y2, rec2 = mbsr_spmv(m, np.asarray(x_halo, dtype=np.float64), prec,
                                  wrapped.spmv_plan(allow_tc),
-                                 allow_tensor_cores=allow_tc)
+                                 allow_tensor_cores=allow_tc,
+                                 storage_itemsize=storage)
             total_us += rec2.price(self.cost)
             y = y + np.asarray(y2, dtype=np.float64)
         return y, total_us
@@ -282,7 +285,10 @@ class ParAMGSolver:
                                         backend=vendor)
                 else:
                     lm, rm = csr_to_mbsr(left), csr_to_mbsr(right)
-                    _, rec = mbsr_spgemm(lm, rm, prec)
+                    _, rec = mbsr_spgemm(
+                        lm, rm, prec,
+                        storage_itemsize=self.device.storage_itemsize,
+                    )
                     if not self.device.mma_shape_compatible:
                         mma = rec.counters.mma_issues[prec]
                         rec.counters.mma_issues[prec] = 0.0
@@ -318,8 +324,11 @@ class ParAMGSolver:
         """
         if self.hierarchy is None:
             raise RuntimeError("setup() must run before solve_pcg()")
+        from repro.check import runtime as check_runtime
+
         with obs_trace.span("ParAMGSolver.solve_pcg", "solver"):
-            return self._solve_pcg_impl(b, max_iterations, tolerance)
+            with check_runtime.checked_region(enabled=self.checked):
+                return self._solve_pcg_impl(b, max_iterations, tolerance)
 
     def _solve_pcg_impl(
         self, b: np.ndarray, max_iterations: int, tolerance: float

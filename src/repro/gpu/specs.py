@@ -66,6 +66,16 @@ class DeviceSpec:
     def bytes_per_us(self) -> float:
         return self.mem_bw_tbs * 1e6
 
+    @property
+    def storage_itemsize(self) -> int | None:
+        """Per-value bytes the AmgT kernels charge for matrix traffic, or
+        None for the executing precision's own size.  A device without a
+        usable low-precision data path (MI210) computes the coarse levels
+        in FP32 but keeps the matrices FP64-resident, so its kernels pay
+        FP64 memory traffic — which is why the paper finds AmgT (FP64)
+        and AmgT (Mixed) nearly identical there (Sec. V.F)."""
+        return None if self.fp16_supported else 8
+
 
 # Table I of the paper.  FP32 scalar numbers double as the TF32 tensor rates
 # feeding nothing here — AmgT uses FP64/FP32/FP16 only.

@@ -193,11 +193,8 @@ class AmgTBackend(KernelBackend):
         self.precision_mode = precision
         #: Matrix-core availability decides the kernels' core selection.
         self.allow_tensor_cores = device.mma_shape_compatible
-        #: Devices without a usable low-precision data path (MI210) compute
-        #: coarse levels in FP32 but keep the matrices FP64-resident, so
-        #: the kernels are charged FP64 memory traffic — which is why the
-        #: paper finds AmgT (FP64) and AmgT (Mixed) nearly identical there.
-        self.storage_itemsize = None if device.fp16_supported else 8
+        #: FP64-resident storage on devices without FP16 (MI210).
+        self.storage_itemsize = device.storage_itemsize
         #: Setup-phase engine: pattern-keyed SpGEMM plans, fused RAP plans
         #: and conversion templates, shared across every setup this
         #: backend runs (the alpha-Setup / SPGEMM_REUSE scenario).

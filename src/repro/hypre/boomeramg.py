@@ -284,7 +284,7 @@ class BoomerAMG:
                                 attrs={"batch": batch}):
                 tape = record_cycle(self.hierarchy, params,
                                     bindings=bindings, batch=batch)
-            perf.extend(tape.estimate_records)
+                perf.extend(tape.estimate_records)
             self._tapes[key] = tape
             obs_metrics.inc(obs_names.TAPE_RECORDS)
         return tape
@@ -310,8 +310,8 @@ class BoomerAMG:
         params = params or SolveParams()
         vector = np.ndim(b) == 1
         width = 1 if vector else np.shape(b)[1]
-        t = self.get_tape(params, batch=width)
         with obs_trace.phase_span("solve"):
+            t = self.get_tape(params, batch=width)
             x, stats = taped_solve(t, b, x0=x0, params=params)
             slowest = stats if vector else max(stats, key=lambda s: s.iterations)
             self._charge_replay(t, slowest.iterations)
@@ -330,8 +330,9 @@ class BoomerAMG:
         r = np.asarray(r, dtype=np.float64)
         rows = r if r.ndim == 1 else normalize_rhs_panel(
             r, self.hierarchy.levels[0].n, name="r").T
-        t = self.get_tape(SolveParams(), batch=1 if r.ndim == 1 else r.shape[1])
         with obs_trace.phase_span("solve"):
+            t = self.get_tape(SolveParams(),
+                              batch=1 if r.ndim == 1 else r.shape[1])
             z = t.cycle(rows)
             self.perf.extend(t.records)
         return z if r.ndim == 1 else np.ascontiguousarray(z.T)

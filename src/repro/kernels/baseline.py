@@ -95,7 +95,7 @@ def csr_spgemm(
     if check_runtime.is_active():
         from repro.check import oracle
 
-        oracle.verify_csr_spgemm(a, b, out, precision)
+        oracle.verify_csr_spgemm(a, b, out, precision, record=record)
     return out, record
 
 
@@ -123,7 +123,7 @@ def csr_spmv(
     run_acc = _csr_run_acc(a, precision)
     y = run_acc(x) if x.ndim == 1 else np.ascontiguousarray(run_acc(x.T).T)
     if check_runtime.is_active():
-        _verify_rows(a, precision, x.T, y.T)
+        _verify_rows(a, precision, x.T, y.T, record)
     return y, record
 
 
@@ -133,12 +133,13 @@ def _new_record(backend: str, precision: Precision, width: int) -> KernelRecord:
 
 
 def _verify_rows(a: CSRMatrix, precision: Precision, x: np.ndarray,
-                 y: np.ndarray) -> None:
-    """Check every right-hand side of a vector or row-panel call."""
+                 y: np.ndarray, record: KernelRecord | None = None) -> None:
+    """Check every right-hand side of a vector or row-panel call; each
+    check stamps *record*."""
     from repro.check import oracle
 
     for xj, yj in zip(np.atleast_2d(x), np.atleast_2d(y)):
-        oracle.verify_csr_spmv(a, xj, yj, precision)
+        oracle.verify_csr_spmv(a, xj, yj, precision, record=record)
 
 
 def _account_csr_spmv(record: KernelRecord, a: CSRMatrix, precision: Precision,
@@ -225,4 +226,5 @@ def bind_csr_spmv(a: CSRMatrix, precision: Precision = Precision.FP64,
     def verify(x: np.ndarray, y: np.ndarray) -> None:
         _verify_rows(a, precision, x, y)
 
-    return SpMVBinding(_float64_run(_csr_run_acc(a, precision), verify), record)
+    return SpMVBinding(_float64_run(_csr_run_acc(a, precision), verify, record),
+                       record)

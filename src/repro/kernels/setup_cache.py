@@ -509,7 +509,8 @@ class SetupPlanCache:
         if rows is None and check_runtime.is_active():
             from repro.check import oracle
 
-            oracle.verify_spgemm(mat_a, mat_b, out, precision, out_dtype)
+            oracle.verify_spgemm(mat_a, mat_b, out, precision, out_dtype,
+                                 record=record)
         return out, record
 
     # -- conversion templates -------------------------------------------
@@ -824,7 +825,7 @@ class SetupPlanCache:
             storage_itemsize, stage="rap", rows=rows, symbolic=sym2,
         )
         if check_runtime.is_active():
-            from repro.check.violation import ContractViolation
+            from repro.check import oracle
 
             # Differential oracle: the restricted replay must be a
             # bytewise slice of the full fused replay on the same rows.
@@ -833,19 +834,9 @@ class SetupPlanCache:
                 tc_threshold=tc_threshold,
                 storage_itemsize=storage_itemsize,
             )
-            sel = _segment_slice(full.blc_ptr, rows)
-            if not (
-                np.array_equal(np.diff(rap_sub.blc_ptr),
-                               full.blc_ptr[rows + 1] - full.blc_ptr[rows])
-                and np.array_equal(rap_sub.blc_idx, full.blc_idx[sel])
-                and np.array_equal(rap_sub.blc_map, full.blc_map[sel])
-                and rap_sub.blc_val.tobytes() == full.blc_val[sel].tobytes()
-            ):
-                raise ContractViolation(
-                    "setup_cache", "setup/rap-rows-slice",
-                    f"restricted RAP replay diverges from the full fused "
-                    f"replay on {rows.shape[0]} block-rows",
-                )
+            oracle.verify_rows_slice(rap_sub, full, rows, "rap_numeric_rows",
+                                     "setup/rap-rows-slice",
+                                     (rec_ra, rec_rap))
         return rap_sub, [rec_ra, rec_rap]
 
     def patch_csr2mbsr(

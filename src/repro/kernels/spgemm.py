@@ -176,38 +176,21 @@ def mbsr_spgemm_rows(
     if check_runtime.is_active():
         _verify_rows_slice(mat_a, mat_b, out, rows, precision, out_dtype,
                            tc_threshold=threshold,
-                           storage_itemsize=storage_itemsize)
+                           storage_itemsize=storage_itemsize, record=record)
     return out, symbolic, record
 
 
 def _verify_rows_slice(mat_a, mat_b, out, rows, precision, out_dtype, *,
-                       tc_threshold, storage_itemsize) -> None:
+                       tc_threshold, storage_itemsize, record=None) -> None:
     """Checked-mode oracle: the restricted product must be a bytewise
     slice of the full product on the selected block-rows."""
-    from repro.check.violation import ContractViolation
+    from repro.check import oracle
 
     full, _ = mbsr_spgemm(mat_a, mat_b, precision, out_dtype,
                           tc_threshold=tc_threshold,
                           storage_itemsize=storage_itemsize)
-    s0, s1 = full.blc_ptr[rows], full.blc_ptr[rows + 1]
-    counts = (s1 - s0).astype(np.int64)
-    total = int(counts.sum())
-    offs = np.repeat(s0, counts) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    )
-    if not (np.array_equal(np.diff(out.blc_ptr), counts)
-            and np.array_equal(out.blc_idx, full.blc_idx[offs])
-            and np.array_equal(out.blc_map, full.blc_map[offs])
-            and out.blc_val.tobytes() == full.blc_val[offs].tobytes()):
-        from repro.check.fingerprint import fingerprint
-
-        raise ContractViolation(
-            "mbsr_spgemm_rows", "spgemm/rows-slice",
-            f"restricted product diverges from the full product on "
-            f"{rows.shape[0]} block-rows",
-            operands={"A": fingerprint(mat_a), "B": fingerprint(mat_b)},
-        )
+    oracle.verify_rows_slice(out, full, rows, "mbsr_spgemm_rows",
+                             "spgemm/rows-slice", (record,), A=mat_a, B=mat_b)
 
 
 def mbsr_spgemm(
@@ -318,7 +301,8 @@ def mbsr_spgemm(
     if check_runtime.is_active():
         from repro.check import oracle
 
-        oracle.verify_spgemm(mat_a, mat_b, out, precision, out_dtype)
+        oracle.verify_spgemm(mat_a, mat_b, out, precision, out_dtype,
+                             record=record)
     if obs_trace.is_active():
         from repro.obs import metrics as obs_metrics
 

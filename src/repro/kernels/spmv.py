@@ -467,7 +467,6 @@ def _probe_pairing(acc_dtype: np.dtype) -> tuple[int, ...] | None:
         )
 
     for pairing in _PAIRINGS:
-        # lint: disable=R5 -- runs once per accumulator dtype per process
         if matches(pairing):
             return pairing
     return None
@@ -690,17 +689,19 @@ def mbsr_spmv(
         f"mbsr_spmv produced {y.dtype}, expected accumulator {acc_dtype}"
     )
     if check_runtime.is_active():
-        _verify_rows(mat, precision, plan, x.T, y.T)
+        _verify_rows(mat, precision, plan, x.T, y.T, record)
     return y, record
 
 
-def _verify_rows(mat, precision, plan, x: np.ndarray, y: np.ndarray) -> None:
+def _verify_rows(mat, precision, plan, x: np.ndarray, y: np.ndarray,
+                 record: KernelRecord | None = None) -> None:
     """Check every right-hand side of a vector (1-D) or row-panel call
-    against the quantisation-exact reference."""
+    against the quantisation-exact reference; each check stamps
+    *record*."""
     from repro.check import oracle
 
     for xj, yj in zip(np.atleast_2d(x), np.atleast_2d(y)):
-        oracle.verify_spmv(mat, xj, yj, precision, plan)
+        oracle.verify_spmv(mat, xj, yj, precision, plan, record=record)
 
 
 @dataclass
@@ -769,19 +770,21 @@ def bind_spmv(
     def verify(x: np.ndarray, y: np.ndarray) -> None:
         _verify_rows(mat, precision, plan, x, y)
 
-    return SpMVBinding(_float64_run(run_acc, verify), record)
+    return SpMVBinding(_float64_run(run_acc, verify, record), record)
 
 
 def _float64_run(run_acc: Callable[[np.ndarray], np.ndarray],
-                 verify: Callable[[np.ndarray, np.ndarray], None]):
+                 verify: Callable[[np.ndarray, np.ndarray], None],
+                 record: KernelRecord):
     """A binding's float64 ``run`` over its accumulator-dtype core.
 
     The check gate is resolved here, once at bind time, exactly like the
     TC/CUDA dispatch: under an active checked region (or REPRO_CHECK)
-    every call is verified against the differential oracle; otherwise the
-    replay path carries zero check overhead.  Memoised bindings therefore
-    key on the gate (see :meth:`repro.kernels.cache.OperatorCache.\
-spmv_binding`).
+    every call is verified against the differential oracle, and the
+    binding's *record* — the template every call charges — carries the
+    oracle's stamp from bind time on; otherwise the replay path carries
+    zero check overhead.  Memoised bindings therefore key on the gate
+    (see :meth:`repro.kernels.cache.OperatorCache.spmv_binding`).
     """
     def widened(x: np.ndarray) -> np.ndarray:
         y = run_acc(x)
@@ -789,6 +792,9 @@ spmv_binding`).
 
     if not check_runtime.is_active():
         return widened
+    from repro.check import oracle
+
+    oracle.stamp(record)
 
     def run(x: np.ndarray) -> np.ndarray:
         y = run_acc(x)

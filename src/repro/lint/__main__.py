@@ -4,10 +4,9 @@ Exit status: 0 clean (advisories allowed), 1 on unsuppressed,
 unbaselined error findings (or warnings under ``--strict``), 2 on usage
 errors.  ``--write-baseline`` records the current findings and exits 0.
 
-``--changed`` scopes *reporting* to files touched per git (diff against
-HEAD plus untracked), for fast pre-commit runs; the full tree is still
-parsed and indexed whenever an interprocedural rule is active, so call
-edges into unchanged files resolve exactly as on a full run.
+``--changed`` lints only the files touched per git (diff against HEAD
+plus untracked), for fast pre-commit runs; every rule is per-file, so a
+changed file reports exactly what a full run would report for it.
 
 ``--prune-baseline`` drops baseline entries whose finding no longer
 exists (fixed, suppressed inline, or the file is gone) and rewrites the
@@ -33,9 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Repo-specific static analysis for the AmgT reproduction "
-        "(dtype-flow, scatter-ban, constant-provenance, contract-hook "
-        "coverage, hot-loop allocations, root spans, stale closure "
-        "capture, metric-name provenance).",
+        "(dtype-flow, scatter-ban, constant-provenance, hot-loop "
+        "allocations, stale closure capture, metric-name provenance).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
@@ -60,9 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--changed", action="store_true",
-        help="report findings only for files changed per git (diff "
-        "against HEAD + untracked); the full tree is still indexed "
-        "when interprocedural rules are active",
+        help="lint only the files changed per git (diff against HEAD "
+        "+ untracked)",
     )
     parser.add_argument(
         "--baseline", default=None,

@@ -57,14 +57,3 @@ def unparse(node: ast.AST) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - defensive
         return "<unprintable>"
-
-
-def toplevel_functions(tree: ast.Module):
-    """Module-level (and single-class-method) function defs."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield sub

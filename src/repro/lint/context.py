@@ -34,9 +34,6 @@ ACCUMULATOR_SCOPE = (
 #: The one module allowed to touch the unbuffered ufunc scatter path.
 SCATTER_ENGINE = "util/segops.py"
 
-#: Modules in which R4 (contract-hook coverage) applies.
-CONTRACT_SCOPE_DIR = "kernels"
-
 #: Subtrees where R5 (hot-loop allocation) applies.  ``solvers`` holds
 #: the Krylov iteration loops (one allocation there repeats every
 #: iteration of every solve) and ``tape`` the record/replay engine whose
@@ -47,18 +44,6 @@ HOT_LOOP_SCOPE_DIRS = ("kernels", "formats", "solvers", "tape")
 #: smoother bindings close over tape workspace slots and run inside the
 #: replay loop of every batched (and width-1) solve.
 HOT_LOOP_SCOPE_FILES = ("amg/smoothers.py",)
-
-#: Modules whose public entry points drive whole setup/solve phases; R6
-#: (advisory) asks them to open a repro.obs root span so traced runs
-#: (REPRO_TRACE=1) cover every phase.
-SOLVER_SCOPE = (
-    "amg/solver.py",
-    "hypre/boomeramg.py",
-    "dist/par_solver.py",
-    "solvers/cg.py",
-    "solvers/gmres.py",
-    "solvers/bicgstab.py",
-)
 
 #: Constant name -> module (repro-relative) that owns its definition.
 #: The owner is exempt from R3 findings *for that constant only*.
@@ -108,13 +93,6 @@ class ModuleContext:
         rel = self._rel()
         return rel == SCATTER_ENGINE
 
-    def in_contract_scope(self) -> bool:
-        rel = self._rel()
-        if rel is None:
-            return not self.is_benchmark()
-        parts = rel.split("/")
-        return len(parts) == 2 and parts[0] == CONTRACT_SCOPE_DIR
-
     def in_hot_loop_scope(self) -> bool:
         rel = self._rel()
         if rel is None:
@@ -122,20 +100,13 @@ class ModuleContext:
         return (rel.split("/", 1)[0] in HOT_LOOP_SCOPE_DIRS
                 or rel in HOT_LOOP_SCOPE_FILES)
 
-    def in_solver_scope(self) -> bool:
-        rel = self._rel()
-        if rel is None:
-            return not self.is_benchmark()
-        return rel in SOLVER_SCOPE
-
     def is_benchmark(self) -> bool:
         """True for files under a ``benchmarks/`` tree outside the package.
 
         The benches are the perf ground truth, so the scatter, hot-loop,
         closure and metric-name rules (R2/R5/R9/R10) apply there; the
-        package-layout rules (R1/R3/R4/R6) do not — bench drivers
-        legitimately build matrices with inline literals and never define
-        kernel entry points.
+        package-layout rules (R1/R3) do not — bench drivers legitimately
+        build matrices with inline literals.
         """
         return self._rel() is None and "benchmarks" in self.path.split("/")
 

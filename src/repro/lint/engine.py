@@ -1,18 +1,9 @@
-"""Orchestration: parse the tree, build the project index, run rules.
+"""Orchestration: parse the requested files, run the rules on each.
 
-Linting is a two-phase pass.  Phase one parses the requested files and
-builds the :class:`~repro.lint.callgraph.ProjectIndex` — the shared
-call graph the interprocedural rules (R4 delegation, R5 hidden in-loop
-allocation) resolve edges through.  Phase two runs the per-file
-checkers; each receives its own :class:`ModuleContext` *and* the
-whole-project index, so R4 checking ``kernels/baseline.py`` can follow
-``bind_csr_spmv`` into a private helper of ``kernels/spmv.py``.
-
-The ``report_on`` parameter decouples *indexing* scope from *reporting*
-scope: with an interprocedural rule active, ``--changed`` indexes the
-full tree (the call graph needs cross-file context) but reports findings
-only for the changed files; with per-file rules only, it parses just
-those files.
+Every rule is per-file: a checker receives one file's
+:class:`ModuleContext` and nothing else, so a file's findings never
+depend on which other files were linked with it.  ``report_on`` (the
+``--changed`` scope) therefore parses just the files it reports on.
 """
 
 from __future__ import annotations
@@ -22,39 +13,25 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.lint.baseline import Baseline
-from repro.lint.callgraph import ProjectIndex
 from repro.lint.context import ModuleContext, load_module
 from repro.lint.finding import RULES, Finding, Severity, make_finding
 from repro.lint.rules_alloc import check_hot_loop_alloc
 from repro.lint.rules_closures import check_stale_closure_capture
 from repro.lint.rules_constants import check_constant_provenance
 from repro.lint.rules_dtype import check_dtype_flow
-from repro.lint.rules_invariants import (
-    check_contract_hooks,
-    check_root_spans,
-    check_scatter_ban,
-)
+from repro.lint.rules_invariants import check_scatter_ban
 from repro.lint.rules_metrics import check_metric_name_provenance
 from repro.lint.suppress import apply_suppressions, parse_suppressions
 
 #: rule id -> checker.  R0 has no checker; it is emitted by the machinery.
-#: Every checker takes ``(ctx, index)``; file-local rules ignore the index.
-CHECKERS: dict[
-    str, Callable[[ModuleContext, ProjectIndex], list[Finding]]
-] = {
+CHECKERS: dict[str, Callable[[ModuleContext], list[Finding]]] = {
     "R1": check_dtype_flow,
     "R2": check_scatter_ban,
     "R3": check_constant_provenance,
-    "R4": check_contract_hooks,
     "R5": check_hot_loop_alloc,
-    "R6": check_root_spans,
     "R9": check_stale_closure_capture,
     "R10": check_metric_name_provenance,
 }
-
-#: Rules that resolve call edges across files: when any of these is
-#: active, ``--changed`` must still parse and index the full tree.
-INTERPROCEDURAL_RULES = frozenset({"R4", "R5"})
 
 
 @dataclass
@@ -136,12 +113,10 @@ def _parse_files(
     return ctxs, problems, sources
 
 
-def _check_module(
-    ctx: ModuleContext, index: ProjectIndex, rules: set[str]
-) -> list[Finding]:
+def _check_module(ctx: ModuleContext, rules: set[str]) -> list[Finding]:
     findings: list[Finding] = []
     for rule_id in sorted(rules):
-        findings += CHECKERS[rule_id](ctx, index)
+        findings += CHECKERS[rule_id](ctx)
     # Nested defs are walked as part of their enclosing scope too; keep
     # one finding per (rule, line, message).
     findings = list(dict.fromkeys(findings))
@@ -153,19 +128,13 @@ def lint_file(
     path: Path,
     rules: set[str] | None = None,
 ) -> tuple[list[Finding], list[str]]:
-    """Lint one file in isolation; returns (findings, source lines).
-
-    The project index contains just this file, so interprocedural rules
-    resolve what they can locally (closures, same-class delegation,
-    module-level helpers) and treat everything else as opaque.
-    """
+    """Lint one file; returns (findings, source lines)."""
     active = rules if rules is not None else set(CHECKERS)
     ctxs, problems, sources = _parse_files([path])
     if not ctxs:
         return problems, sources.get(path.as_posix(), [])
     ctx = ctxs[0]
-    index = ProjectIndex(ctxs)
-    return _check_module(ctx, index, active) + problems, ctx.lines
+    return _check_module(ctx, active) + problems, ctx.lines
 
 
 def lint_paths(
@@ -178,29 +147,18 @@ def lint_paths(
 ) -> LintResult:
     """Lint *paths*; the module-level entry point used by the CLI and tests.
 
-    ``report_on`` (display paths, posix) restricts which files *report*
-    findings.  When an :data:`INTERPROCEDURAL_RULES` rule is active the
-    whole tree is still parsed and indexed so cross-file call edges
-    resolve; otherwise only the reported files are parsed.  ``None``
-    reports on everything.
+    ``report_on`` (display paths, posix) restricts linting to those
+    files: only they are parsed and checked.  ``None`` lints everything.
     """
     rules = _selected_rules(select, ignore)
     result = LintResult()
     files = iter_python_files(paths)
-    if report_on is not None and not rules & INTERPROCEDURAL_RULES:
+    if report_on is not None:
         files = [f for f in files if f.as_posix() in report_on]
     ctxs, problems, sources = _parse_files(files)
-    index = ProjectIndex(ctxs)
-    scoped = (
-        problems
-        if report_on is None
-        else [f for f in problems if f.path in report_on]
-    )
-    result.findings += scoped
+    result.findings += problems
     for ctx in ctxs:
-        if report_on is not None and ctx.path not in report_on:
-            continue
-        result.findings += _check_module(ctx, index, rules)
+        result.findings += _check_module(ctx, rules)
         result.files_checked += 1
     result.sources = sources
     if baseline is not None:

@@ -2,11 +2,13 @@
 
 The analyzer is deliberately repo-specific: its rules encode invariants of
 *this* reproduction (the FP64/FP32/FP16 level policy, the segmented-
-reduction engine, the paper's tile constants, the runtime contract hooks)
-rather than generic style.  Each rule has a stable id (``R1``..``R6``,
-``R9``, ``R10``, plus ``R0`` for problems with the lint machinery
-itself) used in suppression comments and baseline entries.  ``R7`` and
-``R8`` named the retired buffer-provenance rules and are not reused.
+reduction engine, the paper's tile constants, the metric-name registry)
+rather than generic style.  Each rule has a stable id (``R1``..``R3``,
+``R5``, ``R9``, ``R10``, plus ``R0`` for problems with the lint machinery
+itself) used in suppression comments and baseline entries.  Retired ids
+are not reused: ``R4`` (contract-hook) and ``R6`` (root-span), whose
+invariants are now proven at run time, and ``R7``/``R8``, the
+buffer-provenance rules.
 """
 
 from __future__ import annotations
@@ -77,27 +79,11 @@ RULES: dict[str, Rule] = {
             "the 8x8x4 MMA fragment shape) instead of importing them.",
         ),
         Rule(
-            "R4",
-            "contract-hook",
-            Severity.ERROR,
-            "Public kernel entry points in kernels/ that build a "
-            "KernelRecord but never consult the repro.check runtime hook, "
-            "leaving checked mode non-exhaustive.",
-        ),
-        Rule(
             "R5",
             "hot-loop-alloc",
             Severity.ADVISORY,
             "np.zeros / np.empty / np.concatenate inside loops in kernels/ "
             "and formats/: candidates for the per-operator cache.",
-        ),
-        Rule(
-            "R6",
-            "root-span",
-            Severity.ADVISORY,
-            "Public solver entry points (setup/solve/precondition and the "
-            "Krylov drivers) that never open a repro.obs span: traced runs "
-            "(REPRO_TRACE=1) would record nothing for this phase.",
         ),
         Rule(
             "R9",

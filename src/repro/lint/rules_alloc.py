@@ -12,22 +12,13 @@ flagged constructors include the repo's own ``accumulator(...)`` helper
 alongside the raw numpy allocators.  The finding is advisory — small
 fixed-trip loops (the 4-iteration bitmap sweeps) are often fine — so it
 never fails the run; it exists to feed the cache-candidate backlog.
-
-Since PR 8 the rule also sees *hidden* in-loop allocation through the
-project call graph: a loop calling a private same-module helper whose
-body allocates unconditionally (outside the helper's own loops) pays the
-allocator on every iteration just the same, but the per-file pass could
-not see it.  Such calls are flagged at the call site, naming the
-allocation they reach; allocations inside the helper's *own* loops are
-not charged to the caller (the helper's own file already reports them).
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.astutil import dotted_name, is_numpy_attr, unparse
-from repro.lint.callgraph import FunctionInfo, ProjectIndex
+from repro.lint.astutil import is_numpy_attr, unparse
 from repro.lint.context import ModuleContext
 from repro.lint.finding import Finding, make_finding
 
@@ -41,17 +32,10 @@ def _is_alloc(func: ast.expr) -> bool:
 
 
 class _LoopAllocVisitor(ast.NodeVisitor):
-    def __init__(self, ctx: ModuleContext, index: ProjectIndex) -> None:
+    def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
-        self.index = index
         self.loop_depth = 0
         self.findings: list[Finding] = []
-        #: FunctionInfo for the innermost def being visited, maintained
-        #: so in-loop *calls* can be resolved through the project index.
-        self._fn_stack: list[FunctionInfo] = []
-        self._by_node = {
-            id(fn.node): fn for fn in index.functions_in(ctx)
-        }
 
     def _enter_loop(self, node) -> None:
         self.loop_depth += 1
@@ -62,140 +46,36 @@ class _LoopAllocVisitor(ast.NodeVisitor):
     visit_While = _enter_loop
 
     def _enter_def(self, node) -> None:
-        fn = self._by_node.get(id(node))
-        self._fn_stack.append(fn)
         # A nested def's body does not run as part of the enclosing loop;
         # its own loops start from depth 0.
         outer, self.loop_depth = self.loop_depth, 0
         self.generic_visit(node)
         self.loop_depth = outer
-        self._fn_stack.pop()
 
     visit_FunctionDef = _enter_def
     visit_AsyncFunctionDef = _enter_def
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self.loop_depth > 0:
-            if _is_alloc(node.func):
-                text = unparse(node)
-                if len(text) > 60:
-                    text = text[:57] + "..."
-                self.findings.append(
-                    make_finding(
-                        "R5",
-                        self.ctx.path,
-                        node.lineno,
-                        f"allocation {text!r} inside a loop: hoist the "
-                        "buffer or move it into the per-operator cache if "
-                        "the loop is on a kernel hot path",
-                    )
+        if self.loop_depth > 0 and _is_alloc(node.func):
+            text = unparse(node)
+            if len(text) > 60:
+                text = text[:57] + "..."
+            self.findings.append(
+                make_finding(
+                    "R5",
+                    self.ctx.path,
+                    node.lineno,
+                    f"allocation {text!r} inside a loop: hoist the "
+                    "buffer or move it into the per-operator cache if "
+                    "the loop is on a kernel hot path",
                 )
-            else:
-                self._check_callee_alloc(node)
+            )
         self.generic_visit(node)
 
-    # -- interprocedural: in-loop call to an allocating private helper --
-    def _check_callee_alloc(self, node: ast.Call) -> None:
-        caller = self._fn_stack[-1] if self._fn_stack else None
-        if caller is None:
-            return
-        callee = self.index.resolve_call(caller, node)
-        if callee is None or callee.is_public or callee.path != caller.path:
-            return
-        hit = _unconditional_alloc(self.index, callee)
-        if hit is None:
-            return
-        alloc_fn, alloc_call = hit
-        self.findings.append(
-            make_finding(
-                "R5",
-                self.ctx.path,
-                node.lineno,
-                f"call to {callee.label} inside a loop allocates on every "
-                f"iteration ({unparse(alloc_call.func)}(...) at "
-                f"{alloc_fn.path}:{alloc_call.lineno}): hoist the buffer "
-                "or move it into the per-operator cache",
-            )
-        )
 
-
-def _allocs_outside_own_loops(fn: FunctionInfo) -> ast.Call | None:
-    """First allocation in *fn*'s own body not guarded by one of *fn*'s
-    loops (and not inside a nested def)."""
-
-    for stmt in fn.node.body:
-        for n in ast.walk(stmt):
-            if isinstance(n, ast.Call) and _is_alloc(n.func):
-                if not _under_loop_or_def(stmt, n):
-                    return n
-    return None
-
-
-def _under_loop_or_def(root: ast.stmt, target: ast.Call) -> bool:
-    """Whether *target* sits under a loop or nested def within *root*."""
-
-    def descend(node: ast.AST, guarded: bool) -> bool | None:
-        if node is target:
-            return guarded
-        g = guarded or isinstance(
-            node,
-            (ast.For, ast.AsyncFor, ast.While,
-             ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-        )
-        for child in ast.iter_child_nodes(node):
-            hit = descend(child, g)
-            if hit is not None:
-                return hit
-        return None
-
-    return bool(descend(root, False))
-
-
-def _unconditional_alloc(
-    index: ProjectIndex, callee: FunctionInfo
-) -> tuple[FunctionInfo, ast.Call] | None:
-    """An allocation *callee* performs on every call: in its own body
-    outside its own loops, or likewise in a private same-module helper it
-    calls, followed transitively.  Nested-def bodies are excluded — a
-    closure minted by the callee only allocates when *it* is later
-    called, which is its own R5 story."""
-    seen: set[int] = set()
-    stack = [callee]
-    while stack:
-        fn = stack.pop()
-        if id(fn) in seen:
-            continue
-        seen.add(id(fn))
-        alloc = _allocs_outside_own_loops(fn)
-        if alloc is not None:
-            return fn, alloc
-        for call in fn.calls:
-            if _under_loop_or_def_in_fn(fn, call):
-                continue
-            nxt = index.resolve_call(fn, call)
-            if (
-                nxt is not None
-                and not nxt.is_public
-                and nxt.path == callee.path
-                and nxt.parent is None
-            ):
-                stack.append(nxt)
-    return None
-
-
-def _under_loop_or_def_in_fn(fn: FunctionInfo, call: ast.Call) -> bool:
-    for stmt in fn.node.body:
-        for n in ast.walk(stmt):
-            if n is call:
-                return _under_loop_or_def(stmt, call)
-    return True  # not found in own body => inside a nested def
-
-
-def check_hot_loop_alloc(
-    ctx: ModuleContext, index: ProjectIndex
-) -> list[Finding]:
+def check_hot_loop_alloc(ctx: ModuleContext) -> list[Finding]:
     if not ctx.in_hot_loop_scope():
         return []
-    visitor = _LoopAllocVisitor(ctx, index)
+    visitor = _LoopAllocVisitor(ctx)
     visitor.visit(ctx.tree)
     return visitor.findings

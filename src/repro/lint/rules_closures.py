@@ -8,16 +8,12 @@ value — the classic late-binding bug in ``tape/recorder.py``-style
 binding loops.  Closures that are invoked immediately are exempt; the
 fix is the repo's convention of minting through a factory function
 (``_bind_residual(…)``) or a ``lam=lam`` default.
-
-The rule is per-file: it needs neither the call graph nor any other
-module's facts.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.callgraph import ProjectIndex
 from repro.lint.context import ModuleContext
 from repro.lint.finding import Finding, make_finding
 
@@ -155,9 +151,7 @@ class _LoopCaptureVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
 
-def check_stale_closure_capture(
-    ctx: ModuleContext, index: ProjectIndex
-) -> list[Finding]:
+def check_stale_closure_capture(ctx: ModuleContext) -> list[Finding]:
     """R9: late-binding loop-variable capture in binding loops."""
     visitor = _LoopCaptureVisitor(ctx)
     visitor.visit(ctx.tree)

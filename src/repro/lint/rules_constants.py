@@ -178,9 +178,7 @@ def _check_shape_call(ctx: ModuleContext, node: ast.Call) -> list[Finding]:
     return out
 
 
-def check_constant_provenance(
-    ctx: ModuleContext, index: "ProjectIndex | None" = None
-) -> list[Finding]:
+def check_constant_provenance(ctx: ModuleContext) -> list[Finding]:
     # Bench drivers build matrices with inline literals by design.
     if ctx.is_benchmark():
         return []

@@ -172,9 +172,7 @@ def _accumulator_findings(ctx: ModuleContext) -> list[Finding]:
     return findings
 
 
-def check_dtype_flow(
-    ctx: ModuleContext, index: "ProjectIndex | None" = None
-) -> list[Finding]:
+def check_dtype_flow(ctx: ModuleContext) -> list[Finding]:
     """Run the R1 sub-checks that apply to *ctx*'s scope."""
     findings: list[Finding] = []
     if ctx.in_kernel_scope():

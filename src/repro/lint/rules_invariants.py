@@ -1,4 +1,4 @@
-"""R2 — scatter-ban, R4 — contract-hook coverage, R6 — root spans.
+"""R2 — scatter-ban.
 
 R2 guards PR 1's invariant: every host-side scatter/accumulate goes
 through ``repro.util.segops``, whose segmented reductions are
@@ -6,28 +6,6 @@ bit-identical to the unbuffered ``ufunc.at`` path but ~100x faster.  A
 reintroduced ``np.add.at`` is both a performance regression and a second
 rounding-order authority, so it is banned everywhere except inside the
 engine itself.
-
-R4 guards PR 2's invariant: checked mode (``REPRO_CHECK=1``) is only
-exhaustive if *every* public kernel entry point consults the
-``repro.check`` runtime hook.  A kernel function is recognised by the
-``KernelRecord(...)`` it constructs; such a function must call
-``...is_active()`` (or enter a ``checked_region``) somewhere on its
-call path.
-
-Since PR 8 the rule runs on the shared project call graph
-(:mod:`repro.lint.callgraph`) instead of its own ``self._helper()``
-pattern match: both facts — "builds a KernelRecord" and "consults the
-hook" — are unioned over everything reachable from the entry point
-through private delegation (``self._helper()``, module-level
-``_helper()``) and closure edges, followed transitively and
-generically.
-
-R6 (advisory) guards the observability PR's invariant: a traced run
-(``REPRO_TRACE=1``) only covers every phase if each public solver entry
-point — ``setup`` / ``solve`` / ``precondition`` and the Krylov drivers —
-opens a ``repro.obs`` span somewhere on its call path.  The span may be
-opened in the entry point itself or in a private helper it delegates to
-(``self._impl()`` / module-level ``_impl()``, followed transitively).
 """
 
 from __future__ import annotations
@@ -35,7 +13,6 @@ from __future__ import annotations
 import ast
 
 from repro.lint.astutil import dotted_name
-from repro.lint.callgraph import ProjectIndex
 from repro.lint.context import ModuleContext
 from repro.lint.finding import Finding, make_finding
 
@@ -52,9 +29,7 @@ _BANNED_UFUNCS = (
 )
 
 
-def check_scatter_ban(
-    ctx: ModuleContext, index: ProjectIndex
-) -> list[Finding]:
+def check_scatter_ban(ctx: ModuleContext) -> list[Finding]:
     """R2: flag ``np.<ufunc>.at(...)`` calls outside the scatter engine."""
     if ctx.is_scatter_engine():
         return []
@@ -76,166 +51,5 @@ def check_scatter_ban(
                     "use repro.util.segops.scatter_accumulate / segment_* — "
                     "bit-identical and vectorised",
                 )
-            )
-    return findings
-
-
-def _calls_in(body: list[ast.stmt]):
-    for stmt in body:
-        yield from (n for n in ast.walk(stmt) if isinstance(n, ast.Call))
-
-
-def _unhooked(label: str) -> str:
-    return (
-        f"kernel entry point {label} builds a KernelRecord "
-        "but never consults the repro.check hook "
-        "(check_runtime.is_active() / checked_region): checked "
-        "mode would silently skip this kernel"
-    )
-
-
-#: Public names that count as solver entry points for R6: each drives a
-#: whole setup/solve phase when called from user code.
-_SOLVER_ENTRY_NAMES = frozenset(
-    {
-        "setup",
-        "solve",
-        "solve_pcg",
-        "solve_krylov",
-        "precondition",
-        "pcg",
-        "gmres",
-        "bicgstab",
-    }
-)
-
-#: Call-name tails that open (or scope) a repro.obs span.
-_SPAN_OPENERS = ("span", "phase_span", "trace_region", "traced")
-
-
-def _span_facts(func) -> tuple[bool, set[str]]:
-    """(opens a span, private helpers called) for one function body."""
-    opens = any(
-        (dotted_name(dec) or "").rsplit(".", 1)[-1] == "traced"
-        or (
-            isinstance(dec, ast.Call)
-            and (dotted_name(dec.func) or "").rsplit(".", 1)[-1] == "traced"
-        )
-        for dec in func.decorator_list
-    )
-    callees: set[str] = set()
-    for call in _calls_in(func.body):
-        name = dotted_name(call.func) or ""
-        tail = name.rsplit(".", 1)[-1]
-        if tail in _SPAN_OPENERS or name.endswith("TRACER.open"):
-            opens = True
-        parts = name.split(".")
-        if len(parts) == 2 and parts[0] in ("self", "cls"):
-            callees.add(parts[1])
-        elif len(parts) == 1 and parts[0].startswith("_"):
-            callees.add(parts[0])
-    return opens, callees
-
-
-def _span_closure(name: str, facts: dict) -> bool:
-    """Whether *name* opens a span itself or through private helpers
-    (``self._impl()`` / module-level ``_impl()``), followed transitively."""
-    seen: set[str] = set()
-    stack = [name]
-    while stack:
-        current = stack.pop()
-        if current in seen or current not in facts:
-            continue
-        seen.add(current)
-        opens, callees = facts[current]
-        if opens:
-            return True
-        stack.extend(m for m in callees if m.startswith("_"))
-    return False
-
-
-def check_root_spans(
-    ctx: ModuleContext, index: ProjectIndex
-) -> list[Finding]:
-    """R6: public solver entry points should open a repro.obs span."""
-    if not ctx.in_solver_scope():
-        return []
-
-    def spanless(label: str) -> str:
-        return (
-            f"public solver entry point {label} never opens a repro.obs "
-            "span (obs_trace.span / phase_span / trace_region): traced "
-            "runs (REPRO_TRACE=1) would record nothing for this phase"
-        )
-
-    findings: list[Finding] = []
-    module_facts = {
-        node.name: _span_facts(node)
-        for node in ctx.tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    for node in ctx.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name not in _SOLVER_ENTRY_NAMES:
-                continue
-            if not _span_closure(node.name, module_facts):
-                findings.append(
-                    make_finding(
-                        "R6", ctx.path, node.lineno,
-                        spanless(f"{node.name}()"),
-                    )
-                )
-        elif isinstance(node, ast.ClassDef):
-            facts = {
-                sub.name: _span_facts(sub)
-                for sub in node.body
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for sub in node.body:
-                if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if sub.name not in _SOLVER_ENTRY_NAMES:
-                    continue
-                if not _span_closure(sub.name, facts):
-                    findings.append(
-                        make_finding(
-                            "R6", ctx.path, sub.lineno,
-                            spanless(f"{node.name}.{sub.name}()"),
-                        )
-                    )
-    return findings
-
-
-def check_contract_hooks(
-    ctx: ModuleContext, index: ProjectIndex
-) -> list[Finding]:
-    """R4: kernel entry points must route through the repro.check hook.
-
-    Both facts are unioned over the call-graph closure of the entry
-    point: itself, its nested closures, and every ``_``-prefixed project
-    function it reaches transitively (same-class methods and module-level
-    helpers alike — the generic form of the old ``self._helper()``
-    pattern).  Public callees are treated as independent entry points
-    with their own obligation, so the walk stops at them.
-    """
-    if not ctx.in_contract_scope():
-        return []
-    findings: list[Finding] = []
-    for fn in index.entry_points(ctx):
-        if not fn.is_public:
-            continue
-        builds = consults = False
-        for reached in index.reachable(fn, private_only=True):
-            for call in reached.calls:
-                name = dotted_name(call.func) or ""
-                tail = name.rsplit(".", 1)[-1]
-                if tail == "KernelRecord":
-                    builds = True
-                elif tail in ("is_active", "checked_region"):
-                    consults = True
-        if builds and not consults:
-            findings.append(
-                make_finding("R4", ctx.path, fn.node.lineno,
-                             _unhooked(fn.label))
             )
     return findings

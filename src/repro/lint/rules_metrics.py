@@ -86,9 +86,7 @@ def _is_metric_call(node: ast.Call) -> str | None:
     return None
 
 
-def check_metric_name_provenance(
-    ctx: ModuleContext, index: "ProjectIndex | None" = None
-) -> list[Finding]:
+def check_metric_name_provenance(ctx: ModuleContext) -> list[Finding]:
     rel = ctx._rel()
     if rel == NAMES_MODULE:
         return []

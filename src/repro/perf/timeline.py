@@ -5,7 +5,9 @@ Every simulated kernel call (SpGEMM, SpMV, format conversion, and the
 tagged with its phase ('setup' / 'solve') and grid level.  The log is
 the only place a priced record enters any accounting stream: while a
 trace is active, :meth:`PerformanceLog.extend` folds each record into
-the ``repro_kernel_*`` counters of the metrics registry as it lands.
+the ``repro_kernel_*`` counters of the metrics registry as it lands, and
+under checked mode it refuses an SpGEMM/SpMV/SpMM record that its
+kernel's differential oracle did not stamp.
 From the records the reproduction derives:
 
 * Fig. 1 / Fig. 2 — phase time breakdowns (SpGEMM vs rest of setup, SpMV
@@ -20,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.check import runtime as check_runtime
+from repro.check.oracle import STAMP
+from repro.check.violation import ContractViolation
 from repro.kernels.record import KernelRecord
 from repro.obs.metrics import observe_kernel
 from repro.obs.trace import is_active
@@ -78,7 +83,15 @@ class PerformanceLog:
     def extend(self, records: Sequence[KernelRecord]) -> None:
         """Append priced records in order; while a trace is active each is
         folded into the metrics registry as well, so the log and the
-        ``repro_kernel_*`` counters count the same calls."""
+        ``repro_kernel_*`` counters count the same calls.
+
+        Under checked mode every SpGEMM, SpMV and SpMM record must carry
+        its oracle's stamp (:func:`repro.check.oracle.stamp`): a kernel
+        that skipped its oracle raises ``perf/unchecked-record`` here.
+        Conversion and ``other`` records have no kernel oracle and pass.
+        """
+        if check_runtime.is_active():
+            _require_stamps(records)
         self.records.extend(records)
         if is_active():
             for record in records:
@@ -135,3 +148,17 @@ class PerformanceLog:
             "spmv_calls": sum(kernel_class(r.kernel) == "spmv"
                               for r in self.records),
         }
+
+
+def _require_stamps(records: Sequence[KernelRecord]) -> None:
+    """Raise ``perf/unchecked-record`` for the first SpGEMM/SpMV/SpMM
+    record in *records* that no oracle stamped."""
+    for record in records:
+        if (kernel_class(record.kernel) in ("spgemm", "spmv")
+                and STAMP not in record.detail):
+            raise ContractViolation(
+                "PerformanceLog.extend", "perf/unchecked-record",
+                f"{record.backend} {record.kernel} record (phase "
+                f"{record.phase!r}, level {record.level}) charged under "
+                "checked mode without its oracle's stamp",
+            )

@@ -1,10 +1,12 @@
 """Tests for the repro.check contract checker and the bugs it pinned.
 
 The ``contract``-marked tests drive every kernel entry point under the
-differential oracle (all three precisions, both SpMV plan paths) and run
-the bounded fuzz smoke; the unmarked tests are tier-1 regression tests for
-the satellite fixes (``check_dtype``, paper-mode convergence reporting,
-empty-matrix SpMV dtype, plan-cache keying, ranks > n partitions).
+differential oracle (all three precisions, both SpMV plan paths), assert
+the oracle's stamp on every record a kernel returns, and run the bounded
+fuzz smoke; the unmarked tests are tier-1 regression tests for the
+satellite fixes (``check_dtype``, paper-mode convergence reporting,
+empty-matrix SpMV dtype, plan-cache keying, ranks > n partitions) and
+for the charge point's unchecked-record guard.
 """
 
 import numpy as np
@@ -185,6 +187,10 @@ def test_spmv_under_oracle(precision, allow_tc, threshold):
         with checked_region():
             y, rec = mbsr_spmv(mat, x, precision, plan,
                                allow_tensor_cores=allow_tc)
+            _, panel_rec = mbsr_spmv(mat, np.stack([x, -x], axis=1),
+                                     precision, plan,
+                                     allow_tensor_cores=allow_tc)
+        assert rec.detail.get(oracle.STAMP) and panel_rec.detail.get(oracle.STAMP)
         assert y.dtype == np.dtype(precision.accum_dtype)
         assert rec.detail["path"].startswith(
             "tc" if plan.use_tensor_cores else "cuda"
@@ -194,7 +200,7 @@ def test_spmv_under_oracle(precision, allow_tc, threshold):
 @pytest.mark.contract
 @pytest.mark.parametrize("precision", PRECISIONS)
 def test_spgemm_under_oracle(precision):
-    from repro.kernels.spgemm import mbsr_spgemm
+    from repro.kernels.spgemm import mbsr_spgemm, mbsr_spgemm_rows
 
     a = csr_to_mbsr(poisson2d(6))
     p = poisson2d(6)
@@ -202,11 +208,16 @@ def test_spgemm_under_oracle(precision):
     r = csr_to_mbsr(CSRMatrix(p.shape, p.indptr, p.indices,
                               rng.standard_normal(p.nnz)))
     with checked_region():
-        c, _ = mbsr_spgemm(a, a, precision)
-        mbsr_spgemm(a, a, precision, out_dtype=np.float64)
+        c, rec = mbsr_spgemm(a, a, precision)
+        _, wide_rec = mbsr_spgemm(a, a, precision, out_dtype=np.float64)
         # A narrower output dtype rounds once more after accumulating;
         # the oracle's band must cover that, not flag it.
-        narrow, _ = mbsr_spgemm(r, r, precision, out_dtype=np.float16)
+        narrow, narrow_rec = mbsr_spgemm(r, r, precision,
+                                         out_dtype=np.float16)
+        _, _, rows_rec = mbsr_spgemm_rows(a, a, np.array([0, 2, 3]),
+                                          precision)
+    for record in (rec, wide_rec, narrow_rec, rows_rec):
+        assert record.detail.get(oracle.STAMP)
     assert c.dtype == np.dtype(precision.accum_dtype)
     assert narrow.dtype == np.float16
 
@@ -219,8 +230,99 @@ def test_csr_kernels_under_oracle(precision):
     a = poisson2d(7)
     x = np.linspace(-1, 1, a.ncols)
     with checked_region():
-        csr_spmv(a, x, precision)
-        csr_spgemm(a, a, precision)
+        _, spmv_rec = csr_spmv(a, x, precision)
+        _, spmm_rec = csr_spmv(a, np.stack([x, 2 * x], axis=1), precision)
+        _, spgemm_rec = csr_spgemm(a, a, precision)
+    for record in (spmv_rec, spmm_rec, spgemm_rec):
+        assert record.detail.get(oracle.STAMP)
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("width", [1, 3])
+def test_bindings_stamp_their_record_at_bind_time(monkeypatch, width):
+    """A binding's record is the template every replay charges: bound
+    under the gate it carries the stamp before its first call (and every
+    call is verified); bound outside, it is built exactly as before."""
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    from repro.kernels.baseline import bind_csr_spmv
+    from repro.kernels.spmv import bind_spmv
+
+    a = poisson2d(7)
+    mat = csr_to_mbsr(a)
+    x = np.linspace(-1, 1, a.ncols)
+    panel = np.stack([x * (j + 1) for j in range(width)])
+    for bind, op in ((bind_spmv, mat), (bind_csr_spmv, a)):
+        plain = bind(op, Precision.FP32, width=width)
+        with checked_region():
+            checked = bind(op, Precision.FP32, width=width)
+            assert checked.record.detail.get(oracle.STAMP)
+            checked.run(panel if width > 1 else x)
+        assert oracle.STAMP not in plain.record.detail
+        assert plain.record.detail == {
+            k: v for k, v in checked.record.detail.items()
+            if k != oracle.STAMP
+        }
+
+
+@pytest.mark.contract
+def test_rap_replays_under_oracle():
+    """Both fused Galerkin replays, full and dirty-row, stamp the two
+    stage records they return."""
+    from repro.kernels.setup_cache import SetupPlanCache
+
+    a_csr = poisson2d(8)
+    p_csr = CSRMatrix.from_scipy(a_csr.to_scipy()[:, ::2].tocsr())
+    r, a, p = (csr_to_mbsr(m) for m in (p_csr.transpose(), a_csr, p_csr))
+    cache = SetupPlanCache()
+    plan, _ = cache.rap_plan(r, a, p)
+    with checked_region():
+        _, full = cache.rap_numeric(plan, r, a, p, Precision.FP32,
+                                    out_dtype=np.float64)
+        _, rows = cache.rap_numeric_rows(plan, r, a, p, np.array([0, 2]),
+                                         Precision.FP32, out_dtype=np.float64)
+    assert len(full) == len(rows) == 2
+    for record in full + rows:
+        assert record.detail.get(oracle.STAMP)
+
+
+@pytest.mark.contract
+def test_kernel_without_its_oracle_is_refused_at_the_charge_point(
+        monkeypatch):
+    """An SpGEMM whose oracle never runs (a no-op in its place) leaves its
+    record unstamped, and a checked setup refuses to charge it."""
+    monkeypatch.setattr(oracle, "verify_spgemm", lambda *a, **k: None)
+    from repro.amg.solver import AmgTSolver
+
+    solver = AmgTSolver(backend="amgt", checked=True)
+    with pytest.raises(ContractViolation, match="perf/unchecked-record"):
+        solver.setup(poisson2d(8))
+
+
+def test_charge_point_refuses_unstamped_kernel_records(monkeypatch):
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    from repro.kernels.record import KernelRecord
+    from repro.perf.timeline import PerformanceLog
+
+    def record(kernel, stamped=False):
+        rec = KernelRecord(kernel=kernel, backend="amgt",
+                           precision=Precision.FP64)
+        if stamped:
+            oracle.stamp(rec)
+        return rec
+
+    log = PerformanceLog()
+    log.extend([record(k) for k in ("spgemm", "spmv", "spmm")])  # gate off
+    with checked_region():
+        # Conversions and "other" work have no kernel oracle.
+        log.extend([record("csr2mbsr"), record("mbsr2csr"),
+                    record("coarsen")])
+        log.extend([record(k, stamped=True)
+                    for k in ("spgemm", "spmv", "spmm")])
+        for kernel in ("spgemm", "spmv", "spmm"):
+            with pytest.raises(ContractViolation,
+                               match="perf/unchecked-record"):
+                log.append(record(kernel))
+    assert len(log.records) == 9
 
 
 @pytest.mark.contract
@@ -236,6 +338,61 @@ def test_checked_solver_end_to_end(backend, precision):
     solver.setup(a)
     result = solver.solve(np.ones(a.nrows), max_iterations=3)
     assert result.stats.spmv_calls > 0
+
+
+@pytest.mark.contract
+@pytest.mark.parametrize("backend", ["amgt", "hypre"])
+@pytest.mark.parametrize("precision", ["fp64", "mixed"])
+def test_checked_solver_stamps_every_kernel_record(backend, precision):
+    """checked=True covers every entry point, the Krylov one included:
+    each SpGEMM/SpMV/SpMM record the solver charges across setup, a
+    patched re-setup, solve, solve_multi and solve_krylov carries its
+    oracle's stamp."""
+    from repro.amg.solver import AmgTSolver
+    from repro.perf.timeline import kernel_class
+
+    a = poisson2d(12)
+    b = np.ones(a.nrows)
+    solver = AmgTSolver(backend=backend, precision=precision, checked=True)
+    solver.setup(a)
+    drifted = CSRMatrix(a.shape, a.indptr, a.indices, a.data * 1.5)
+    solver.setup(drifted, reuse=True, patch=True)
+    charged = {}
+    for entry, call in (
+        ("solve", lambda: solver.solve(b, max_iterations=2)),
+        ("solve_multi", lambda: solver.solve_multi(
+            np.stack([b, -b], axis=1), max_iterations=2)),
+        ("solve_krylov", lambda: solver.solve_krylov(b, max_iterations=3)),
+    ):
+        before = len(solver.performance.records)
+        call()
+        charged[entry] = solver.performance.records[before:]
+    kernels = [r for r in solver.performance.records
+               if kernel_class(r.kernel) in ("spgemm", "spmv")]
+    assert {r.kernel for r in kernels} == {"spgemm", "spmv", "spmm"}
+    assert all(r.detail.get(oracle.STAMP) for r in kernels)
+    assert all(any(kernel_class(r.kernel) == "spmv" for r in recs)
+               for recs in charged.values())
+
+
+@pytest.mark.contract
+def test_checked_distributed_pcg_runs_its_oracle(monkeypatch):
+    from repro.dist.par_solver import ParAMGSolver
+
+    calls = []
+    verify = oracle.verify_distributed_spmv
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "verify_distributed_spmv", counted)
+    a = poisson2d(8)
+    solver = ParAMGSolver(num_ranks=2, backend="amgt", precision="mixed",
+                          checked=True)
+    solver.setup(a)
+    _, report = solver.solve_pcg(np.ones(a.nrows), max_iterations=3)
+    assert len(calls) == report.spmv_calls > 0
 
 
 @pytest.mark.contract

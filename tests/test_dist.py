@@ -183,6 +183,42 @@ class TestParSolver:
         assert rep.converged
 
 
+    def test_mi210_mixed_prices_local_spmv_like_the_serial_backend(self):
+        """MI210 keeps FP64-resident storage under the mixed schedule
+        (Sec. V.F): a one-rank distributed solve prices each level's local
+        SpMV exactly as the serial AmgT backend's binding does."""
+        import repro.obs as obs
+        from repro.gpu.specs import get_device
+        from repro.hypre.backends import AmgTBackend
+        from repro.hypre.csr_matrix import HypreCSRMatrix
+        from repro.obs import trace as obs_trace
+        from repro.perf.timeline import PerformanceLog
+
+        a = poisson2d(24)
+        s = ParAMGSolver(num_ranks=1, backend="amgt", device="MI210",
+                         precision="mixed")
+        s.setup(a)
+        obs.reset()
+        try:
+            with obs.trace_region():
+                s.solve(np.ones(a.nrows), max_iterations=1)
+            priced: dict[int, set[float]] = {}
+            for root in obs_trace.TRACER.roots:
+                for sp in root.find(kind="kernel", name="spmv"):
+                    if sp.attrs.get("op") == "A":
+                        priced.setdefault(sp.attrs["level"], set()).add(
+                            sp.attrs["sim_us"])
+        finally:
+            obs.reset()
+        backend = AmgTBackend(get_device("MI210"), precision="mixed")
+        levels = s.hierarchy.levels[:-1]
+        assert sorted(priced) == list(range(len(levels)))
+        for k, lvl in enumerate(levels):
+            binding = backend.bind_matvec(HypreCSRMatrix(csr=lvl.a),
+                                          PerformanceLog(), "solve", k)
+            assert priced[k] == {binding.record.sim_time_us}, k
+
+
 class TestParPCG:
     def test_converges_and_matches_direct(self):
         a = poisson2d(14)

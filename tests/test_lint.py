@@ -329,242 +329,6 @@ class TestConstantProvenance:
 
 
 # ---------------------------------------------------------------------------
-# R4 — contract-hook coverage
-# ---------------------------------------------------------------------------
-
-
-class TestContractHook:
-    BAD = """
-    from repro.kernels.record import KernelRecord
-
-    def my_kernel(mat, x):
-        record = KernelRecord(kernel="spmv", backend="amgt")
-        return x, record
-    """
-
-    GOOD = """
-    from repro.check import runtime as check_runtime
-    from repro.kernels.record import KernelRecord
-
-    def my_kernel(mat, x):
-        record = KernelRecord(kernel="spmv", backend="amgt")
-        if check_runtime.is_active():
-            pass
-        return x, record
-    """
-
-    def test_unhooked_kernel_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/kernels/custom.py", self.BAD)
-        findings, _ = lint_file(path)
-        assert any(f.rule == "R4" and "my_kernel" in f.message for f in findings)
-
-    def test_hooked_kernel_clean(self, tmp_path):
-        path = write(tmp_path, "repro/kernels/custom.py", self.GOOD)
-        findings, _ = lint_file(path)
-        assert "R4" not in rules_of(findings)
-
-    def test_private_helpers_exempt(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/custom.py",
-            self.BAD.replace("my_kernel", "_my_kernel"),
-        )
-        findings, _ = lint_file(path)
-        assert "R4" not in rules_of(findings)
-
-    def test_outside_kernels_dir_exempt(self, tmp_path):
-        path = write(tmp_path, "repro/perf/report2.py", self.BAD)
-        findings, _ = lint_file(path)
-        assert "R4" not in rules_of(findings)
-
-    # -- class-based entry points (setup-engine caches) -----------------
-    BAD_CLASS = """
-    from repro.kernels.record import KernelRecord
-
-    class PlanCache:
-        def replay(self, mat):
-            return self._stage(mat)
-
-        def _stage(self, mat):
-            record = KernelRecord(kernel="spgemm", backend="amgt")
-            return mat, record
-    """
-
-    GOOD_CLASS = """
-    from repro.check import runtime as check_runtime
-    from repro.kernels.record import KernelRecord
-
-    class PlanCache:
-        def replay(self, mat):
-            return self._stage(mat)
-
-        def _stage(self, mat):
-            record = KernelRecord(kernel="spgemm", backend="amgt")
-            if check_runtime.is_active():
-                pass
-            return mat, record
-    """
-
-    def test_unhooked_method_delegation_flagged(self, tmp_path):
-        """A public method owes the hook even when a private helper of the
-        same class builds the record on its behalf."""
-        path = write(tmp_path, "repro/kernels/cache2.py", self.BAD_CLASS)
-        findings, _ = lint_file(path)
-        assert any(
-            f.rule == "R4" and "PlanCache.replay" in f.message
-            for f in findings
-        )
-
-    def test_hooked_helper_covers_public_method(self, tmp_path):
-        path = write(tmp_path, "repro/kernels/cache2.py", self.GOOD_CLASS)
-        findings, _ = lint_file(path)
-        assert "R4" not in rules_of(findings)
-
-    def test_direct_method_record_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/cache2.py",
-            """
-            from repro.kernels.record import KernelRecord
-
-            class PlanCache:
-                def replay(self, mat):
-                    record = KernelRecord(kernel="spgemm", backend="amgt")
-                    return mat, record
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert any(
-            f.rule == "R4" and "PlanCache.replay" in f.message
-            for f in findings
-        )
-
-
-# ---------------------------------------------------------------------------
-# R6 — root spans (advisory)
-# ---------------------------------------------------------------------------
-
-
-class TestRootSpan:
-    BAD = """
-    def solve(a, b):
-        return b - a @ b
-    """
-
-    GOOD = """
-    from repro.obs import trace as obs_trace
-
-    def solve(a, b):
-        with obs_trace.span("solve", "solver"):
-            return b - a @ b
-    """
-
-    def test_spanless_entry_point_is_advisory(self, tmp_path):
-        path = write(tmp_path, "repro/solvers/cg.py", self.BAD)
-        findings, _ = lint_file(path)
-        hits = [f for f in findings if f.rule == "R6"]
-        assert hits and all(f.severity is Severity.ADVISORY for f in hits)
-        assert "solve()" in hits[0].message
-
-    def test_span_opening_entry_point_clean(self, tmp_path):
-        path = write(tmp_path, "repro/solvers/cg.py", self.GOOD)
-        findings, _ = lint_file(path)
-        assert "R6" not in rules_of(findings)
-
-    def test_phase_span_and_trace_region_count(self, tmp_path):
-        for opener in ("obs_trace.phase_span('solve')",
-                       "obs_trace.trace_region()"):
-            path = write(
-                tmp_path,
-                "repro/solvers/cg.py",
-                f"""
-                from repro.obs import trace as obs_trace
-
-                def solve(a, b):
-                    with {opener}:
-                        return b - a @ b
-                """,
-            )
-            findings, _ = lint_file(path)
-            assert "R6" not in rules_of(findings), opener
-
-    def test_span_in_private_impl_covers_entry_point(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/solvers/cg.py",
-            """
-            from repro.obs import trace as obs_trace
-
-            def solve(a, b):
-                return _solve_impl(a, b)
-
-            def _solve_impl(a, b):
-                with obs_trace.span("solve", "solver"):
-                    return b - a @ b
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R6" not in rules_of(findings)
-
-    def test_method_delegation_followed(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/dist/par_solver.py",
-            """
-            from repro.obs import trace as obs_trace
-
-            class ParAMGSolver:
-                def solve(self, b):
-                    return self._solve_impl(b)
-
-                def _solve_impl(self, b):
-                    with obs_trace.span("ParAMGSolver.solve", "solver"):
-                        return b
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R6" not in rules_of(findings)
-
-    def test_spanless_method_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/dist/par_solver.py",
-            """
-            class ParAMGSolver:
-                def solve(self, b):
-                    return b
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert any(
-            f.rule == "R6" and "ParAMGSolver.solve()" in f.message
-            for f in findings
-        )
-
-    def test_non_entry_point_names_exempt(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/solvers/cg.py",
-            """
-            def helper(a, b):
-                return a + b
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R6" not in rules_of(findings)
-
-    def test_outside_solver_scope_exempt(self, tmp_path):
-        path = write(tmp_path, "repro/perf/report2.py", self.BAD)
-        findings, _ = lint_file(path)
-        assert "R6" not in rules_of(findings)
-
-    def test_instrumented_tree_has_no_r6_advisories(self, tree_lint):
-        """Every public solver entry point in the repo opens a span."""
-        assert [f.format_text() for f in tree_lint.findings
-                if f.rule == "R6" and in_tree(f, "src", "repro")] == []
-
-
-# ---------------------------------------------------------------------------
 # R5 — hot-loop allocation (advisory)
 # ---------------------------------------------------------------------------
 
@@ -970,11 +734,6 @@ class TestCLI:
         "R1": "import numpy as np\n\ndef f(v):\n    q = v.astype(np.float16)\n    return q * 2.5\n",
         "R2": "import numpy as np\n\nnp.add.at([], [], [])\n",
         "R3": "def f(avg_nnz_blc):\n    return avg_nnz_blc >= 10\n",
-        "R4": (
-            "from repro.kernels.record import KernelRecord\n\n"
-            "def k(x):\n    r = KernelRecord(kernel='spmv', backend='b')\n"
-            "    return x, r\n"
-        ),
     }
 
     @pytest.mark.parametrize("rule", sorted(SEEDED))
@@ -1032,16 +791,34 @@ class TestCLI:
         assert proc.returncode == 2
 
     def test_retired_rule_ids_are_unknown(self, tmp_path):
-        """R7/R8 (the retired buffer-provenance rules) are not reused:
-        selecting one is a usage error, suppressing one an R0 finding."""
-        path = write(
-            tmp_path, "ok.py", "VALUE = 1  # lint: disable=R7 -- retired\n"
-        )
-        proc = run_cli([str(tmp_path), "--select=R7,R8"])
-        assert proc.returncode == 2
-        assert "['R7', 'R8']" in proc.stderr
-        findings, _ = lint_file(path)
-        assert rules_of(findings) == {"R0"}
+        """Retired ids are not reused — R4/R6 (now proven at run time by
+        the oracle stamps and the traced entry-point test) and R7/R8 (the
+        buffer-provenance rules): selecting one is a usage error,
+        suppressing one an R0 finding."""
+        for retired in (["R4", "R6"], ["R7", "R8"]):
+            for rule in retired:
+                path = write(
+                    tmp_path, "ok.py",
+                    f"VALUE = 1  # lint: disable={rule} -- retired\n",
+                )
+                findings, _ = lint_file(path)
+                assert rules_of(findings) == {"R0"}
+            proc = run_cli(["src/repro", f"--select={','.join(retired)}"])
+            assert proc.returncode == 2
+            assert str(retired) in proc.stderr
+
+    def test_every_checker_sees_one_file(self):
+        """Every rule is per-file: a checker takes the file's
+        ModuleContext and nothing else."""
+        import inspect
+
+        from repro.lint.engine import CHECKERS
+
+        assert sorted(CHECKERS, key=lambda r: int(r[1:])) == [
+            "R1", "R2", "R3", "R5", "R9", "R10",
+        ]
+        for checker in CHECKERS.values():
+            assert list(inspect.signature(checker).parameters) == ["ctx"]
 
     def test_missing_path_is_usage_error(self, tmp_path):
         proc = run_cli([str(tmp_path / "nope.txt")])
@@ -1063,125 +840,6 @@ class TestCLI:
         assert baseline.exists()
         rerun = run_cli([str(tmp_path), "--baseline", str(baseline)])
         assert rerun.returncode == 0, rerun.stdout + rerun.stderr
-
-
-# ---------------------------------------------------------------------------
-# Call graph (PR 8 substrate)
-# ---------------------------------------------------------------------------
-
-
-class TestCallGraph:
-    def _index(self, tmp_path, files):
-        from repro.lint.callgraph import ProjectIndex
-        from repro.lint.context import load_module
-
-        ctxs = [
-            load_module(write(tmp_path, rel, src), display_path=rel)
-            for rel, src in files.items()
-        ]
-        return ProjectIndex(ctxs), ctxs
-
-    def test_closure_edge(self, tmp_path):
-        index, (ctx,) = self._index(tmp_path, {
-            "repro/tape/mod.py": """
-            def outer():
-                def inner():
-                    return 1
-                return inner
-            """,
-        })
-        outer = index.module_of(ctx).functions["outer"]
-        assert [c.name for c in outer.children] == ["inner"]
-        assert outer.children[0].qualname == "outer.<locals>.inner"
-        assert outer.children[0].parent is outer
-
-    def test_self_delegation_edge(self, tmp_path):
-        index, (ctx,) = self._index(tmp_path, {
-            "repro/kernels/mod.py": """
-            class Engine:
-                def public(self):
-                    return self._impl()
-
-                def _impl(self):
-                    return 0
-            """,
-        })
-        methods = index.module_of(ctx).classes["Engine"]
-        call = methods["public"].calls[0]
-        resolved = index.resolve_call(methods["public"], call)
-        assert resolved is methods["_impl"]
-
-    def test_module_level_impl_delegation(self, tmp_path):
-        index, (ctx,) = self._index(tmp_path, {
-            "repro/solvers/mod.py": """
-            def solve():
-                return _impl()
-
-            def _impl():
-                return 0
-            """,
-        })
-        funcs = index.module_of(ctx).functions
-        resolved = index.resolve_call(funcs["solve"], funcs["solve"].calls[0])
-        assert resolved is funcs["_impl"]
-
-    def test_cross_file_import_edge(self, tmp_path):
-        index, ctxs = self._index(tmp_path, {
-            "repro/tape/helper.py": """
-            def bind_thing():
-                return 1
-            """,
-            "repro/kernels/user.py": """
-            from repro.tape.helper import bind_thing
-
-            def use():
-                return bind_thing()
-            """,
-        })
-        user_ctx = next(c for c in ctxs if c.path.endswith("user.py"))
-        helper_ctx = next(c for c in ctxs if c.path.endswith("helper.py"))
-        use = index.module_of(user_ctx).functions["use"]
-        resolved = index.resolve_call(use, use.calls[0])
-        assert resolved is index.module_of(helper_ctx).functions["bind_thing"]
-
-    def test_import_alias_edge(self, tmp_path):
-        index, ctxs = self._index(tmp_path, {
-            "repro/tape/helper.py": """
-            def bind_thing():
-                return 1
-            """,
-            "repro/kernels/user.py": """
-            import repro.tape.helper as hp
-
-            def use():
-                return hp.bind_thing()
-            """,
-        })
-        user_ctx = next(c for c in ctxs if c.path.endswith("user.py"))
-        use = index.module_of(user_ctx).functions["use"]
-        assert index.resolve_call(use, use.calls[0]).name == "bind_thing"
-
-    def test_reachable_follows_closures_and_private_calls(self, tmp_path):
-        index, (ctx,) = self._index(tmp_path, {
-            "repro/tape/mod.py": """
-            def entry():
-                def closure():
-                    return _private()
-                return closure
-
-            def _private():
-                return public_other()
-
-            def public_other():
-                return 0
-            """,
-        })
-        entry = index.module_of(ctx).functions["entry"]
-        names = {
-            fn.name for fn in index.reachable(entry, private_only=True)
-        }
-        assert {"entry", "closure", "_private"} <= names
-        assert "public_other" not in names  # walk stops at public callees
 
 
 # ---------------------------------------------------------------------------
@@ -1302,103 +960,6 @@ class TestStaleClosureCapture:
         )
         findings, _ = lint_file(path)
         assert "R9" not in rules_of(findings)
-
-
-# ---------------------------------------------------------------------------
-# R4/R5 on the call graph (migration behaviour)
-# ---------------------------------------------------------------------------
-
-
-class TestCallGraphMigrations:
-    def test_r4_module_level_private_delegation(self, tmp_path):
-        # The generic walk follows module-level _helpers, which the old
-        # pattern-based R4 only did for self._helper().
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            from repro.check import KernelRecord, check_runtime
-
-            def entry(tiles):
-                rec = _build(tiles)
-                return _consult(rec)
-
-            def _build(tiles):
-                return KernelRecord(op="spmv", shapes=())
-
-            def _consult(rec):
-                if check_runtime.is_active():
-                    return rec
-                return rec
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R4" not in rules_of(findings)
-
-    def test_r4_still_flags_unhooked_delegation(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/kernels/snippet.py",
-            """
-            from repro.check import KernelRecord
-
-            def entry(tiles):
-                return _build(tiles)
-
-            def _build(tiles):
-                return KernelRecord(op="spmv", shapes=())
-            """,
-        )
-        findings, _ = lint_file(path)
-        assert "R4" in rules_of(findings)
-
-    def test_r5_hidden_alloc_through_private_callee(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/solvers/snippet.py",
-            """
-            import numpy as np
-
-            def _scratch(n):
-                return np.zeros(n)
-
-            def iterate(n, iters):
-                total = 0.0
-                for _ in range(iters):
-                    buf = _scratch(n)
-                    total += float(buf.sum())
-                return total
-            """,
-        )
-        findings, _ = lint_file(path)
-        r5 = [f for f in findings if f.rule == "R5"]
-        assert len(r5) == 1
-        assert "_scratch()" in r5[0].message
-        assert "allocates on every iteration" in r5[0].message
-
-    def test_r5_callee_alloc_inside_own_loop_not_charged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "repro/solvers/snippet.py",
-            """
-            import numpy as np
-
-            def _chunked(n):
-                out = []
-                for _ in range(4):
-                    out.append(np.zeros(n))
-                return out
-
-            def iterate(n, iters):
-                for _ in range(iters):
-                    _chunked(n)
-            """,
-        )
-        findings, _ = lint_file(path)
-        # _chunked's own in-loop alloc is flagged at its own site, but
-        # the call site in iterate() is not charged a second time.
-        r5 = [f for f in findings if f.rule == "R5"]
-        assert all("allocates on every iteration" not in f.message for f in r5)
 
 
 # ---------------------------------------------------------------------------
@@ -1644,50 +1205,11 @@ class TestChangedFlag:
         assert proc.returncode == 0
         assert "0 files checked" in proc.stdout
 
-    def test_changed_cross_file_context_still_resolves(self, tmp_path):
-        # The changed file's R4 finding depends on a call edge into an
-        # UNCHANGED file (the private helper that builds the record): the
-        # full tree must still be indexed.
-        self._init_repo(tmp_path)
-        write(
-            tmp_path,
-            "repro/kernels/helper.py",
-            """
-            from repro.kernels.record import KernelRecord
-
-            def _record(x):
-                return KernelRecord(kernel="spmv", backend="b")
-            """,
-        )
-        self._git(tmp_path, "add", "-A")
-        self._git(tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-                  "commit", "-q", "-m", "seed")
-        write(
-            tmp_path,
-            "repro/kernels/user.py",
-            """
-            from repro.kernels.helper import _record
-
-            def kernel(x):
-                return x, _record(x)
-            """,
-        )
-        proc = run_cli(
-            ["repro", "--changed", "--no-baseline", "--format=json"],
-            cwd=tmp_path,
-        )
-        payload = json.loads(proc.stdout)
-        assert proc.returncode == 1
-        assert [f["rule"] for f in payload["findings"]] == ["R4"]
-        assert payload["findings"][0]["path"] == "repro/kernels/user.py"
-
-    @pytest.mark.parametrize("select, parsed", [
-        (["R2"], {"repro/kernels/fresh.py"}),
-        (["R2", "R5"], {"repro/kernels/committed.py", "repro/kernels/fresh.py"}),
-    ])
-    def test_report_on_parses_the_whole_tree_only_for_interprocedural_rules(
-        self, tmp_path, monkeypatch, select, parsed
+    def test_report_on_parses_only_the_reported_files(
+        self, tmp_path, monkeypatch
     ):
+        """Whatever the rule selection, a scoped run parses just the
+        files it reports on."""
         from repro.lint import engine
 
         write(tmp_path, "repro/kernels/committed.py", self.SEEDED)
@@ -1701,11 +1223,15 @@ class TestChangedFlag:
 
         monkeypatch.setattr(engine, "load_module", recording)
         monkeypatch.chdir(tmp_path)
-        result = lint_paths(["repro"], select=select,
-                            report_on={"repro/kernels/fresh.py"})
-        assert set(seen) == parsed
-        assert result.files_checked == 1
-        assert [f.path for f in result.findings] == ["repro/kernels/fresh.py"]
+        for select in (["R2"], ["R2", "R5"], None):
+            seen.clear()
+            result = lint_paths(["repro"], select=select,
+                                report_on={"repro/kernels/fresh.py"})
+            assert seen == ["repro/kernels/fresh.py"]
+            assert result.files_checked == 1
+            assert [f.path for f in result.findings] == [
+                "repro/kernels/fresh.py"
+            ]
 
     def test_changed_falls_back_without_git(self, tmp_path):
         # No .git anywhere up the tree inside tmp: force failure by

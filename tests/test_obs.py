@@ -206,6 +206,125 @@ class TestSpanTree:
 
 
 # ---------------------------------------------------------------------------
+# public solver entry points: one root span each, no charge outside a span
+# ---------------------------------------------------------------------------
+
+
+def _perturbed(a, seed=3):
+    """A copy of *a* with four rows scaled: same pattern, new values."""
+    from repro.formats.csr import CSRMatrix
+
+    data = a.data.copy()
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(a.nrows, size=4, replace=False)
+    for r in rows:
+        data[a.indptr[r]:a.indptr[r + 1]] *= 1.05
+    return CSRMatrix(a.shape, a.indptr, a.indices, data)
+
+
+def _amgt(backend, a):
+    return AmgTSolver(backend=backend, device="H100").setup(a)
+
+
+def _driver(backend, a):
+    from repro.gpu.specs import get_device
+    from repro.hypre.backends import make_backend
+    from repro.hypre.boomeramg import BoomerAMG
+
+    driver = BoomerAMG(make_backend(backend, get_device("H100")))
+    driver.setup(a)
+    return driver
+
+
+def _par(backend, a):
+    from repro.dist.par_solver import ParAMGSolver
+
+    return ParAMGSolver(num_ranks=2, backend=backend).setup(a)
+
+
+def _krylov(method):
+    def call(backend, a, b):
+        from repro import solvers
+
+        m = _amgt(backend, a).as_preconditioner()
+        return lambda: getattr(solvers, method)(
+            a.matvec, b, preconditioner=m, max_iterations=3)
+    return call
+
+
+#: entry point -> (root span name, whether it charges a PerformanceLog,
+#: ``build(backend, a, b)``).  ``build`` runs untraced: it does the
+#: preparation (a default argument such as ``s=_amgt(be, a)`` is the
+#: set-up solver) and returns the zero-argument call the test traces.
+ENTRY_POINTS = {
+    "AmgTSolver.setup": ("AmgTSolver.setup", True, lambda be, a, b: (
+        lambda: AmgTSolver(backend=be, device="H100").setup(a))),
+    "AmgTSolver.setup[reuse,patch]": ("AmgTSolver.setup", True,
+        lambda be, a, b: (lambda s=_amgt(be, a): s.setup(
+            _perturbed(a), reuse=True, patch=True))),
+    "AmgTSolver.solve": ("AmgTSolver.solve", True, lambda be, a, b: (
+        lambda s=_amgt(be, a): s.solve(b, max_iterations=2))),
+    "AmgTSolver.solve_multi": ("AmgTSolver.solve_multi", True,
+        lambda be, a, b: (lambda s=_amgt(be, a): s.solve_multi(
+            np.stack([b, 2 * b], axis=1), max_iterations=2))),
+    "AmgTSolver.solve_krylov": ("AmgTSolver.solve_krylov", True,
+        lambda be, a, b: (lambda s=_amgt(be, a): s.solve_krylov(
+            b, max_iterations=3))),
+    "ParAMGSolver.setup": ("ParAMGSolver.setup", False, lambda be, a, b: (
+        lambda: _par(be, a))),
+    "ParAMGSolver.solve": ("ParAMGSolver.solve", False, lambda be, a, b: (
+        lambda s=_par(be, a): s.solve(b, max_iterations=2))),
+    "ParAMGSolver.solve_pcg": ("ParAMGSolver.solve_pcg", False,
+        lambda be, a, b: (lambda s=_par(be, a): s.solve_pcg(
+            b, max_iterations=3))),
+    "pcg": ("pcg", True, _krylov("pcg")),
+    "gmres": ("gmres", True, _krylov("gmres")),
+    "bicgstab": ("bicgstab", True, _krylov("bicgstab")),
+    "BoomerAMG.setup": ("setup", True, lambda be, a, b: (
+        lambda: _driver(be, a))),
+    "BoomerAMG.solve": ("solve", True, lambda be, a, b: (
+        lambda d=_driver(be, a): d.solve(b))),
+    "BoomerAMG.precondition": ("solve", True, lambda be, a, b: (
+        lambda d=_driver(be, a): d.precondition(b))),
+    "VCyclePreconditioner.apply": ("solve", True, lambda be, a, b: (
+        lambda m=_amgt(be, a).as_preconditioner(): m.apply(b))),
+}
+
+
+class TestEntryPoints:
+    """Every public solver entry point, traced from a cold start: the call
+    opens exactly one root span, named for the entry point (the driver's
+    own entry points root at their phase span), and every record reaching
+    the one charge point, :meth:`PerformanceLog.extend`, lands while a
+    span is open."""
+
+    @pytest.mark.parametrize("backend", ["amgt", "hypre"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_one_root_span_and_no_spanless_charge(
+        self, monkeypatch, entry, backend
+    ):
+        from repro.perf.timeline import PerformanceLog
+
+        root, charges_log, build = ENTRY_POINTS[entry]
+        a = poisson2d(12)
+        call = build(backend, a, np.ones(a.nrows))
+        obs.reset()
+        charges = []
+        extend = PerformanceLog.extend
+
+        def watched(log, records):
+            charges.append((len(records), obs_trace.TRACER.current()))
+            return extend(log, records)
+
+        monkeypatch.setattr(PerformanceLog, "extend", watched)
+        with obs.trace_region():
+            call()
+        assert [r.name for r in obs_trace.TRACER.roots] == [root]
+        assert bool(charges) == charges_log
+        assert [n for n, span in charges if span is None] == []
+
+
+# ---------------------------------------------------------------------------
 # metrics registry
 # ---------------------------------------------------------------------------
 
